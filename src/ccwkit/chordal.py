@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidPEO, NotChordal
-from .graph import Graph, bits, connected_components, mask_of
+from .graph import Graph, bits, connected_components, is_clique, mask_of
 from .measure import Measure
 
 
@@ -39,28 +39,44 @@ class CliqueTree:
 def lex_bfs(g: Graph) -> list[int]:
     """Lexicographic BFS order; ties broken by smallest vertex index.
 
-    Partition-refinement implementation, O(V + E).
+    Partition refinement with each cell a bitmask: take the lowest bit of the
+    first cell, then split every cell into its neighbours of that vertex
+    (first) and the rest.  Each step visits every cell, so it is quadratic
+    when cells multiply: (V+E)^2.2 measured on sparse G(n, 4/n).  On the
+    dense apex-grid factor 1 (k=2, n=20..60) cells stay few: (V+E)^0.8.
     """
-    # sequence of cells, each a list of vertices kept in ascending index order
-    cells: list[list[int]] = [list(range(g.n))]
-    order = []
+    cells = [g.vertex_mask()] if g.n else []
+    order: list[int] = []
     while cells:
-        head = cells[0]
-        v = head.pop(0)
-        if not head:
-            cells.pop(0)
+        low = cells[0] & -cells[0]
+        v = low.bit_length() - 1
         order.append(v)
+        cells[0] ^= low
         nb = g.adj_mask(v)
-        new_cells: list[list[int]] = []
+        refined: list[int] = []
         for cell in cells:
-            hit = [u for u in cell if nb >> u & 1]
-            miss = [u for u in cell if not nb >> u & 1]
+            hit = cell & nb
             if hit:
-                new_cells.append(hit)
-            if miss:
-                new_cells.append(miss)
-        cells = new_cells
+                refined.append(hit)
+            if hit != cell:
+                refined.append(cell ^ hit)
+        cells = refined
     return order
+
+
+def _elimination(g: Graph, order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """For each vertex v: the mask of its neighbours after it in `order`, and
+    its parent, the earliest of them (-1 when there is none)."""
+    pos = {v: i for i, v in enumerate(order)}
+    succ = [0] * g.n
+    parent = [-1] * g.n
+    later = 0
+    for v in reversed(order):
+        succ[v] = g.adj_mask(v) & later
+        if succ[v]:
+            parent[v] = min(bits(succ[v]), key=pos.__getitem__)
+        later |= 1 << v
+    return succ, parent
 
 
 def verify_peo(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
@@ -71,23 +87,11 @@ def verify_peo(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
     """
     if sorted(order) != list(range(g.n)):
         raise InvalidPEO("ordering is not a permutation of V(g)")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    later = [0] * g.n  # mask of vertices after v in the ordering
-    running = 0
-    for v in reversed(order):
-        later[v] = running
-        running |= 1 << v
+    succ, parent = _elimination(g, order)
     for v in order:
-        succ = g.adj_mask(v) & later[v]
-        if not succ:
-            continue
-        p = min(bits(succ), key=lambda u: pos[u])
-        missing = succ & ~g.adj_mask(p) & ~(1 << p)
-        if missing:
-            w = next(bits(missing))
-            return v, p, w
+        p = parent[v]
+        if p >= 0 and (missing := succ[v] & ~g.adj_mask(p) & ~(1 << p)):
+            return v, p, next(bits(missing))
     return None
 
 
@@ -160,8 +164,7 @@ def verify_certificate(g: Graph, cert: ChordalCertificate) -> bool:
 
 def is_chordal(g: Graph) -> tuple[bool, ChordalCertificate]:
     """Certifying recognition: a verified PEO, or a verified chordless cycle."""
-    order = lex_bfs(g)
-    peo = order[::-1]
+    peo = lex_bfs(g)[::-1]
     if verify_peo(g, peo) is None:
         return True, ChordalCertificate(peo=tuple(peo))
     hole = _find_hole(g)
@@ -173,28 +176,29 @@ def maximal_cliques_chordal(g: Graph, peo: Sequence[int]) -> list[frozenset[int]
     """Maximal cliques of a chordal graph from a PEO (at most |V| of them)."""
     if verify_peo(g, peo) is not None:
         raise InvalidPEO("not a perfect elimination ordering")
-    cand: list[int] = []
-    masks_seen: set[int] = set()
-    pos_later = [0] * g.n  # mask of vertices after v in the ordering
-    running = 0
-    for v in reversed(peo):
-        pos_later[v] = running
-        running |= 1 << v
-    for v in peo:
-        m = (1 << v) | (g.adj_mask(v) & pos_later[v])
-        if m not in masks_seen:
-            masks_seen.add(m)
-            cand.append(m)
-    maximal = [
-        m for m in cand if not any(other != m and m & ~other == 0 for other in cand)
-    ]
-    return [frozenset(bits(m)) for m in maximal]
+    return _peo_cliques(g, peo)
+
+
+def _peo_cliques(g: Graph, peo: Sequence[int]) -> list[frozenset[int]]:
+    """Maximal cliques from an already verified PEO, in PEO order.
+
+    C(v) = {v} + later neighbours of v is not maximal iff some u with
+    parent(u) = v has one more later neighbour than v (Blair & Peyton 1993).
+    Measured (V+E)^1.0 on the apex-grid factor 1 (k=2, n=20..60).
+    """
+    succ, parent = _elimination(g, peo)
+    size = [m.bit_count() for m in succ]
+    dropped = {parent[u] for u in peo if parent[u] >= 0 and size[u] == size[parent[u]] + 1}
+    return [frozenset(bits(succ[v] | 1 << v)) for v in peo if v not in dropped]
 
 
 def clique_tree(g: Graph, peo: Sequence[int]) -> CliqueTree:
     """Clique tree (forest for disconnected graphs) via maximum-weight spanning
     tree of the clique intersection graph."""
-    bags = maximal_cliques_chordal(g, peo)
+    return _spanning_tree(maximal_cliques_chordal(g, peo))
+
+
+def _spanning_tree(bags: list[frozenset[int]]) -> CliqueTree:
     masks = [mask_of(b) for b in bags]
     pairs = []
     for i in range(len(bags)):
@@ -222,8 +226,6 @@ def clique_tree(g: Graph, peo: Sequence[int]) -> CliqueTree:
 
 def verify_clique_tree(g: Graph, tree: CliqueTree) -> bool:
     """All three clique-tree invariants, re-derived from the graph."""
-    from .graph import is_clique
-
     masks = [mask_of(b) for b in tree.bags]
     all_mask = 0
     for m in masks:
@@ -267,17 +269,20 @@ def verify_clique_tree(g: Graph, tree: CliqueTree) -> bool:
 
 
 def balanced_clique_separator(g: Graph, mu: Measure, balance: float = 2 / 3) -> set[int]:
-    """A clique-tree bag whose removal leaves components of measure <= balance * mu(g).
-
-    Centroid-style walk: move toward the heaviest component while that
-    strictly improves, then assert the balance bound.
-    """
+    """A clique-tree bag whose removal leaves components of measure <= balance * mu(g)."""
     if balance < 2 / 3:
         raise ValueError("balance must be >= 2/3")
     chordal, cert = is_chordal(g)
     if not chordal:
         raise NotChordal("balanced_clique_separator requires a chordal graph")
-    tree = clique_tree(g, cert.peo)
+    return _balanced_bag(g, cert.peo, mu, balance)
+
+
+def _balanced_bag(g: Graph, peo: Sequence[int], mu: Measure, balance: float) -> set[int]:
+    """The separator bag from an already verified PEO of g: walk the clique
+    tree toward the heaviest component while that strictly improves, then
+    assert the balance bound."""
+    tree = _spanning_tree(_peo_cliques(g, peo))
     bags = tree.bags
     adj: dict[int, set[int]] = {i: set() for i in range(len(bags))}
     for i, j in tree.tree_edges:

@@ -67,51 +67,45 @@ def _write_manifest(path: str | None, argv: list[str], seed: int) -> None:
         _dump({"command": "ccwkit", "argv": argv, "seed": seed}, path)
 
 
+def _clique_sum(args: argparse.Namespace) -> Factorization:
+    spec = CliqueSumSpec(
+        parts=tuple(_parse_parts(args.parts)),
+        removed_edges=tuple(_parse_apex_edges(args.removed_edges)),
+    )
+    return factorize_clique_sum(spec)
+
+
+def _clique_sum_n_k(args: argparse.Namespace) -> tuple[int, int]:
+    parts = _parse_parts(args.parts)
+    return sum(n for _, n in parts), parts[0][0]
+
+
+# family -> (make graph, make factorization, make meta (n, k)).  Without the
+# first, `construct` writes the factorization's base; without the second,
+# `factorize` does not offer the family; without the third, meta is --n, --k.
+_FAMILIES = {
+    "grid": (lambda a: grid(a.n), None, None),
+    "apex-grid": (
+        lambda a: apex_grid(a.k, a.n, _parse_apex_edges(a.apex_edges)),
+        lambda a: factorize_apex_grid(a.k, a.n, _parse_apex_edges(a.apex_edges)),
+        None,
+    ),
+    "clique-sum": (None, _clique_sum, _clique_sum_n_k),
+    "example3i": (None, lambda a: example3_i(a.n, a.k), None),
+    "example3ii": (None, lambda a: example3_ii(a.n, a.k), None),
+}
+
+
 def _build_graph(args: argparse.Namespace) -> Graph:
-    family = args.family
-    if family == "grid":
-        return grid(args.n)
-    if family == "apex-grid":
-        return apex_grid(args.k, args.n, _parse_apex_edges(args.apex_edges))
-    if family == "clique-sum":
-        spec = CliqueSumSpec(
-            parts=tuple(_parse_parts(args.parts)),
-            removed_edges=tuple(_parse_apex_edges(args.removed_edges)),
-        )
-        return factorize_clique_sum(spec).base
-    if family == "example3i":
-        return example3_i(args.n, args.k).base
-    if family == "example3ii":
-        return example3_ii(args.n, args.k).base
-    raise CcwKitError(f"unknown family {family!r}")
+    graph, factorization, _ = _FAMILIES[args.family]
+    return graph(args) if graph else factorization(args).base
 
 
 def _build_factorization(args: argparse.Namespace) -> tuple[Factorization, dict]:
-    family = args.family
-    if family == "apex-grid":
-        f = factorize_apex_grid(args.k, args.n, _parse_apex_edges(args.apex_edges))
-        meta = {"family": family, "n": args.n, "k": args.k}
-    elif family == "clique-sum":
-        parts = _parse_parts(args.parts)
-        spec = CliqueSumSpec(
-            parts=tuple(parts),
-            removed_edges=tuple(_parse_apex_edges(args.removed_edges)),
-        )
-        f = factorize_clique_sum(spec)
-        meta = {
-            "family": family,
-            "n": sum(n for _, n in parts),
-            "k": parts[0][0],
-        }
-    elif family == "example3i":
-        f = example3_i(args.n, args.k)
-        meta = {"family": family, "n": args.n, "k": args.k}
-    elif family == "example3ii":
-        f = example3_ii(args.n, args.k)
-        meta = {"family": family, "n": args.n, "k": args.k}
-    else:
-        raise CcwKitError(f"unknown family {family!r}")
-    return f, meta
+    _, factorization, meta = _FAMILIES[args.family]
+    f = factorization(args)
+    n, k = meta(args) if meta else (args.n, args.k)
+    return f, {"family": args.family, "n": n, "k": k}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -234,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("construct", help="write a graph family as JSON (or DOT)")
-    p.add_argument("family", choices=["grid", "apex-grid", "clique-sum", "example3i", "example3ii"])
+    p.add_argument("family", choices=list(_FAMILIES))
     _add_family_args(p)
     p.add_argument("--dot", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("factorize", help="write a verified factorization envelope")
-    p.add_argument("family", choices=["apex-grid", "clique-sum", "example3i", "example3ii"])
+    p.add_argument("family", choices=[name for name, (_, fz, _) in _FAMILIES.items() if fz])
     _add_family_args(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_factorize)

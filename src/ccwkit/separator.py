@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chordal import balanced_clique_separator, maximal_cliques_chordal
+from .chordal import _balanced_bag, _peo_cliques
 from .cliquecover import OrderedCliqueCover
 from .constructions import Factorization, check_factorization
 from .errors import InvalidFactorization, NoApex, NotCliqueInFactorOne
-from .graph import Apex, Graph, GridCell, connected_components, is_clique, is_independent
+from .graph import (Apex, Graph, GridCell, connected_components, induced_subgraph, is_clique,
+                    is_independent)
 from .measure import Measure
 
 
@@ -77,14 +78,16 @@ def product_cell_cover(
 
 def separate(f: Factorization, mu: Measure | None = None) -> SeparatorResult:
     """Balanced separator of the base graph from a clique-tree bag of the
-    chordal factor, with a clique cover of the separator certified in the base."""
+    chordal factor, with a clique cover of the separator certified in the base.
+    The clique tree is built from the envelope's PEO, which
+    check_factorization has just verified."""
     check_factorization(f)
     base = f.base
     if mu is None:
         mu = Measure.uniform(base.n)
     total = mu.total(base.n)
 
-    sep = balanced_clique_separator(f.factors[0], mu)
+    sep = _balanced_bag(f.factors[0], f.chordal_cert.peo, mu, 2 / 3)
     cliques = product_cell_cover(base, sep, list(f.covers))
 
     rest = set(range(base.n)) - sep
@@ -152,15 +155,11 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
         raise NoApex(f"no apex with index {x}")
     apex = apex_vs[x]
 
-    from .graph import induced_subgraph
-    from .chordal import is_chordal
-
+    # the verified PEO of factor 1, restricted to the grid, is a PEO of `sub`
     sub, back = induced_subgraph(f.factors[0], grid_vs)
-    chordal, cert = is_chordal(sub)
-    if not chordal:
-        raise InvalidFactorization("factor 1 restricted to the grid is not chordal")
-    cliques = maximal_cliques_chordal(sub, cert.peo)
-    s_local = max(cliques, key=len)
+    local = {v: i for i, v in enumerate(back)}
+    sub_peo = [local[v] for v in f.chordal_cert.peo if v in local]
+    s_local = max(_peo_cliques(sub, sub_peo), key=len)
     s = {back[v] for v in s_local}
 
     # independent half of s via the grid bipartition

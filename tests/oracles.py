@@ -107,3 +107,43 @@ def brute_components(g: Graph):
         comps.append(comp)
         seen |= comp
     return comps
+
+
+def brute_lex_bfs(g: Graph):
+    """Lex-BFS by its definition: every vertex keeps a label, the list of the
+    (descending) numbers of its already visited neighbours; visit the vertex
+    with the lexicographically largest label, the smallest index on ties."""
+    labels = {v: [] for v in range(g.n)}
+    order = []
+    for step in range(g.n):
+        v = max(labels, key=lambda u: (labels[u], -u))
+        del labels[v]
+        order.append(v)
+        for u in labels:
+            if g.has_edge(u, v):
+                labels[u].append(g.n - step)
+    return order
+
+
+def brute_ordered_maximal_cliques(g: Graph, peo):
+    """C(v) = {v} plus the neighbours of v after it in `peo`, in PEO order,
+    keeping those that no other C(u) strictly contains."""
+    pos = {v: i for i, v in enumerate(peo)}
+    cand = [
+        {v} | {u for u in range(g.n) if g.has_edge(u, v) and pos[u] > pos[v]}
+        for v in peo
+    ]
+    return [c for c in cand if not any(c < d for d in cand)]
+
+
+def fill_in(g: Graph, order):
+    """The elimination game: eliminate vertices in `order`, joining the later
+    neighbours of each; the result is chordal with `order` as a PEO."""
+    edges = {(u, v) for u, v in g.edges()}
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in range(g.n)
+                 if pos[u] > pos[v] and ((u, v) in edges or (v, u) in edges)]
+        for a, b in combinations(later, 2):
+            edges.add((min(a, b), max(a, b)))
+    return Graph.from_edges(g.n, sorted(edges))
