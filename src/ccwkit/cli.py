@@ -36,30 +36,36 @@ from .errors import CcwKitError
 
 
 def _dump(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # compact separators keep CPython on its C encoder; `indent` does not
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
 
 
+def _parse_pairs(text: str, sep: str, flag: str, example: str) -> list[tuple[int, int]]:
+    pairs = []
+    for tok in text.split(","):
+        try:
+            a, b = tok.split(sep)
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise CcwKitError(
+                f"malformed {flag} token {tok!r}, expected e.g. {example!r}"
+            ) from None
+    return pairs
+
+
 def _parse_apex_edges(text: str | None) -> set[tuple[int, int]]:
-    if not text:
-        return set()
-    out = set()
-    for tok in text.split(","):
-        a, b = tok.split("-")
-        out.add((int(a), int(b)))
-    return out
+    return set(_parse_pairs(text, "-", "--apex-edges", "1-2,2-3")) if text else set()
 
 
-def _parse_parts(text: str) -> list[tuple[int, int]]:
+def _parse_parts(text: str | None) -> list[tuple[int, int]]:
     # "1:4,1:6" -> [(k=1, n=4), (k=1, n=6)]
-    parts = []
-    for tok in text.split(","):
-        k, n = tok.split(":")
-        parts.append((int(k), int(n)))
-    return parts
+    if not text:
+        raise CcwKitError("clique-sum needs --parts, e.g. '1:4,1:6'")
+    return _parse_pairs(text, ":", "--parts", "1:4,1:6")
 
 
 def _write_manifest(path: str | None, argv: list[str], seed: int) -> None:

@@ -17,6 +17,11 @@ class DuplicateLabel(CcwKitError):
     """Two vertices carry the same label."""
 
 
+class InvalidMeasure(CcwKitError, ValueError):
+    """Vertex weights that are negative, NaN, infinite, not numbers, or not
+    one per vertex."""
+
+
 class InvalidPEO(CcwKitError):
     """The given ordering is not a perfect elimination ordering."""
 

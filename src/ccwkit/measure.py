@@ -3,8 +3,11 @@ sum of vertex weights (monotone, subadditive, additive across disjoint parts).""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .errors import InvalidMeasure
 
 
 @dataclass(frozen=True)
@@ -12,8 +15,9 @@ class Measure:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights):
-            raise ValueError("measure weights must be non-negative")
+        # NaN fails every comparison, so it fails this one too
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise InvalidMeasure("measure weights must be finite and non-negative")
 
     @classmethod
     def uniform(cls, n: int) -> "Measure":
@@ -24,9 +28,15 @@ class Measure:
 
     def total(self, n: int) -> float:
         if n != len(self.weights):
-            raise ValueError("measure defined on a different vertex set")
+            raise InvalidMeasure(
+                f"measure has {len(self.weights)} weights for {n} vertices"
+            )
         return sum(self.weights)
 
     @classmethod
     def from_list(cls, weights: Sequence[float]) -> "Measure":
-        return cls(weights=tuple(float(w) for w in weights))
+        try:
+            floats = tuple(float(w) for w in weights)
+        except (TypeError, ValueError) as exc:
+            raise InvalidMeasure(f"measure weights must be numbers: {exc}") from None
+        return cls(weights=floats)

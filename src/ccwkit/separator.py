@@ -9,8 +9,7 @@ from .chordal import _balanced_bag, _peo_cliques
 from .cliquecover import OrderedCliqueCover
 from .constructions import Factorization, check_factorization
 from .errors import InvalidFactorization, NoApex, NotCliqueInFactorOne
-from .graph import (Apex, Graph, GridCell, connected_components, induced_subgraph, is_clique,
-                    is_independent)
+from .graph import Apex, Graph, GridCell, connected_components, is_clique, is_independent
 from .measure import Measure
 
 
@@ -147,7 +146,6 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     product cells needed to cover the independent set."""
     check_factorization(f)
     base = f.base
-    grid_vs = [v for v, lbl in enumerate(base.labels) if isinstance(lbl, GridCell)]
     apex_vs = {
         lbl.index: v for v, lbl in enumerate(base.labels) if isinstance(lbl, Apex)
     }
@@ -155,12 +153,10 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
         raise NoApex(f"no apex with index {x}")
     apex = apex_vs[x]
 
-    # the verified PEO of factor 1, restricted to the grid, is a PEO of `sub`
-    sub, back = induced_subgraph(f.factors[0], grid_vs)
-    local = {v: i for i, v in enumerate(back)}
-    sub_peo = [local[v] for v in f.chordal_cert.peo if v in local]
-    s_local = max(_peo_cliques(sub, sub_peo), key=len)
-    s = {back[v] for v in s_local}
+    # the verified PEO of factor 1, restricted to the grid, is a PEO of the
+    # grid-induced subgraph
+    grid_peo = [v for v in f.chordal_cert.peo if isinstance(base.labels[v], GridCell)]
+    s = set(max(_peo_cliques(f.factors[0], grid_peo), key=len))
 
     # independent half of s via the grid bipartition
     colors: dict[int, int] = {}

@@ -82,6 +82,33 @@ def brute_has_hole(g: Graph) -> bool:
 
 
 def brute_maximal_cliques(g: Graph):
+    """Every maximal clique, ordered by size, then lexicographically.
+
+    Cliques grow by extension: a clique (as an ascending tuple) gains only
+    larger-index vertices adjacent to all its members, so each clique is
+    grown once.  One that no vertex extends is maximal."""
+    def extends(c, v):
+        return v not in c and all(g.has_edge(u, v) for u in c)
+
+    maximal = []
+
+    def grow(c):
+        grown = False
+        for v in range(c[-1] + 1, g.n):
+            if extends(c, v):
+                grown = True
+                grow(c + (v,))
+        if not grown and not any(extends(c, v) for v in range(c[-1])):
+            maximal.append(c)
+
+    for v in range(g.n):
+        grow((v,))
+    return [set(c) for c in sorted(maximal, key=lambda c: (len(c), c))]
+
+
+def subset_maximal_cliques(g: Graph):
+    """brute_maximal_cliques by enumerating every vertex subset: the
+    reference for the extension version, usable only on small graphs."""
     cliques = []
     for size in range(1, g.n + 1):
         for sub in combinations(range(g.n), size):
@@ -147,3 +174,33 @@ def fill_in(g: Graph, order):
         for a, b in combinations(later, 2):
             edges.add((min(a, b), max(a, b)))
     return Graph.from_edges(g.n, sorted(edges))
+
+
+def brute_cover_width(g: Graph, blocks):
+    """(width, witness) of an ordered cover by scanning every vertex pair:
+    the largest block-index gap over edges, and (u, v, b(u), b(v)) for the
+    lexicographically first edge u < v attaining it (None at width 0)."""
+    pos = {v: i for i, b in enumerate(blocks) for v in b}
+    width, witness = 0, None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v) and abs(pos[u] - pos[v]) > width:
+                width = abs(pos[u] - pos[v])
+                witness = (u, v, pos[u], pos[v])
+    return width, witness
+
+
+def brute_peo_witness(g: Graph, order):
+    """None if `order` is a perfect elimination ordering, else (v, p, w): the
+    first v in order whose earliest later neighbour p is not adjacent to some
+    later neighbour w of v, with w the smallest such vertex."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in order if pos[u] > pos[v] and g.has_edge(u, v)]
+        if not later:
+            continue
+        p = later[0]
+        missing = [w for w in sorted(later) if w != p and not g.has_edge(p, w)]
+        if missing:
+            return v, p, missing[0]
+    return None

@@ -144,3 +144,49 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["bogus-command"])
         assert exc.value.code == 2
+
+
+class TestMalformedParts:
+    @pytest.mark.parametrize("cmd", ["construct", "factorize"])
+    def test_missing_parts(self, tmp_path, capsys, cmd):
+        out = tmp_path / "f.json"
+        assert run([cmd, "clique-sum", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: clique-sum needs --parts")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parts", ["1-4", "1:4,", "1:x", "1:4:2"])
+    def test_malformed_token(self, tmp_path, capsys, parts):
+        out = tmp_path / "f.json"
+        assert run(["factorize", "clique-sum", "--parts", parts, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed --parts token")
+        assert not out.exists()
+
+    def test_malformed_apex_edges(self, capsys):
+        assert run(["construct", "apex-grid", "--k", "2", "--n", "3", "--apex-edges", "1:2"]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed --apex-edges token")
+
+
+class TestInvalidWeights:
+    @pytest.mark.parametrize("weights", ["NaN", "Infinity", "-Infinity", "-1", '"a"'])
+    def test_bad_weight(self, tmp_path, capsys, weights):
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
+        w = tmp_path / "w.json"
+        w.write_text("[" + ", ".join(["1"] * 16 + [weights]) + "]")
+        out = tmp_path / "sep.json"
+        csvf = tmp_path / "rows.csv"
+        assert run(["separate", str(f), "--weights", str(w), "--out", str(out),
+                    "--csv", str(csvf)]) == 2
+        assert capsys.readouterr().err.startswith("error: measure weights must be")
+        assert not out.exists() and not csvf.exists()
+
+    @pytest.mark.parametrize("count", [16, 18])
+    def test_wrong_length(self, tmp_path, capsys, count):
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps([1.0] * count))
+        out = tmp_path / "sep.json"
+        assert run(["separate", str(f), "--weights", str(w), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: measure has {count} weights for 17 vertices\n"
+        assert not out.exists()

@@ -15,7 +15,7 @@ from ccwkit import (
     product_cell_cover,
     separate,
 )
-from ccwkit.errors import NoApex, NotCliqueInFactorOne
+from ccwkit.errors import InvalidMeasure, NoApex, NotCliqueInFactorOne
 
 
 def complete(n):
@@ -43,6 +43,15 @@ class TestMeasure:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Measure.from_list([1, -1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_invalid_weight_is_a_ccwkit_error(self, bad):
+        with pytest.raises(InvalidMeasure):
+            Measure((1.0, bad))
+
+    def test_total_rejects_wrong_length(self):
+        with pytest.raises(InvalidMeasure):
+            Measure.uniform(3).total(4)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=10),
