@@ -1,7 +1,7 @@
 """Command-line surface: construct graph families, build and verify
 factorizations, run the solvers and the separator engine.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All outputs are deterministic (sorted keys, ascending vertex order) so a
 manifest replay reproduces byte-identical files.
 """
@@ -42,6 +42,13 @@ def _dump(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CcwKitError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_pairs(text: str, sep: str, flag: str, example: str) -> list[tuple[int, int]]:
@@ -135,7 +142,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _load_factorization(path: str) -> tuple[Factorization, dict]:
-    obj = json.loads(Path(path).read_text())
+    obj = _read_json(path)
     meta = obj.get("meta", {})
     return Factorization.from_json(obj), meta
 
@@ -155,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ccw(args: argparse.Namespace) -> int:
-    g = Graph.from_json(json.loads(Path(args.file).read_text()))
+    g = Graph.from_json(_read_json(args.file))
     if args.greedy:
         width, cover = ccw_upper_greedy(g)
         report = {"mode": "greedy", "width": width, "cover": cover.to_json()}
@@ -179,7 +186,7 @@ def cmd_ccw(args: argparse.Namespace) -> int:
 def cmd_separate(args: argparse.Namespace) -> int:
     f, meta = _load_factorization(args.file)
     if args.weights:
-        mu = Measure.from_list(json.loads(Path(args.weights).read_text()))
+        mu = Measure.from_list(_read_json(args.weights))
     else:
         mu = Measure.uniform(f.base.n)
     result = separate(f, mu)
@@ -215,8 +222,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.file).read_text())
-    return main(manifest["argv"])
+    manifest = _read_json(args.file)
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise CcwKitError(f"{args.file} has no argv list of strings")
+    # a replay of a replay could run in a cycle, so only one level is allowed
+    if build_parser().parse_args(argv).cmd == "replay":
+        raise CcwKitError(f"{args.file} replays another manifest; replay that one")
+    return main(argv)
 
 
 def _add_family_args(p: argparse.ArgumentParser) -> None:

@@ -60,6 +60,15 @@ def brute_bandwidth(g: Graph) -> int:
     return best if best is not None else 0
 
 
+def brute_first_min_layout(g: Graph) -> list[int]:
+    """The lexicographically first ordering of minimum width: the smallest
+    (width, ordering) pair over every permutation of V(g)."""
+    return list(min(
+        permutations(range(g.n)),
+        key=lambda order: (ordered_cover_width(g, [[v] for v in order]), order),
+    ))
+
+
 def brute_has_hole(g: Graph) -> bool:
     """True iff some vertex subset induces a cycle of length >= 4."""
     for size in range(4, g.n + 1):

@@ -190,3 +190,45 @@ class TestInvalidWeights:
         assert run(["separate", str(f), "--weights", str(w), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: measure has {count} weights for 17 vertices\n"
         assert not out.exists()
+
+
+class TestReplayOfReplay:
+    def test_self_replay(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        assert run(["--manifest", str(manifest), "replay", str(manifest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_replay_cycle(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"command": "ccwkit", "argv": ["replay", str(b)], "seed": 0}))
+        b.write_text(json.dumps({"command": "ccwkit", "argv": ["replay", str(a)], "seed": 0}))
+        assert run(["replay", str(a)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("manifest", [[], {"seed": 0}, {"argv": "verify f.json"}])
+    def test_manifest_without_argv_list(self, tmp_path, capsys, manifest):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(manifest))
+        assert run(["replay", str(m)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("cmd", ["verify", "ccw", "separate", "audit", "replay"])
+    def test_malformed_input_file(self, tmp_path, capsys, cmd):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 3, "edges": [[0, 1],')
+        assert run([cmd, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err
+
+    def test_malformed_weights_file(self, tmp_path, capsys):
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
+        w = tmp_path / "w.json"
+        w.write_text("[1, 1,")
+        out = tmp_path / "sep.json"
+        assert run(["separate", str(f), "--weights", str(w), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err
+        assert not out.exists()
