@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except CcwKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

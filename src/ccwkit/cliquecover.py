@@ -130,15 +130,14 @@ def ccw_upper_greedy(g: Graph) -> tuple[int, OrderedCliqueCover]:
 
 
 def _layout(
-    adj: list[int], cutoff: int, lb: int, budget: float = math.inf
+    adj: list[int], cutoff: int, budget: float = math.inf
 ) -> tuple[int, list[int] | None, bool]:
     """The lexicographically first minimum-width ordering of the graph with
     adjacency masks `adj`, among orderings of width < `cutoff`.
 
-    Returns (width, ordering, exact); the ordering is None when no ordering
-    of width < `cutoff` was found, and then width is `cutoff`.  `lb` must be
-    a lower bound on the bandwidth.  `exact` is False when more than `budget`
-    nodes were visited; the result is then the best ordering seen so far.
+    Returns (width, ordering, exact).  With no ordering of width < `cutoff`
+    found, ordering is None and width is `cutoff`; past `budget` nodes,
+    exact is False and the ordering is the best one found.
 
     Depth-first over positions, trying vertices in ascending order.  With
     `best` the smallest width found so far (at first `cutoff`), prefix[j]
@@ -146,15 +145,14 @@ def _layout(
     - v may go at position i iff no neighbour sits at a position <= i - best;
     - a vertex at a position <= i + 1 - best with an unplaced neighbour
       forces that neighbour to position i, so two such neighbours prune;
-    - a leaf lowers `best` to its width; the search then unwinds to the
-      first position that attains it, so every later leaf is strictly
-      narrower, and stops once best <= max(lb, ceil(maxdeg / 2)), the degree
-      bound of Del Corso & Manzini (Computing 62, 1999).
+    - a leaf lowers `best` to its width and the search unwinds to the first
+      position attaining it, so every later leaf is strictly narrower; it
+      stops at best <= ceil(maxdeg / 2) (Del Corso & Manzini, Computing 62, 1999).
     Each rule cuts only orderings of width >= best, so the first ordering of
     the minimum width in lexicographic order is the last one accepted.
     """
     n = len(adj)
-    floor = max(lb, (max((m.bit_count() for m in adj), default=0) + 1) // 2)
+    floor = (max((m.bit_count() for m in adj), default=0) + 1) // 2
     if cutoff <= floor:
         return cutoff, None, True
     full = (1 << n) - 1
@@ -226,9 +224,11 @@ def bandwidth_exact(g: Graph, budget: int = 2_000_000) -> tuple[SearchResult, li
     7 ms to prove that grid(4) has bandwidth 4.
     """
     n = g.n
-    width, order, exact = _layout([g.adj_mask(v) for v in range(n)], n + 1, 0, budget)
+    if g.num_edges() == 0:
+        return SearchResult(0, True), list(range(n))
+    width, order, exact = _layout([g.adj_mask(v) for v in range(n)], n + 1, budget)
     if order is None:  # out of budget before the first leaf
-        return SearchResult(max(n - 1, 0), False), list(range(n))
+        return SearchResult(n - 1, False), list(range(n))
     return SearchResult(width, exact), order
 
 
@@ -270,7 +270,7 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
             sum(1 << j for j, b in enumerate(blocks) if j != i and r & b)
             for i, r in enumerate(reach)
         ]
-        width, order, _ = _layout(quotient, inc_w, 1)
+        width, order, _ = _layout(quotient, inc_w)
         if order is not None:  # order[i]: the block placed at position i
             inc_w = width
             inc_cover = OrderedCliqueCover(

@@ -140,6 +140,11 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run(["verify", "/nonexistent/file.json"]) == 2
 
+    @pytest.mark.parametrize("cmd", ["verify", "ccw", "separate", "audit", "replay"])
+    def test_directory_as_input(self, tmp_path, capsys, cmd):
+        assert run([cmd, str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["bogus-command"])

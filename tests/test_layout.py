@@ -70,3 +70,6 @@ def test_small_budget_bounds_wall_time_on_grid4():
 def test_bandwidth_budget_spent_before_any_layout():
     res, order = bandwidth_exact(grid(3), budget=5)
     assert res == SearchResult(8, False) and order == list(range(9))
+    for n in (0, 1, 4):
+        edgeless = Graph.from_edges(n, [])
+        assert bandwidth_exact(edgeless, budget=0) == (SearchResult(0, True), list(range(n)))
