@@ -13,6 +13,7 @@ from .errors import (
     BadRemovedEdge,
     InvalidApexEdge,
     InvalidFactorization,
+    InvalidGraph,
     InvalidSize,
     JunctionNotClique,
     UnequalApexSizes,
@@ -44,13 +45,25 @@ class Factorization:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Factorization":
+        """Decode an envelope; raises `InvalidGraph` for a missing key or a
+        malformed graph.  The certificate, covers, widths and lstar are
+        taken as given."""
+        try:
+            base, factors = obj["base"], obj["factors"]
+            cert, covers = obj["chordal_cert"], obj["covers"]
+            widths, lstar = obj["widths"], obj["lstar"]
+        except (KeyError, TypeError):
+            raise InvalidGraph(
+                "an envelope needs keys 'base', 'factors', 'chordal_cert', "
+                "'covers', 'widths' and 'lstar'"
+            ) from None
         return cls(
-            base=Graph.from_json(obj["base"]),
-            factors=tuple(Graph.from_json(g) for g in obj["factors"]),
-            chordal_cert=ChordalCertificate.from_json(obj["chordal_cert"]),
-            covers=tuple(OrderedCliqueCover.from_json(c) for c in obj["covers"]),
-            widths=tuple(obj["widths"]),
-            lstar=obj["lstar"],
+            base=Graph.from_json(base),
+            factors=tuple(Graph.from_json(g) for g in factors),
+            chordal_cert=ChordalCertificate.from_json(cert),
+            covers=tuple(OrderedCliqueCover.from_json(c) for c in covers),
+            widths=tuple(widths),
+            lstar=lstar,
         )
 
 

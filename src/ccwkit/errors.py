@@ -17,6 +17,12 @@ class DuplicateLabel(CcwKitError):
     """Two vertices carry the same label."""
 
 
+class InvalidGraph(CcwKitError, ValueError):
+    """A graph that is malformed: a self-loop, an edge that is not a pair of
+    integer vertex ids, a wrong label count or a malformed label, or a graph
+    or envelope object missing a key."""
+
+
 class InvalidMeasure(CcwKitError, ValueError):
     """Vertex weights that are negative, NaN, infinite, not numbers, or not
     one per vertex."""

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from ccwkit import verify_factorization
 from ccwkit.cli import main
 
 
@@ -237,3 +239,99 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not valid JSON" in err
         assert not out.exists()
+
+
+def _plain(n):
+    return [{"kind": "plain", "id": i} for i in range(n)]
+
+
+class TestMalformedGraphFile:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": 2, "edges": [[0, 0]], "labels": _plain(2)},
+            {"n": 3, "edges": [[0, 1]], "labels": _plain(2)},
+            {"n": 2, "edges": [[0, 1]], "labels": [{"kind": "x"}, {"kind": "plain", "id": 1}]},
+            {"n": 2, "edges": [[0, 1, 2]], "labels": _plain(2)},
+            {"n": 2, "edges": [[0, 1]]},
+            {"n": 2, "edges": [[0, 1.5]], "labels": _plain(2)},
+            {"n": 2, "edges": [[0, 2]], "labels": _plain(2)},
+        ],
+        ids=["self-loop", "label-count", "label-kind", "triple", "no-labels",
+             "non-integer-id", "out-of-range"],
+    )
+    def test_ccw_exits_2(self, tmp_path, capsys, graph):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(graph))
+        out = tmp_path / "r.json"
+        assert run(["ccw", str(g), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
+    def test_empty_envelope_exits_2(self, tmp_path, capsys, cmd):
+        f = tmp_path / "f.json"
+        f.write_text("{}")
+        assert run([cmd, str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: an envelope needs keys")
+
+    def test_self_loop_in_a_factor_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
+        obj = json.loads(f.read_text())
+        obj["factors"][1]["edges"].append([3, 3])
+        f.write_text(json.dumps(obj))
+        assert run(["verify", str(f)]) == 2
+        assert capsys.readouterr().err == "error: self-loop at vertex 3\n"
+
+
+class TestOneParserPerProcess:
+    def test_no_state_carried_between_calls(self, tmp_path):
+        m1, m2, out = tmp_path / "m1.json", tmp_path / "m2.json", tmp_path / "g.json"
+        assert run(["--seed", "7", "--manifest", str(m1),
+                    "construct", "grid", "--n", "2", "--out", str(out)]) == 0
+        assert run(["--manifest", str(m2), "construct", "grid", "--n", "2", "--out", str(out)]) == 0
+        assert json.loads(m1.read_text())["seed"] == 7
+        assert json.loads(m2.read_text())["seed"] == 0
+
+
+class TestGcState:
+    @pytest.fixture
+    def envelope(self, tmp_path):
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
+        return f
+
+    def _tamper(self, f):
+        obj = json.loads(f.read_text())
+        obj["factors"][1]["edges"] = obj["factors"][1]["edges"][1:]
+        f.write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_collector_back_on_and_on_while_verifying(self, envelope, monkeypatch, tampered):
+        from ccwkit import cli
+
+        seen = []
+
+        def spy(f):
+            seen.append(gc.isenabled())
+            return verify_factorization(f)
+
+        monkeypatch.setattr(cli, "verify_factorization", spy)
+        if tampered:
+            self._tamper(envelope)
+        assert gc.isenabled()
+        assert run(["verify", str(envelope)]) == (1 if tampered else 0)
+        assert gc.isenabled() and seen == [True]
+
+    def test_collector_left_off_when_the_caller_turned_it_off(self, envelope, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        gc.disable()
+        try:
+            assert run(["verify", str(envelope)]) == 0
+            assert not gc.isenabled()
+            assert run(["verify", str(bad)]) == 2
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
