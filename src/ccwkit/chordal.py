@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidPEO, NotChordal
-from .graph import Graph, bits, connected_components, is_clique, mask_of
+from .graph import Graph, bits, is_clique, mask_of
 from .measure import Measure
 
 
@@ -191,57 +191,58 @@ def is_chordal(g: Graph) -> tuple[bool, ChordalCertificate]:
 
 
 def maximal_cliques_chordal(g: Graph, peo: Sequence[int]) -> list[frozenset[int]]:
-    """Maximal cliques of a chordal graph from a PEO (at most |V| of them)."""
+    """Maximal cliques of a chordal graph from a PEO (at most |V| of them),
+    in PEO order: the bags of `_clique_forest`, each C() of its earliest
+    vertex in `peo`, so first sightings of home[v] give that order."""
     if verify_peo(g, peo) is not None:
         raise InvalidPEO("not a perfect elimination ordering")
-    return _peo_cliques(g, peo)
+    bags, _, home = _clique_forest(g, peo)
+    return [frozenset(bits(bags[i])) for i in dict.fromkeys(home[v] for v in peo)]
 
 
-def _peo_cliques(g: Graph, peo: Sequence[int]) -> list[frozenset[int]]:
-    """Maximal cliques from an already verified PEO, in PEO order.
+def _clique_forest(g: Graph, peo: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Clique forest of g from an already verified PEO: bag masks, `up[i]`
+    the parent of bag i (-1 at a root), and `home[v]` the bag nearest the
+    root that holds v (-1 for a vertex not in `peo`).
 
-    C(v) = {v} + later neighbours of v is not maximal iff some u with
-    parent(u) = v has one more later neighbour than v (Blair & Peyton 1993).
-    `peo` may also be a PEO of an induced subgraph, listing only its
-    vertices: the cliques are then that subgraph's, in g's indices.
-    Measured (V+E)^1.0 on the apex-grid factor 1 (k=2, n=20..60).
+    Built top-down from the PEO parents (Blair & Peyton 1993): walking `peo`
+    backwards, with C(v) = {v} + later neighbours of v and p v's parent, v
+    joins p's bag while that bag is still C(p) and C(v) = C(p) + v;
+    otherwise C(v) opens a child of p's bag.  A child is numbered after its
+    parent.  `peo` may also be a PEO of an induced subgraph, listing only its
+    vertices: the forest is then that subgraph's, in g's indices.
     """
     succ, parent = _elimination(g, peo)
-    size = [m.bit_count() for m in succ]
-    dropped = {parent[u] for u in peo if parent[u] >= 0 and size[u] == size[parent[u]] + 1}
-    return [frozenset(bits(succ[v] | 1 << v)) for v in peo if v not in dropped]
+    bags: list[int] = []
+    up: list[int] = []
+    front: dict[int, int] = {}  # the vertex that last joined or opened each bag
+    home = [-1] * g.n
+    for v in reversed(peo):
+        p = parent[v]
+        i = home[p] if p >= 0 else -1
+        if i < 0 or front[i] != p or succ[v].bit_count() != succ[p].bit_count() + 1:
+            up.append(i)  # C(v) opens a child of p's bag
+            i = len(bags)
+            bags.append(succ[v])
+        bags[i] |= 1 << v
+        front[i] = v
+        home[v] = i
+    return bags, up, home
 
 
 def clique_tree(g: Graph, peo: Sequence[int]) -> CliqueTree:
-    """Clique tree (forest for disconnected graphs) via maximum-weight spanning
-    tree of the clique intersection graph."""
-    return _spanning_tree(maximal_cliques_chordal(g, peo))
-
-
-def _spanning_tree(bags: list[frozenset[int]]) -> CliqueTree:
-    masks = [mask_of(b) for b in bags]
-    pairs = []
-    for i in range(len(bags)):
-        for j in range(i + 1, len(bags)):
-            w = (masks[i] & masks[j]).bit_count()
-            if w:
-                pairs.append((w, i, j))
-    pairs.sort(key=lambda t: -t[0])
-    parent = list(range(len(bags)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for _, i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-    return CliqueTree(tuple(bags), tuple(edges))
+    """Clique tree (forest for disconnected graphs) from the PEO parents:
+    the bags of `_clique_forest`, each parent numbered before its children,
+    and one (parent, child) edge per non-root bag.  O(V) big-int operations
+    after `verify_peo`: the forest of the apex-grid factor 1 (k=2,
+    n=20/40/60, 19/39/59 bags) took 0.4/3.3/11 ms on a 2-vCPU Xeon VM."""
+    if verify_peo(g, peo) is not None:
+        raise InvalidPEO("not a perfect elimination ordering")
+    bags, up, _ = _clique_forest(g, peo)
+    return CliqueTree(
+        tuple(frozenset(bits(m)) for m in bags),
+        tuple((u, i) for i, u in enumerate(up) if u >= 0),
+    )
 
 
 def verify_clique_tree(g: Graph, tree: CliqueTree) -> bool:
@@ -288,61 +289,46 @@ def verify_clique_tree(g: Graph, tree: CliqueTree) -> bool:
     return True
 
 
-def balanced_clique_separator(g: Graph, mu: Measure, balance: float = 2 / 3) -> set[int]:
-    """A clique-tree bag whose removal leaves components of measure <= balance * mu(g)."""
-    if balance < 2 / 3:
-        raise ValueError("balance must be >= 2/3")
+def balanced_clique_separator(g: Graph, mu: Measure) -> set[int]:
+    """A clique-tree bag whose removal leaves components of measure
+    <= mu(g)/2: the weighted centroid of `_balanced_bag`, after a Lex-BFS
+    chordality test.  The empty graph gives the empty set."""
     chordal, cert = is_chordal(g)
     if not chordal:
         raise NotChordal("balanced_clique_separator requires a chordal graph")
-    return _balanced_bag(g, cert.peo, mu, balance)
+    return _balanced_bag(g, cert.peo, mu)
 
 
-def _balanced_bag(g: Graph, peo: Sequence[int], mu: Measure, balance: float) -> set[int]:
-    """The separator bag from an already verified PEO of g: walk the clique
-    tree toward the heaviest component while that strictly improves, then
-    assert the balance bound."""
-    tree = _spanning_tree(_peo_cliques(g, peo))
-    bags = tree.bags
-    adj: dict[int, set[int]] = {i: set() for i in range(len(bags))}
-    for i, j in tree.tree_edges:
-        adj[i].add(j)
-        adj[j].add(i)
+def _balanced_bag(g: Graph, peo: Sequence[int], mu: Measure) -> set[int]:
+    """The weighted centroid of the clique forest from an already verified
+    PEO of g (Gilbert, Rose & Edenbrandt 1984): every component of g minus
+    the returned bag weighs <= mu(g)/2.
+
+    sub[i] is the weight homed in bag i's subtree.  Start at the root of
+    the heaviest tree and step into the heaviest child c while c's subtree
+    weighs at least what would be left above c, total - sub[c] -
+    mu(bag(c) & bag(cur)).  Below the final bag every child then weighs
+    less than mu(g)/2; what is left above it, other trees included, weighs
+    no more than the subtree last stepped into, or than the heaviest tree.
+    One pass over the bags after `_clique_forest`: 0.8/3.5/12 ms on the
+    apex-grid factor 1 (k=2, n=20/40/60) and 4.3 ms on a 62-part clique sum
+    of apex grids (V=2 034, 277 bags) on a 2-vCPU Xeon VM, against
+    4.8/39/158 ms and 27 ms for the spanning-tree walk it replaced.
+    """
+    bags, up, home = _clique_forest(g, peo)
     total = mu.total(g.n)
-
-    def heaviest(i: int) -> tuple[float, set[int] | None]:
-        rest = set(range(g.n)) - bags[i]
-        worst, worst_comp = 0.0, None
-        for comp in connected_components(g, within=rest):
-            w = mu.of(comp)
-            if w > worst:
-                worst, worst_comp = w, comp
-        return worst, worst_comp
-
-    cur = 0
-    cur_w, cur_comp = heaviest(cur)
-    visited = {cur}
-    while cur_comp is not None:
-        # neighbor bag reaching into the heaviest component
-        step = None
-        for j in adj[cur]:
-            if j in visited:
-                continue
-            if bags[j] & cur_comp:
-                step = j
-                break
-        if step is None:
-            break
-        w, comp = heaviest(step)
-        if w >= cur_w:
-            break
-        cur, cur_w, cur_comp = step, w, comp
-        visited.add(cur)
-
-    # walk may stall on ties; fall back to scanning all bags
-    if cur_w > balance * total:
-        best = min(range(len(bags)), key=lambda i: heaviest(i)[0])
-        cur, cur_w = best, heaviest(best)[0]
-    if cur_w > balance * total:
-        raise AssertionError("no clique-tree bag achieves the balance bound")
-    return set(bags[cur])
+    sub = [0.0] * len(bags)
+    for v in peo:
+        sub[home[v]] += mu.weights[v]
+    heavy = [-1] * len(bags)  # the first heaviest child of each bag
+    for i in reversed(range(len(bags))):  # children are numbered after parents
+        if (u := up[i]) >= 0:
+            sub[u] += sub[i]
+            if heavy[u] < 0 or sub[i] >= sub[heavy[u]]:
+                heavy[u] = i
+    if not bags:
+        return set()
+    cur = max((i for i, u in enumerate(up) if u < 0), key=sub.__getitem__)
+    while (c := heavy[cur]) >= 0 and 2 * sub[c] >= total - mu.of(bits(bags[c] & bags[cur])):
+        cur = c
+    return set(bits(bags[cur]))

@@ -45,9 +45,11 @@ class Factorization:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Factorization":
-        """Decode an envelope; raises `InvalidGraph` for a missing key or a
-        malformed graph.  The certificate, covers, widths and lstar are
-        taken as given."""
+        """Decode an envelope; raises `InvalidGraph` for a missing key, a
+        malformed graph, no factors, a certificate without a `peo` or `hole`
+        list, a cover or certificate entry that is not a vertex id, or
+        non-integer widths or lstar: O(V) per cover.  Whether they are right
+        is left to `verify_factorization`."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -57,8 +59,22 @@ class Factorization:
                 "an envelope needs keys 'base', 'factors', 'chordal_cert', "
                 "'covers', 'widths' and 'lstar'"
             ) from None
+        base = Graph.from_json(base)
+        if not isinstance(factors, list) or not factors:
+            raise InvalidGraph("'factors' must be a non-empty list of graphs")
+        if not isinstance(cert, dict) or not cert.keys() & {"peo", "hole"}:
+            raise InvalidGraph("'chordal_cert' needs a 'peo' or a 'hole' list")
+        if not isinstance(covers, list) or not all(isinstance(c, list) for c in covers):
+            raise InvalidGraph("'covers' must be a list of covers, each a list of blocks")
+        # booleans are not ids, and no later 1 << v may see an unchecked v
+        n = base.n
+        for ids in [cert.get("peo", cert.get("hole")), *(blk for c in covers for blk in c)]:
+            if not isinstance(ids, list) or not all(type(v) is int and 0 <= v < n for v in ids):
+                raise InvalidGraph(f"certificate and cover entries must be vertex ids in [0, {n})")
+        if not isinstance(widths, list) or not all(type(w) is int for w in (*widths, lstar)):
+            raise InvalidGraph("'widths' must be a list of integers and 'lstar' an integer")
         return cls(
-            base=Graph.from_json(base),
+            base=base,
             factors=tuple(Graph.from_json(g) for g in factors),
             chordal_cert=ChordalCertificate.from_json(cert),
             covers=tuple(OrderedCliqueCover.from_json(c) for c in covers),
@@ -381,12 +397,7 @@ def factorize_clique_sum(spec: CliqueSumSpec) -> Factorization:
         return part0_n * part0_n + j
 
     n0 = spec.parts[0][1]
-    junctions = []
-    offset_parts = []
-    for i, (_, n) in enumerate(spec.parts[1:], start=1):
-        junctions.append(
-            [(apex_global(n0, j), n * n + j) for j in range(k)]
-        )
+    junctions = [[(apex_global(n0, j), n * n + j) for j in range(k)] for _, n in spec.parts[1:]]
 
     base = clique_sum(bases, junctions)
     g1 = clique_sum(f1s, junctions)

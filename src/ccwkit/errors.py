@@ -19,8 +19,8 @@ class DuplicateLabel(CcwKitError):
 
 class InvalidGraph(CcwKitError, ValueError):
     """A graph that is malformed: a self-loop, an edge that is not a pair of
-    integer vertex ids, a wrong label count or a malformed label, or a graph
-    or envelope object missing a key."""
+    integer vertex ids, a wrong label count or a malformed label; or a graph
+    or envelope object missing a key or holding a malformed value."""
 
 
 class InvalidMeasure(CcwKitError, ValueError):

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chordal import _balanced_bag, _peo_cliques
+from .chordal import _balanced_bag, _clique_forest
 from .cliquecover import OrderedCliqueCover
 from .constructions import Factorization, check_factorization
 from .errors import InvalidFactorization, NoApex, NotCliqueInFactorOne
-from .graph import Apex, Graph, GridCell, connected_components, is_clique, is_independent
+from .graph import Apex, Graph, GridCell, bits, connected_components, is_clique, is_independent
 from .measure import Measure
 
 
@@ -86,12 +86,12 @@ def separate(f: Factorization, mu: Measure | None = None) -> SeparatorResult:
         mu = Measure.uniform(base.n)
     total = mu.total(base.n)
 
-    sep = _balanced_bag(f.factors[0], f.chordal_cert.peo, mu, 2 / 3)
+    sep = _balanced_bag(f.factors[0], f.chordal_cert.peo, mu)
     cliques = product_cell_cover(base, sep, list(f.covers))
 
     rest = set(range(base.n)) - sep
     comps = connected_components(base, within=rest)
-    # each component is within 2mu/3 (it refines a factor-1 component);
+    # each component is within mu/2 (it refines a factor-1 component);
     # largest-first into the lighter side keeps both sides within 2mu/3
     sides: list[set[int]] = [set(), set()]
     weights = [0.0, 0.0]
@@ -156,7 +156,9 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     # the verified PEO of factor 1, restricted to the grid, is a PEO of the
     # grid-induced subgraph
     grid_peo = [v for v in f.chordal_cert.peo if isinstance(base.labels[v], GridCell)]
-    s = set(max(_peo_cliques(f.factors[0], grid_peo), key=len))
+    bags, _, home = _clique_forest(f.factors[0], grid_peo)
+    # the first largest bag in PEO order, the order of maximal_cliques_chordal
+    s = set(bits(max((bags[home[v]] for v in grid_peo), key=int.bit_count)))
 
     # independent half of s via the grid bipartition
     colors: dict[int, int] = {}

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,10 +18,10 @@ from ccwkit import (
     verify_certificate,
     verify_peo,
 )
-from ccwkit.chordal import verify_clique_tree, verify_hole
+from ccwkit.chordal import _balanced_bag, verify_clique_tree, verify_hole
 from ccwkit.errors import InvalidPEO, NotChordal
 
-from oracles import brute_has_hole, brute_maximal_cliques
+from oracles import brute_has_hole, brute_maximal_cliques, fill_in
 
 
 def path(n):
@@ -179,3 +181,41 @@ class TestBalancedCliqueSeparator:
         sep = balanced_clique_separator(g, mu)
         comps = connected_components(g, within=set(range(9)) - sep)
         assert all(mu.of(c) <= 2 * 18 / 3 for c in comps)
+
+    def test_empty_graph(self):
+        assert balanced_clique_separator(Graph.from_edges(0, []), Measure.uniform(0)) == set()
+
+    def test_p4_weight_at_an_end_on_every_peo(self):
+        # {0, 1} is the only bag that leaves no component heavier than 5;
+        # stepping only while the heaviest component strictly shrinks stops
+        # at {2, 3} when the walk starts there
+        g, mu = path(4), Measure.from_list([10, 0, 0, 0])
+        assert balanced_clique_separator(g, mu) == {0, 1}
+        for order in permutations(range(4)):
+            if verify_peo(g, order) is None:
+                assert _balanced_bag(g, order, mu) == {0, 1}
+
+
+@st.composite
+def weighted_chordal(draw, max_n=16):
+    """A fill-in chordal graph with its PEO (sparse, so often disconnected)
+    and integer weights, many of them 0."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    order = draw(st.permutations(range(n)))
+    weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]), min_size=n, max_size=n))
+    return fill_in(Graph.from_edges(n, edges), order), order, Measure.from_list(weights)
+
+
+class TestCliqueForest:
+    @given(weighted_chordal())
+    @settings(max_examples=300, deadline=None)
+    def test_tree_cliques_and_centroid_on_fill_in(self, case):
+        g, peo, mu = case
+        tree = clique_tree(g, peo)
+        assert verify_clique_tree(g, tree)
+        assert set(tree.bags) == set(maximal_cliques_chordal(g, peo))
+        sep = _balanced_bag(g, peo, mu)
+        half = mu.total(g.n) / 2
+        assert all(mu.of(c) <= half for c in connected_components(g, within=set(range(g.n)) - sep))

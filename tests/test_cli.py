@@ -285,6 +285,41 @@ class TestMalformedGraphFile:
         assert capsys.readouterr().err == "error: self-loop at vertex 3\n"
 
 
+class TestMalformedEnvelope:
+    @pytest.fixture(scope="class")
+    def envelope(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("env") / "f.json"
+        assert run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)]) == 0
+        return json.loads(f.read_text())
+
+    @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("factors", [], "'factors' must be a non-empty list"),
+            ("chordal_cert", {}, "'chordal_cert' needs a 'peo' or a 'hole' list"),
+            ("chordal_cert", {"peo": 5}, "certificate and cover entries must be vertex ids"),
+            ("covers", [5], "'covers' must be a list of covers"),
+            ("covers", [[["a", 0]]], "certificate and cover entries must be vertex ids"),
+            ("covers", [[[-1]]], "certificate and cover entries must be vertex ids"),
+            ("covers", [[[10**15]]], "certificate and cover entries must be vertex ids"),
+            ("widths", 5, "'widths' must be a list of integers"),
+            ("lstar", "1", "'widths' must be a list of integers and 'lstar' an integer"),
+        ],
+        ids=["no-factors", "empty-cert", "peo-not-a-list", "cover-not-a-list",
+             "non-integer-block-id", "negative-block-id", "huge-block-id",
+             "widths-not-a-list", "lstar-not-an-integer"],
+    )
+    def test_exits_2(self, tmp_path, capsys, envelope, cmd, key, value, message):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({**envelope, key: value}))
+        out = tmp_path / "out.json"
+        argv = [cmd, str(f)] if cmd == "verify" else [cmd, str(f), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+
 class TestOneParserPerProcess:
     def test_no_state_carried_between_calls(self, tmp_path):
         m1, m2, out = tmp_path / "m1.json", tmp_path / "m2.json", tmp_path / "g.json"

@@ -16,6 +16,7 @@ from ccwkit import (
     separate,
 )
 from ccwkit.errors import InvalidMeasure, NoApex, NotCliqueInFactorOne
+from ccwkit.graph import GridCell
 
 
 def complete(n):
@@ -146,6 +147,18 @@ class TestSeparate:
         r = separate(f, mu)
         total = mu.total(f.base.n)
         assert r.mu_a <= 2 * total / 3 and r.mu_b <= 2 * total / 3
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_apex_grids_cut_the_middle_rows(self, k):
+        for n in range(2, 17):
+            for apex_edges in [set(), {(1, 2)}] if k >= 2 else [set()]:
+                f = factorize_apex_grid(k, n, apex_edges)
+                r = separate(f)
+                cut = [f.base.labels[v] for v in r.separator]
+                rows = {lbl.row for lbl in cut if isinstance(lbl, GridCell)}
+                mid = (n + 1) // 2
+                assert rows == {mid, mid + 1}, (k, n, apex_edges)
+                assert r.mu_a >= r.mu_b
 
     def test_bound_value_d2_form(self):
         f = factorize_apex_grid(1, 8)
