@@ -1,7 +1,8 @@
 """Command-line surface: construct graph families, build and verify
 factorizations, run the solvers and the separator engine.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure (a FAIL in `verify`, or
+`InvalidFactorization` in any command), 2 usage or input error.
 All outputs are deterministic (sorted keys, ascending vertex order) so a
 manifest replay reproduces byte-identical files.
 """
@@ -35,7 +36,7 @@ from . import (
     separate,
     verify_factorization,
 )
-from .errors import CcwKitError
+from .errors import CcwKitError, InvalidFactorization
 
 
 @contextlib.contextmanager
@@ -331,12 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     _write_manifest(args.manifest, argv, args.seed)
     try:
         return args.func(args)
-    except CcwKitError as exc:
+    except (CcwKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InvalidFactorization) else 2
 
 
 if __name__ == "__main__":

@@ -7,11 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chordal import ChordalCertificate, is_chordal, verify_certificate
-from .cliquecover import OrderedCliqueCover, cover_width, verify_cover
+from .chordal import ChordalCertificate, lex_bfs, verify_certificate
+from .cliquecover import OrderedCliqueCover, cover_width
 from .errors import (
     BadRemovedEdge,
     InvalidApexEdge,
+    InvalidCover,
     InvalidFactorization,
     InvalidGraph,
     InvalidSize,
@@ -111,18 +112,20 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
         checks.append(("cover_count", False, "one cover/width per factor >= 2"))
         return checks
     for i, cover in enumerate(f.covers):
-        factor = f.factors[i + 1]
-        valid, why = verify_cover(factor, cover)
-        checks.append((f"cover_validity[{i + 1}]", valid, why or "cover verifies"))
-        if valid:
-            w = cover_width(factor, cover).width
-            checks.append(
-                (
-                    f"cover_width[{i + 1}]",
-                    w == f.widths[i],
-                    f"recomputed width {w}, declared {f.widths[i]}",
-                )
+        # cover_width runs verify_cover first and raises its reason
+        try:
+            w = cover_width(f.factors[i + 1], cover).width
+        except InvalidCover as exc:
+            checks.append((f"cover_validity[{i + 1}]", False, str(exc)))
+            continue
+        checks.append((f"cover_validity[{i + 1}]", True, "cover verifies"))
+        checks.append(
+            (
+                f"cover_width[{i + 1}]",
+                w == f.widths[i],
+                f"recomputed width {w}, declared {f.widths[i]}",
             )
+        )
     if f.widths:
         checks.append(
             ("lstar", f.lstar == max(f.widths), f"lstar must equal max width")
@@ -139,10 +142,12 @@ def check_factorization(f: Factorization) -> None:
 def _make_factorization(
     base: Graph, factors: Sequence[Graph], covers: Sequence[OrderedCliqueCover]
 ) -> Factorization:
-    """Assemble and re-verify; the certificate is recomputed, never trusted."""
-    chordal, cert = is_chordal(factors[0])
-    if not chordal:
-        raise InvalidFactorization("factor 1 is not chordal")
+    """Assemble, then certify once through `check_factorization`, the checker
+    `verify` uses.  The candidate PEO of factor 1 is its reversed Lex-BFS
+    order, which is a PEO iff factor 1 is chordal; it is not checked here,
+    since the checker's `chordal_certificate` test verifies it, so a
+    non-chordal factor 1 raises `InvalidFactorization` from there."""
+    cert = ChordalCertificate(peo=tuple(lex_bfs(factors[0])[::-1]))
     widths = tuple(
         cover_width(factors[i + 1], covers[i]).width for i in range(len(covers))
     )
@@ -225,9 +230,11 @@ def apex_grid(
 
 
 def _apex_grid_factors(
-    k: int, n: int, apex_edges: set[tuple[int, int]], part: int = 0
-) -> tuple[Graph, Graph, OrderedCliqueCover]:
-    """Factor graphs and the ordered cover for an apex grid.
+    k: int, n: int, apex_edges: set[tuple[int, int]] | None, part: int = 0
+) -> tuple[Graph, Graph, Graph, OrderedCliqueCover]:
+    """The apex grid `apex_grid(k, n, apex_edges, part)`, its two factor
+    graphs and the ordered cover of factor 2: the one builder of both
+    factorizing constructions, so each part's base is built once.
 
     Factor 1: grid cells adjacent iff their rows differ by at most one (every
     two consecutive rows become one clique), apex set complete and joined to
@@ -276,7 +283,7 @@ def _apex_grid_factors(
     cover = OrderedCliqueCover(
         tuple(columns[:mid]) + tuple(apex_blocks) + tuple(columns[mid:])
     )
-    return g1, g2, cover
+    return base, g1, g2, cover
 
 
 def factorize_apex_grid(
@@ -286,9 +293,7 @@ def factorize_apex_grid(
     column-clique factor whose cover width is at most ceil(n/2) + k."""
     if n < 2:
         raise InvalidSize("factorize_apex_grid requires n >= 2")
-    apex_edges = _check_apex_edges(k, apex_edges or set())
-    base = apex_grid(k, n, apex_edges, part)
-    g1, g2, cover = _apex_grid_factors(k, n, apex_edges, part)
+    base, g1, g2, cover = _apex_grid_factors(k, n, apex_edges, part)
     f = _make_factorization(base, [g1, g2], [cover])
     bound = (n + 1) // 2 + k
     if f.widths[0] > bound:
@@ -386,18 +391,15 @@ def factorize_clique_sum(spec: CliqueSumSpec) -> Factorization:
     for part_idx, (_, n) in enumerate(spec.parts):
         if n < 2:
             raise InvalidSize("each part requires n >= 2")
-        bases.append(apex_grid(k, n, full, part_idx))
-        g1, g2, cover = _apex_grid_factors(k, n, full, part_idx)
+        base, g1, g2, cover = _apex_grid_factors(k, n, full, part_idx)
+        bases.append(base)
         f1s.append(g1)
         f2s.append(g2)
         covers.append(cover)
 
     # apex j of every later part is identified with apex j of part 0
-    def apex_global(part0_n: int, j: int) -> int:
-        return part0_n * part0_n + j
-
-    n0 = spec.parts[0][1]
-    junctions = [[(apex_global(n0, j), n * n + j) for j in range(k)] for _, n in spec.parts[1:]]
+    apex0 = spec.parts[0][1] ** 2
+    junctions = [[(apex0 + j, n * n + j) for j in range(k)] for _, n in spec.parts[1:]]
 
     base = clique_sum(bases, junctions)
     g1 = clique_sum(f1s, junctions)
@@ -405,10 +407,7 @@ def factorize_clique_sum(spec: CliqueSumSpec) -> Factorization:
 
     # removed apex edges come off the base and factor 2; factor 1 keeps X complete
     if removed:
-        apex_ids = [apex_global(n0, j) for j in range(k)]
-        rm = []
-        for a, b in removed:
-            rm.append((apex_ids[a - 1], apex_ids[b - 1]))
+        rm = [(apex0 + a - 1, apex0 + b - 1) for a, b in removed]
         base = _remove_edges(base, rm)
         g2 = _remove_edges(g2, rm)
 
@@ -435,26 +434,18 @@ def _interleave_covers(
 ) -> OrderedCliqueCover:
     """Merge per-part covers: later parts' column blocks (apex blocks dropped,
     they are already placed by part 0) are interleaved one-for-one after the
-    running cover's blocks, in their own order; indices are shifted to the
-    clique-sum's global numbering."""
-    n0 = parts[0][1]
+    running cover's blocks, in their own order.  `clique_sum` places the
+    cells of each later part after everything placed before it, in their
+    own order, so its cell v is global vertex offset + v."""
     merged = list(covers[0].cliques)  # part 0 indices are already global
-    offset = n0 * n0 + k
+    offset = parts[0][1] ** 2 + k
     for i, (_, n) in enumerate(parts[1:], start=1):
-        shift = {}
-        local = 0
-        for v in range(n * n + k):
-            if v < n * n:
-                shift[v] = offset + local
-                local += 1
-            else:
-                shift[v] = n0 * n0 + (v - n * n)  # apex -> part 0 apex
-        offset += n * n
         cols = [
-            frozenset(shift[v] for v in blk)
+            frozenset(offset + v for v in blk)
             for blk in covers[i].cliques
-            if not any(v >= n * n for v in blk)
+            if max(blk) < n * n
         ]
+        offset += n * n
         out: list[frozenset[int]] = []
         for j in range(max(len(merged), len(cols))):
             if j < len(merged):

@@ -40,10 +40,6 @@ class InvalidCover(CcwKitError):
     """An ordered clique cover fails its invariants against the graph."""
 
 
-class BudgetExceeded(CcwKitError):
-    """An exact search ran out of its node budget."""
-
-
 class InvalidSize(CcwKitError):
     """A construction parameter is out of range."""
 

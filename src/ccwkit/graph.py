@@ -76,6 +76,24 @@ def _edge_error(edge, n: int) -> CcwKitError:
     return InvalidGraph(f"edge {edge!r} is not a pair of integer vertex ids")
 
 
+def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[VertexLabel, ...]:
+    """The labels of an n-vertex graph (Plain(0..n-1) by default); a wrong
+    count or an unhashable label raises `InvalidGraph`, a repeated one
+    `DuplicateLabel`."""
+    if labels is None:
+        return tuple(Plain(i) for i in range(n))
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise InvalidGraph(f"expected {n} labels, got {len(labels)}")
+    try:
+        distinct = len(set(labels)) == n
+    except TypeError:
+        raise InvalidGraph("vertex labels must be hashable") from None
+    if not distinct:
+        raise DuplicateLabel("vertex labels must be pairwise distinct")
+    return labels
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a mask in increasing order."""
     while mask:
@@ -123,18 +141,7 @@ class Graph:
         """
         if not isinstance(n, int):
             raise InvalidGraph(f"n must be an integer, got {n!r}")
-        if labels is None:
-            labels = tuple(Plain(i) for i in range(n))
-        else:
-            labels = tuple(labels)
-        if len(labels) != n:
-            raise InvalidGraph(f"expected {n} labels, got {len(labels)}")
-        try:
-            distinct = len(set(labels)) == n
-        except TypeError:
-            raise InvalidGraph("vertex labels must be hashable") from None
-        if not distinct:
-            raise DuplicateLabel("vertex labels must be pairwise distinct")
+        labels = _checked_labels(n, labels)
         # bit[v] == 1 << v for v in [0, n).  The n Nones after them make an
         # endpoint in [n, 2n) or [-n, 0) fail in `|=`, and any other one out
         # of range raises IndexError in `bit` or `adj`.  So the loop needs no
@@ -159,14 +166,10 @@ class Graph:
     def from_masks(
         cls, masks: Sequence[int], labels: Sequence[VertexLabel] | None = None
     ) -> "Graph":
-        """Build from per-vertex adjacency masks (must already be symmetric, no loops)."""
+        """Build from per-vertex adjacency masks (must already be symmetric,
+        no loops); labels are checked as in `from_edges`."""
         n = len(masks)
-        if labels is None:
-            labels = tuple(Plain(i) for i in range(n))
-        else:
-            labels = tuple(labels)
-        if len(set(labels)) != n:
-            raise DuplicateLabel("vertex labels must be pairwise distinct")
+        labels = _checked_labels(n, labels)
         for v, m in enumerate(masks):
             if m & (1 << v):
                 raise InvalidGraph(f"self-loop at vertex {v}")

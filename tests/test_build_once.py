@@ -1,0 +1,72 @@
+"""Each factorizing construction builds its parts once and certifies the
+result once, through the checker `verify` uses: one Lex-BFS, one PEO check
+and no separate chordality test per construction, one cover check per cover
+in `verify_factorization`."""
+
+import pytest
+
+import ccwkit
+import ccwkit.chordal
+import ccwkit.cliquecover
+import ccwkit.constructions
+import ccwkit.separator
+from ccwkit import CliqueSumSpec, factorize_apex_grid, factorize_clique_sum, verify_factorization
+from ccwkit.errors import InvalidFactorization
+
+MODULES = (ccwkit, ccwkit.chordal, ccwkit.cliquecover, ccwkit.constructions, ccwkit.separator)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` wherever a ccwkit module holds it; returns the list
+    the wrapper appends each call's arguments to."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in MODULES:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+CONSTRUCTIONS = {
+    "apex-grid": lambda: factorize_apex_grid(2, 6),
+    "clique-sum": lambda: factorize_clique_sum(
+        CliqueSumSpec(parts=((2, 3), (2, 4), (2, 3)), removed_edges=((1, 2),))
+    ),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_one_search_and_one_peo_check_per_construction(monkeypatch, build):
+    lex = count_calls(monkeypatch, ccwkit.chordal, "lex_bfs")
+    peo = count_calls(monkeypatch, ccwkit.chordal, "verify_peo")
+    chordal = count_calls(monkeypatch, ccwkit.chordal, "is_chordal")
+    f = build()
+    assert len(lex) == 1 and chordal == []
+    assert [order for _, order in peo] == [f.chordal_cert.peo]
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_verify_checks_each_cover_once(monkeypatch, build):
+    f = build()
+    calls = count_calls(monkeypatch, ccwkit.cliquecover, "verify_cover")
+    assert all(ok for _, ok, _ in verify_factorization(f))
+    assert [cover for _, cover in calls] == list(f.covers)
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_non_chordal_factor_one_is_rejected(monkeypatch, build):
+    real = ccwkit.constructions._apex_grid_factors
+
+    def base_as_factor_one(*args):
+        # the base holds the grid's 4-cycles, and base ∩ factor 2 is still the base
+        base, _, g2, cover = real(*args)
+        return base, base, g2, cover
+
+    monkeypatch.setattr(ccwkit.constructions, "_apex_grid_factors", base_as_factor_one)
+    with pytest.raises(InvalidFactorization, match="^chordal_certificate: "):
+        build()

@@ -370,3 +370,52 @@ class TestGcState:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestFailedVerification:
+    @pytest.fixture(scope="class")
+    def envelope(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("env") / "f.json"
+        assert run(["factorize", "apex-grid", "--k", "2", "--n", "4", "--out", str(f)]) == 0
+        return json.loads(f.read_text())
+
+    @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
+    def test_every_command_exits_1(self, tmp_path, capsys, envelope, cmd):
+        g1, g2 = envelope["factors"]
+        f = tmp_path / "f.json"  # one factor-2 edge removed
+        f.write_text(json.dumps({**envelope, "factors": [g1, {**g2, "edges": g2["edges"][1:]}]}))
+        out, csvf = tmp_path / "out.json", tmp_path / "rows.csv"
+        argv = {
+            "verify": ["verify", str(f)],
+            "separate": ["separate", str(f), "--out", str(out), "--csv", str(csvf)],
+            "audit": ["audit", str(f), "--out", str(out)],
+        }[cmd]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        if cmd == "verify":
+            assert err == "verification failed: intersection\n"
+        else:
+            assert err.startswith("error: intersection: ")
+        assert not out.exists() and not csvf.exists()
+
+    @pytest.mark.parametrize(
+        "tamper, detail",
+        [
+            (lambda c: [c[0] + c[1]] + c[2:], "block 0 is not a clique"),
+            (lambda c: c[1:], "blocks do not cover V(g)"),
+            (lambda c: [c[0]] + c, "blocks are not pairwise disjoint"),
+        ],
+        ids=["merged-columns", "dropped-column", "repeated-column"],
+    )
+    def test_invalid_cover(self, tmp_path, capsys, envelope, tamper, detail):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({**envelope, "covers": [tamper(envelope["covers"][0])]}))
+        assert run(["verify", str(f)]) == 1
+        assert capsys.readouterr() == (
+            "PASS vertex_sets: factors share the base vertex set\n"
+            "PASS intersection: intersection of factors edge-equals base\n"
+            "PASS chordal_certificate: factor 1 PEO verifies\n"
+            f"FAIL cover_validity[1]: {detail}\n"
+            "PASS lstar: lstar must equal max width\n",
+            "verification failed: cover_validity[1]\n",
+        )

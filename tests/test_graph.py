@@ -14,7 +14,7 @@ from ccwkit import (
     is_clique,
     is_independent,
 )
-from ccwkit.errors import DuplicateLabel, MismatchedVertexSets, VertexOutOfRange
+from ccwkit.errors import DuplicateLabel, InvalidGraph, MismatchedVertexSets, VertexOutOfRange
 
 from oracles import brute_components
 
@@ -55,6 +55,28 @@ class TestBasics:
     def test_edges_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 3), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize(
+        "labels, error",
+        [
+            ([Plain(0)], InvalidGraph),
+            ([Plain(0), Plain(1), Plain(2)], InvalidGraph),
+            ([Plain(0), [1]], InvalidGraph),
+            ([Plain(0), Plain(0)], DuplicateLabel),
+        ],
+        ids=["too-few", "too-many", "unhashable", "repeated"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [lambda labels: Graph.from_edges(2, [(0, 1)], labels),
+         lambda labels: Graph.from_masks([0b10, 0b01], labels)],
+        ids=["from_edges", "from_masks"],
+    )
+    def test_both_constructors_raise_alike(self, build, labels, error):
+        with pytest.raises(error):
+            build(labels)
 
 
 class TestIntersect:
