@@ -171,13 +171,24 @@ def verify_hole(g: Graph, hole: Sequence[int]) -> bool:
 def verify_certificate(g: Graph, cert: ChordalCertificate) -> bool:
     """Re-check a certificate from the graph alone: PEO => chordal, hole => not."""
     if cert.peo is not None:
-        try:
-            return verify_peo(g, cert.peo) is None
-        except InvalidPEO:
-            return False
+        return _peo_failure(g, cert) is None
     if cert.hole is not None:
         return verify_hole(g, cert.hole)
     return False
+
+
+def _peo_failure(g: Graph, cert: ChordalCertificate) -> str | None:
+    """Why `cert` does not show g chordal by a PEO, or None if it does."""
+    if cert.peo is None:
+        return "a hole certificate, not a PEO"
+    try:
+        witness = verify_peo(g, cert.peo)
+    except InvalidPEO as exc:
+        return str(exc)
+    if witness is None:
+        return None
+    v, p, w = witness
+    return f"PEO fails at vertex {v}: its later neighbours {p} and {w} are not adjacent"
 
 
 def is_chordal(g: Graph) -> tuple[bool, ChordalCertificate]:

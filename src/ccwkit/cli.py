@@ -172,6 +172,8 @@ def _load_factorization(path: str) -> tuple[Factorization, dict]:
         obj = _read_json(path)
         f, meta = Factorization.from_json(obj), obj.get("meta", {})
         del obj  # freed before the collector resumes, so it never scans it
+    if not isinstance(meta, dict):
+        raise CcwKitError("'meta' must be an object")
     return f, meta
 
 

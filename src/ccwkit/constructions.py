@@ -5,9 +5,10 @@ covers, and the two unit-width example families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
-from .chordal import ChordalCertificate, lex_bfs, verify_certificate
+from .chordal import ChordalCertificate, _peo_failure, lex_bfs
 from .cliquecover import OrderedCliqueCover, cover_width
 from .errors import (
     BadRemovedEdge,
@@ -20,6 +21,7 @@ from .errors import (
     UnequalApexSizes,
 )
 from .graph import Apex, Graph, GridCell, VertexLabel, intersect_graphs, is_clique
+from .graph import _first_differing_edge
 
 
 @dataclass(frozen=True)
@@ -99,14 +101,17 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
     if not same_vertices:
         return checks
 
-    inter = intersect_graphs(list(f.factors))
-    ok = inter.edge_equal(f.base)
-    checks.append(("intersection", ok, "intersection of factors edge-equals base"))
+    edge = _first_differing_edge(intersect_graphs(list(f.factors)), f.base)
+    if edge is None:
+        detail = "intersection of factors edge-equals base"
+    else:
+        lacking = next((i for i, g in enumerate(f.factors, 1) if not g.has_edge(*edge)), None)
+        where = "base" if lacking is None else f"factor {lacking}"
+        detail = f"first differing edge ({edge[0]},{edge[1]}) is not in {where}"
+    checks.append(("intersection", edge is None, detail))
 
-    ok = f.chordal_cert.peo is not None and verify_certificate(
-        f.factors[0], f.chordal_cert
-    )
-    checks.append(("chordal_certificate", ok, "factor 1 PEO verifies"))
+    failure = _peo_failure(f.factors[0], f.chordal_cert)
+    checks.append(("chordal_certificate", failure is None, failure or "factor 1 PEO verifies"))
 
     if len(f.covers) != len(f.factors) - 1 or len(f.widths) != len(f.covers):
         checks.append(("cover_count", False, "one cover/width per factor >= 2"))
@@ -230,60 +235,77 @@ def apex_grid(
 
 
 def _apex_grid_factors(
-    k: int, n: int, apex_edges: set[tuple[int, int]] | None, part: int = 0
+    k: int,
+    sizes: Sequence[int],
+    apex_edges: set[tuple[int, int]] | None,
+    part: int = 0,
 ) -> tuple[Graph, Graph, Graph, OrderedCliqueCover]:
-    """The apex grid `apex_grid(k, n, apex_edges, part)`, its two factor
-    graphs and the ordered cover of factor 2: the one builder of both
-    factorizing constructions, so each part's base is built once.
+    """One n x n grid per entry n of `sizes`, all joined to one set of k
+    apexes with the given apex-apex edges (for one size, the apex grid
+    `apex_grid(k, n, apex_edges, part)`; for more, their clique sum at the
+    apex set), its two factor graphs and the ordered cover of factor 2: the
+    one builder of every grid factorization.
 
-    Factor 1: grid cells adjacent iff their rows differ by at most one (every
-    two consecutive rows become one clique), apex set complete and joined to
-    all cells. Factor 2: the grid with each column completed to a clique, apexes
-    joined to all cells, apex-apex edges exactly those of the base; its cover is
-    the columns in order with the apex singletons spliced in the middle.
+    Vertices are part 0's cells row-major, then the apexes, then each later
+    part's cells; labels are GridCell(part + i, r, c) and Apex(part, j).
+    Factor 1: cells of one part adjacent iff their rows differ by at most one
+    (every two consecutive rows become one clique), apex set complete and
+    joined to all cells. Factor 2: each grid with every column completed to a
+    clique, apexes joined to all cells, apex-apex edges exactly those of the
+    base. Its cover is part 0's columns in order with the apex singletons
+    spliced in the middle; each later part's columns are then interleaved
+    one-for-one after the running cover's blocks, in their own order.
     """
-    base = apex_grid(k, n, apex_edges, part)
-    n2 = n * n
-    total = n2 + k
-    grid_mask = (1 << n2) - 1
-    apex_all = ((1 << total) - 1) ^ grid_mask
-    row_mask = [((1 << n) - 1) << (r * n) for r in range(n)]
+    if k < 0:
+        raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
+    apex_edges = _check_apex_edges(k, apex_edges or set())
+    first = sizes[0] ** 2  # the first apex
+    starts, total = [0], first + k
+    for n in sizes[1:]:
+        starts.append(total)
+        total += n * n
+    apexes = ((1 << k) - 1) << first
+    everything = (1 << total) - 1
+    base, masks1, masks2 = [0] * total, [0] * total, [0] * total
+    labels: list[VertexLabel | None] = [None] * total
 
-    masks1 = []
-    for r in range(n):
-        band = row_mask[r]
-        if r > 0:
-            band |= row_mask[r - 1]
-        if r + 1 < n:
-            band |= row_mask[r + 1]
-        for c in range(n):
-            masks1.append((band | apex_all) & ~(1 << (r * n + c)))
-    for i in range(k):
-        masks1.append(((1 << total) - 1) & ~(1 << (n2 + i)))
-    g1 = Graph.from_masks(masks1, base.labels)
+    cover: list[frozenset[int]] = []
+    for i, (n, s) in enumerate(zip(sizes, starts)):
+        col0 = sum(1 << (s + r * n) for r in range(n))
+        rows = [((1 << n) - 1) << (s + r * n) for r in range(n)]
+        for r in range(n):
+            band = rows[max(r - 1, 0)] | rows[r] | rows[min(r + 1, n - 1)]
+            for c in range(n):
+                v = s + r * n + c
+                bit = 1 << v
+                beside = (bit >> 1 if c > 0 else 0) | (bit << 1 if c + 1 < n else 0)
+                grid_nbrs = beside | (bit >> n if r > 0 else 0) | (bit << n if r + 1 < n else 0)
+                base[v] = grid_nbrs | apexes
+                masks1[v] = (band ^ bit) | apexes
+                masks2[v] = ((col0 << c) ^ bit) | beside | apexes
+                labels[v] = GridCell(part + i, r + 1, c + 1)
+        columns = [frozenset(range(s + c, s + n * n, n)) for c in range(n)]
+        if i == 0:
+            mid = (n + 1) // 2
+            apex_blocks = [frozenset({first + j}) for j in range(k)]
+            cover = columns[:mid] + apex_blocks + columns[mid:]
+        else:
+            cover = [b for pair in zip_longest(cover, columns) for b in pair if b is not None]
 
-    col_mask = [sum(1 << (r * n + c) for r in range(n)) for c in range(n)]
-    masks2 = []
-    for r in range(n):
-        for c in range(n):
-            v = r * n + c
-            m = col_mask[c] & ~(1 << v)
-            if c > 0:
-                m |= 1 << (v - 1)
-            if c + 1 < n:
-                m |= 1 << (v + 1)
-            masks2.append(m | apex_all)
-    for i in range(k):
-        masks2.append(base.adj_mask(n2 + i))
-    g2 = Graph.from_masks(masks2, base.labels)
-
-    mid = (n + 1) // 2
-    columns = [frozenset(r * n + c for r in range(n)) for c in range(n)]
-    apex_blocks = [frozenset({n2 + i}) for i in range(k)]
-    cover = OrderedCliqueCover(
-        tuple(columns[:mid]) + tuple(apex_blocks) + tuple(columns[mid:])
+    for j in range(first, first + k):
+        base[j] = everything ^ apexes
+        masks1[j] = everything ^ (1 << j)
+        labels[j] = Apex(part, j - first + 1)
+    for a, b in apex_edges:
+        base[first + a - 1] |= 1 << (first + b - 1)
+        base[first + b - 1] |= 1 << (first + a - 1)
+    masks2[first : first + k] = base[first : first + k]
+    return (
+        Graph.from_masks(base, labels),
+        Graph.from_masks(masks1, labels),
+        Graph.from_masks(masks2, labels),
+        OrderedCliqueCover(tuple(cover)),
     )
-    return base, g1, g2, cover
 
 
 def factorize_apex_grid(
@@ -293,7 +315,7 @@ def factorize_apex_grid(
     column-clique factor whose cover width is at most ceil(n/2) + k."""
     if n < 2:
         raise InvalidSize("factorize_apex_grid requires n >= 2")
-    base, g1, g2, cover = _apex_grid_factors(k, n, apex_edges, part)
+    base, g1, g2, cover = _apex_grid_factors(k, [n], apex_edges, part)
     f = _make_factorization(base, [g1, g2], [cover])
     bound = (n + 1) // 2 + k
     if f.widths[0] > bound:
@@ -385,75 +407,17 @@ def factorize_clique_sum(spec: CliqueSumSpec) -> Factorization:
     if k < 1:
         raise InvalidSize("clique sum at apex sets requires k >= 1")
     removed = _check_apex_edges(k, set(spec.removed_edges))
-
-    full = complete_apex_edges(k)
-    bases, f1s, f2s, covers = [], [], [], []
-    for part_idx, (_, n) in enumerate(spec.parts):
-        if n < 2:
-            raise InvalidSize("each part requires n >= 2")
-        base, g1, g2, cover = _apex_grid_factors(k, n, full, part_idx)
-        bases.append(base)
-        f1s.append(g1)
-        f2s.append(g2)
-        covers.append(cover)
-
-    # apex j of every later part is identified with apex j of part 0
-    apex0 = spec.parts[0][1] ** 2
-    junctions = [[(apex0 + j, n * n + j) for j in range(k)] for _, n in spec.parts[1:]]
-
-    base = clique_sum(bases, junctions)
-    g1 = clique_sum(f1s, junctions)
-    g2 = clique_sum(f2s, junctions)
-
-    # removed apex edges come off the base and factor 2; factor 1 keeps X complete
-    if removed:
-        rm = [(apex0 + a - 1, apex0 + b - 1) for a, b in removed]
-        base = _remove_edges(base, rm)
-        g2 = _remove_edges(g2, rm)
-
-    merged = _interleave_covers(covers, spec.parts, k)
-    f = _make_factorization(base, [g1, g2], [merged])
+    sizes = [n for _, n in spec.parts]
+    if min(sizes) < 2:
+        raise InvalidSize("each part requires n >= 2")
+    # factor 1 keeps the apex set complete; the removed edges leave the base
+    # and factor 2, whose apex-apex edges are the base's
+    base, g1, g2, cover = _apex_grid_factors(k, sizes, complete_apex_edges(k) - removed)
+    f = _make_factorization(base, [g1, g2], [cover])
     bound = sum(n + k for _, n in spec.parts)
     if f.widths[0] > bound:
         raise InvalidFactorization(f"merged width {f.widths[0]} exceeds bound {bound}")
     return f
-
-
-def _remove_edges(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
-    masks = list(g._adj)
-    for u, v in edges:
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-    return Graph.from_masks(masks, g.labels)
-
-
-def _interleave_covers(
-    covers: Sequence[OrderedCliqueCover],
-    parts: Sequence[tuple[int, int]],
-    k: int,
-) -> OrderedCliqueCover:
-    """Merge per-part covers: later parts' column blocks (apex blocks dropped,
-    they are already placed by part 0) are interleaved one-for-one after the
-    running cover's blocks, in their own order.  `clique_sum` places the
-    cells of each later part after everything placed before it, in their
-    own order, so its cell v is global vertex offset + v."""
-    merged = list(covers[0].cliques)  # part 0 indices are already global
-    offset = parts[0][1] ** 2 + k
-    for i, (_, n) in enumerate(parts[1:], start=1):
-        cols = [
-            frozenset(offset + v for v in blk)
-            for blk in covers[i].cliques
-            if max(blk) < n * n
-        ]
-        offset += n * n
-        out: list[frozenset[int]] = []
-        for j in range(max(len(merged), len(cols))):
-            if j < len(merged):
-                out.append(merged[j])
-            if j < len(cols):
-                out.append(cols[j])
-        merged = out
-    return OrderedCliqueCover(tuple(merged))
 
 
 # -- the two unit-width example families -------------------------------------
@@ -492,57 +456,33 @@ def example3_i(n: int, k: int) -> Factorization:
     return _make_factorization(base, [g1, g2], [cover])
 
 
+def _blow_up(g: Graph, b: int) -> Graph:
+    """g with each vertex v replaced by the clique v*b .. v*b + b - 1 and each
+    edge by a complete join between two such cliques; labels are Plain."""
+    clique = (1 << b) - 1
+    masks = []
+    for v in range(g.n):
+        m = clique << (v * b)
+        for u in g.neighbors(v):
+            m |= clique << (u * b)
+        masks.extend(m ^ (1 << x) for x in range(v * b, v * b + b))
+    return Graph.from_masks(masks)
+
+
 def example3_ii(n: int, k: int) -> Factorization:
-    """Grid blow-up: every cell becomes a k-clique, grid edges become complete
-    joins; factors are the consecutive-row-band graph and the column-clique
-    graph over the blown-up vertices, the latter with a width-1 column cover."""
+    """Grid blow-up: the apex-free grid factorization (`_apex_grid_factors`
+    with no apexes) through `_blow_up`, so every cell becomes a k-clique and
+    every edge a complete join. Factors are the consecutive-row-band graph and the
+    column-clique graph over the blown-up vertices, the latter with a width-1
+    column cover."""
     if n < 1 or k < 1:
         raise InvalidSize("example3_ii requires n, k >= 1")
-    total = n * n * k
-
-    def cell(r: int, c: int) -> int:  # 0-based cell -> first vertex of its clique
-        return (r * n + c) * k
-
-    cell_mask = [(((1 << k) - 1) << cell(r, c)) for r in range(n) for c in range(n)]
-    row_mask = [0] * n
-    col_mask = [0] * n
-    for r in range(n):
-        for c in range(n):
-            row_mask[r] |= cell_mask[r * n + c]
-            col_mask[c] |= cell_mask[r * n + c]
-
-    base_masks = [0] * total
-    g1_masks = [0] * total
-    g2_masks = [0] * total
-    for r in range(n):
-        for c in range(n):
-            m_base = cell_mask[r * n + c]
-            if r > 0:
-                m_base |= cell_mask[(r - 1) * n + c]
-            if r + 1 < n:
-                m_base |= cell_mask[(r + 1) * n + c]
-            if c > 0:
-                m_base |= cell_mask[r * n + c - 1]
-            if c + 1 < n:
-                m_base |= cell_mask[r * n + c + 1]
-            band = row_mask[r]
-            if r > 0:
-                band |= row_mask[r - 1]
-            if r + 1 < n:
-                band |= row_mask[r + 1]
-            m2 = col_mask[c] | m_base
-            for v in range(cell(r, c), cell(r, c) + k):
-                base_masks[v] = m_base & ~(1 << v)
-                g1_masks[v] = band & ~(1 << v)
-                g2_masks[v] = m2 & ~(1 << v)
-
-    base = Graph.from_masks(base_masks)
-    g1 = Graph.from_masks(g1_masks, base.labels)
-    g2 = Graph.from_masks(g2_masks, base.labels)
-    cover = OrderedCliqueCover(
-        tuple(
-            frozenset(v for v in range(total) if col_mask[c] >> v & 1)
-            for c in range(n)
-        )
+    base, g1, g2, cover = _apex_grid_factors(0, [n], None)
+    columns = tuple(
+        frozenset(v * k + x for v in blk for x in range(k)) for blk in cover.cliques
     )
-    return _make_factorization(base, [g1, g2], [cover])
+    return _make_factorization(
+        _blow_up(base, k),
+        [_blow_up(g1, k), _blow_up(g2, k)],
+        [OrderedCliqueCover(columns)],
+    )

@@ -296,6 +296,17 @@ def intersect_graphs(factors: Sequence[Graph]) -> Graph:
     return Graph(first.n, tuple(masks), first.labels)
 
 
+def _first_differing_edge(g: Graph, h: Graph) -> tuple[int, int] | None:
+    """The lexicographically first pair u < v that is an edge of exactly one
+    of g and h (on the same vertices), or None.  Masks are symmetric, so the
+    first vertex whose masks differ has its lowest differing bit above it."""
+    for u, (a, b) in enumerate(zip(g._adj, h._adj)):
+        if a != b:
+            d = a ^ b
+            return u, (d & -d).bit_length() - 1
+    return None
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
     """Subgraph induced on s; returns (subgraph, mapping new index -> old index)."""
     smask = g._check_subset(s)

@@ -213,3 +213,35 @@ def brute_peo_witness(g: Graph, order):
         if missing:
             return v, p, missing[0]
     return None
+
+
+def blown_up_grid(n: int, b: int):
+    """Example 3(ii) by its definition, one vertex pair at a time: vertex x
+    is copy x % b of cell x // b of the n x n grid, cells row-major.  Returns
+    the base (same or orthogonally adjacent cells), factor 1 (rows at most
+    one apart) and factor 2 (same column, or same row and adjacent columns),
+    all with the default labels."""
+    def cell(x):
+        return divmod(x // b, n)
+
+    base, g1, g2 = [], [], []
+    for x, y in combinations(range(n * n * b), 2):
+        (r, c), (s, d) = cell(x), cell(y)
+        if abs(r - s) + abs(c - d) <= 1:
+            base.append((x, y))
+        if abs(r - s) <= 1:
+            g1.append((x, y))
+        if c == d or (r == s and abs(c - d) == 1):
+            g2.append((x, y))
+    return tuple(Graph.from_edges(n * n * b, edges) for edges in (base, g1, g2))
+
+
+def brute_intersection_witness(factors, base: Graph):
+    """None if the factors' edge intersection is the base, else (u, v, where)
+    for the first pair u < v on which they differ: `where` is the 1-based
+    index of the first factor without the edge, or "base"."""
+    for u, v in combinations(range(base.n), 2):
+        lacking = [i for i, g in enumerate(factors, 1) if not g.has_edge(u, v)]
+        if bool(lacking) == base.has_edge(u, v):
+            return u, v, lacking[0] if lacking else "base"
+    return None

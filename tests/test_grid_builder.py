@@ -1,0 +1,183 @@
+"""Every grid factorization comes from one builder.  These tests hold its
+outputs to the independent definitions (`apex_grid`, `clique_sum` and a
+per-edge oracle of the blown-up grid), pin the bytes of a few envelopes per
+family, and pin every bad-parameter error: type, message and which check
+comes first."""
+
+import hashlib
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccwkit import (
+    CliqueSumSpec,
+    apex_grid,
+    clique_sum,
+    complete_apex_edges,
+    example3_i,
+    example3_ii,
+    factorize_apex_grid,
+    factorize_clique_sum,
+    grid,
+)
+from ccwkit.cli import _dump, main
+from ccwkit.errors import InvalidApexEdge, InvalidSize, UnequalApexSizes
+
+from oracles import blown_up_grid
+
+
+def apex_pairs(k):
+    return sorted(itertools.combinations(range(1, k + 1), 2))
+
+
+@st.composite
+def apex_edge_sets(draw, k):
+    """A subset of the apex pairs, each drawn in either orientation."""
+    pairs = draw(st.lists(st.sampled_from(apex_pairs(k)), unique=True)) if k > 1 else []
+    return {(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs}
+
+
+class TestAgainstDefinitions:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_apex_grid_base(self, data):
+        k = data.draw(st.integers(0, 3))
+        n = data.draw(st.integers(2, 8))
+        part = data.draw(st.integers(0, 3))
+        edges = data.draw(apex_edge_sets(k))
+        assert factorize_apex_grid(k, n, edges, part).base == apex_grid(k, n, edges, part)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_clique_sum_base(self, data):
+        k = data.draw(st.integers(1, 3))
+        sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+        removed = data.draw(apex_edge_sets(k))
+        f = factorize_clique_sum(
+            CliqueSumSpec(tuple((k, n) for n in sizes), tuple(sorted(removed)))
+        )
+
+        full = complete_apex_edges(k)
+        if len(sizes) == 1:
+            expected = apex_grid(k, sizes[0], full - {tuple(sorted(e)) for e in removed})
+        else:
+            # apex j of every later part is apex j of part 0; the removed
+            # edges come off after the last sum, so no later part restores them
+            a0 = sizes[0] ** 2
+            junctions = [[(a0 + j, n * n + j) for j in range(k)] for n in sizes[1:]]
+            dropped = [(a0 + a - 1, a0 + b - 1) for a, b in removed]
+            expected = clique_sum(
+                [apex_grid(k, n, full, part=i) for i, n in enumerate(sizes)],
+                junctions,
+                [[] for _ in junctions[1:]] + [dropped],
+            )
+        assert f.base == expected
+
+    @pytest.mark.parametrize("n, b", [(n, b) for n in range(1, 5) for b in range(1, 4)])
+    def test_example3_ii(self, n, b):
+        f = example3_ii(n, b)
+        assert (f.base, *f.factors) == blown_up_grid(n, b)
+        columns = [[x for x in range(n * n * b) if x // b % n == c] for c in range(n)]
+        assert f.covers[0].to_json() == columns
+
+
+# sha256 of each envelope as `cli._dump` writes it, taken before the grid
+# factorizations shared one builder
+GOLDEN = {
+    ("apex-grid", "--k", "0", "--n", "2"):
+        "eb60cf1a47d1e434b23782ea1aa49b80542704ac3001a84b14aefde9faa5a1fd",
+    ("apex-grid", "--k", "1", "--n", "5"):
+        "9e32c4bbcbadac36bcb72eb853fb3239ea88ce5fe5ccd86f10acd48afc01cace",
+    ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
+        "bb71e9c004e26d072b4349dcb9cf503dd740d58b1977a10b8c0b45afbae7acd6",
+    ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
+        "27abcf541dd63b77b2529251362fb9f07aa7d8b40d066d1510511413d6a76fe5",
+    ("clique-sum", "--parts", "1:4,1:6"):
+        "b27a09faa51526211d020c0d216954b3826a2dc23877beea4284480c01e8002b",
+    ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
+        "a69affe631b7db69380aea4c78605bfd971030c5047a04e8fd2e883f7349fe05",
+    ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
+        "a4136415935090d4771b369f272d920f140f4608c10726a79cc235bd6170d597",
+    ("example3ii", "--n", "1", "--k", "3"):
+        "41c08de06cbf3f930f3faf46b1243c02343d5123c5cf9c9921db5a41d6392eb0",
+    ("example3ii", "--n", "3", "--k", "2"):
+        "82ff9a144e0d406b6fc2a107e72a6fd8446d4bf54bb4c870c1a09d7ea05f07d6",
+    ("example3ii", "--n", "4", "--k", "3"):
+        "369092a3fb51b4fde88523284be81c0e4afe684940054b5c776dccc10dc32261",
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv", GOLDEN, ids=" ".join)
+    def test_factorize_envelope(self, tmp_path, argv):
+        out = tmp_path / "f.json"
+        assert main(["factorize", *argv, "--out", str(out)]) == 0
+        assert sha256_of(out) == GOLDEN[argv]
+
+    def test_apex_grid_of_a_later_part(self, tmp_path):
+        out = tmp_path / "f.json"
+        _dump(factorize_apex_grid(2, 4, {(1, 2)}, part=2).to_json(), str(out))
+        assert sha256_of(out) == (
+            "297c71f041e89198204e109453ef16f552b26fc719ac3fabd81894bac317cae2"
+        )
+
+
+def sum_of(*parts, removed=()):
+    return lambda: factorize_clique_sum(CliqueSumSpec(parts, removed))
+
+
+BAD_PARAMETERS = {
+    # the first failing check wins where several would fail
+    "apex-grid n < 2": (lambda: factorize_apex_grid(-1, 1, {(0, 1)}),
+                        InvalidSize, "factorize_apex_grid requires n >= 2"),
+    "apex-grid k < 0": (lambda: factorize_apex_grid(-1, 3, {(0, 1)}),
+                        InvalidSize, "apex_grid requires n >= 1 and k >= 0"),
+    "apex-grid apex out of range": (lambda: factorize_apex_grid(1, 3, {(1, 2)}),
+                                    InvalidApexEdge, "apex edge (1,2) invalid for k=1"),
+    "apex-grid apex loop": (lambda: factorize_apex_grid(2, 3, {(2, 2)}),
+                            InvalidApexEdge, "apex edge (2,2) invalid for k=2"),
+    "sum no parts": (sum_of(), InvalidSize, "clique sum needs at least one part"),
+    "sum unequal k": (sum_of((1, 1), (2, 3), removed=((0, 0),)),
+                      UnequalApexSizes, "all parts must share one apex size, got [1, 2]"),
+    "sum k < 1": (sum_of((0, 1), (0, 3), removed=((0, 0),)),
+                  InvalidSize, "clique sum at apex sets requires k >= 1"),
+    "sum bad removed edge": (sum_of((2, 1), (2, 3), removed=((1, 3),)),
+                             InvalidApexEdge, "apex edge (1,3) invalid for k=2"),
+    "sum n < 2": (sum_of((2, 3), (2, 1)), InvalidSize, "each part requires n >= 2"),
+    "example3_ii n < 1": (lambda: example3_ii(0, 2),
+                          InvalidSize, "example3_ii requires n, k >= 1"),
+    "example3_ii k < 1": (lambda: example3_ii(2, 0),
+                          InvalidSize, "example3_ii requires n, k >= 1"),
+    "example3_i n < 1": (lambda: example3_i(0, 2), InvalidSize, "example3_i requires n, k >= 1"),
+    "apex_grid n < 1": (lambda: apex_grid(-1, 0, {(0, 1)}),
+                        InvalidSize, "apex_grid requires n >= 1 and k >= 0"),
+    "apex_grid bad apex edge": (lambda: apex_grid(1, 2, {(1, 2)}),
+                                InvalidApexEdge, "apex edge (1,2) invalid for k=1"),
+    "grid n < 1": (lambda: grid(0), InvalidSize, "grid requires n >= 1"),
+}
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("build, error, message", BAD_PARAMETERS.values(),
+                             ids=BAD_PARAMETERS.keys())
+    def test_same_error(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [("2:3,2:1", "each part requires n >= 2"),
+         ("0:3,0:3", "clique sum at apex sets requires k >= 1")],
+    )
+    def test_cli_error_line(self, tmp_path, capsys, parts, message):
+        out = tmp_path / "f.json"
+        assert main(["factorize", "clique-sum", "--parts", parts, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -1,0 +1,114 @@
+"""`verify` FAIL lines name a concrete witness: the first edge on which the
+factors' intersection and the base differ, and which side lacks it; the
+vertex at which the stored PEO fails, with its two non-adjacent later
+neighbours.  PASS lines are unchanged."""
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccwkit import (
+    ChordalCertificate,
+    CliqueSumSpec,
+    Graph,
+    factorize_apex_grid,
+    factorize_clique_sum,
+    verify_factorization,
+)
+from ccwkit.cli import main
+
+from oracles import brute_intersection_witness, brute_peo_witness
+
+FACTORIZATIONS = [
+    factorize_apex_grid(1, 3),
+    factorize_apex_grid(2, 4, {(1, 2)}),
+    factorize_clique_sum(CliqueSumSpec(((2, 2), (2, 3)), ((1, 2),))),
+]
+
+
+def detail_of(f, name):
+    return next(detail for check, _, detail in verify_factorization(f) if check == name)
+
+
+def toggled(g: Graph, u: int, v: int) -> Graph:
+    edges = set(g.edges()) ^ {(min(u, v), max(u, v))}
+    return Graph.from_edges(g.n, sorted(edges), g.labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_intersection_witness(data):
+    f = data.draw(st.sampled_from(FACTORIZATIONS))
+    graphs = [f.base, *f.factors]
+    # toggle a few vertex pairs, each in the base or in one factor
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(graphs) - 1))
+        u, v = data.draw(st.lists(st.integers(0, f.base.n - 1), min_size=2,
+                                  max_size=2, unique=True))
+        graphs[i] = toggled(graphs[i], u, v)
+    f = dataclasses.replace(f, base=graphs[0], factors=tuple(graphs[1:]))
+
+    witness = brute_intersection_witness(f.factors, f.base)
+    if witness is None:
+        assert detail_of(f, "intersection") == "intersection of factors edge-equals base"
+    else:
+        u, v, where = witness
+        where = "base" if where == "base" else f"factor {where}"
+        assert detail_of(f, "intersection") == (
+            f"first differing edge ({u},{v}) is not in {where}"
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_peo_witness(data):
+    f = data.draw(st.sampled_from(FACTORIZATIONS))
+    order = data.draw(st.permutations(range(f.base.n)))
+    f = dataclasses.replace(f, chordal_cert=ChordalCertificate(peo=tuple(order)))
+    witness = brute_peo_witness(f.factors[0], order)
+    if witness is None:
+        assert detail_of(f, "chordal_certificate") == "factor 1 PEO verifies"
+    else:
+        v, p, w = witness
+        assert detail_of(f, "chordal_certificate") == (
+            f"PEO fails at vertex {v}: its later neighbours {p} and {w} are not adjacent"
+        )
+
+
+@pytest.mark.parametrize(
+    "cert, detail",
+    [
+        ({"peo": (0, 0, *range(2, 10))}, "ordering is not a permutation of V(g)"),
+        ({"peo": tuple(range(9))}, "ordering is not a permutation of V(g)"),
+        ({"hole": (0, 1, 4, 3)}, "a hole certificate, not a PEO"),
+    ],
+    ids=["repeated-vertex", "missing-vertex", "hole"],
+)
+def test_certificate_that_is_no_peo(cert, detail):
+    f = dataclasses.replace(FACTORIZATIONS[0], chordal_cert=ChordalCertificate(**cert))
+    assert detail_of(f, "chordal_certificate") == detail
+
+
+def test_verify_prints_the_witnesses(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    assert main(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)]) == 0
+    obj = json.loads(src.read_text())
+    g2 = obj["factors"][1]
+    # drop base edge (0,1) from factor 2, and let the PEO start at the centre
+    # cell 4, whose later neighbours include rows 0 and 2: first 0, then 6
+    g2["edges"].remove([0, 1])
+    obj["chordal_cert"]["peo"] = [4, 0, 1, 2, 3, 5, 6, 7, 8, 9]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[:3] == [
+        "PASS vertex_sets: factors share the base vertex set",
+        "FAIL intersection: first differing edge (0,1) is not in factor 2",
+        "FAIL chordal_certificate: PEO fails at vertex 4: "
+        "its later neighbours 0 and 6 are not adjacent",
+    ]
+    assert err == "verification failed: intersection\n"
