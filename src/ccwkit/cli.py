@@ -44,10 +44,12 @@ def _gc_paused():
     """Pause the cyclic garbage collector, then restore the state it had.
 
     Only for decoding inputs and encoding outputs: JSON trees hold no
-    cycles, and the collector's scans of their ~10^5 small lists cost
-    25-40 ms per apex-grid envelope at n = 40 on a 2-vCPU Xeon VM, in
-    decoding and in encoding alike.  Library computation runs
-    with the collector on, since the exact searches make cyclic garbage.
+    cycles, and the collector scans their small lists.  On a 2-vCPU Xeon
+    VM that cost about 20 ms per apex-grid envelope at n = 40 written as
+    edge lists (1.4 x 10^5 lists), and 1-2 ms written as cliques (1.1 x
+    10^4 lists), in decoding and in encoding alike.  Library computation
+    runs with the collector on, since the exact searches make cyclic
+    garbage.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -221,8 +223,13 @@ def cmd_separate(args: argparse.Namespace) -> int:
     else:
         mu = Measure.uniform(f.base.n)
     result = separate(f, mu)
-    _dump(result.to_json(), args.out)
-    if args.csv:
+    new = args.csv and not Path(args.csv).exists()
+    # the CSV is opened before --out is written, so one that cannot be
+    # opened leaves no --out file behind
+    with Path(args.csv).open("a", newline="") if args.csv else contextlib.nullcontext() as fh:
+        _dump(result.to_json(), args.out)
+        if fh is None:
+            return 0
         row = {
             "family": meta.get("family", "?"),
             "n": meta.get("n", ""),
@@ -235,13 +242,10 @@ def cmd_separate(args: argparse.Namespace) -> int:
             "mu_a": result.mu_a,
             "mu_b": result.mu_b,
         }
-        path = Path(args.csv)
-        new = not path.exists()
-        with path.open("a", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row))
-            if new:
-                writer.writeheader()
-            writer.writerow(row)
+        writer = csv.DictWriter(fh, fieldnames=list(row))
+        if new:
+            writer.writeheader()
+        writer.writerow(row)
     return 0
 
 

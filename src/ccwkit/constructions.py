@@ -5,10 +5,10 @@ covers, and the two unit-width example families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 from typing import Sequence
 
-from .chordal import ChordalCertificate, _peo_failure, lex_bfs
+from .chordal import ChordalCertificate, _clique_forest, _peo_failure, lex_bfs
 from .cliquecover import OrderedCliqueCover, cover_width
 from .errors import (
     BadRemovedEdge,
@@ -20,7 +20,7 @@ from .errors import (
     JunctionNotClique,
     UnequalApexSizes,
 )
-from .graph import Apex, Graph, GridCell, VertexLabel, intersect_graphs, is_clique
+from .graph import Apex, Graph, GridCell, VertexLabel, bits, intersect_graphs, is_clique
 from .graph import _first_differing_edge
 
 
@@ -37,9 +37,20 @@ class Factorization:
     lstar: int
 
     def to_json(self) -> dict:
+        """The envelope.  The base is an edge list; factor 1 is written as
+        the bags of its clique forest from the certificate's PEO, and each
+        factor i >= 2 as the blocks of its cover, each plus the edges they
+        leave uncovered (see `Graph.to_json`, which drops any candidate
+        that is not a clique, so an unchecked factorization round-trips
+        too)."""
+        g1, peo = self.factors[0], self.chordal_cert.peo
+        bags = []
+        if peo is not None and sorted(peo) == list(range(g1.n)):
+            bags = [bits(m) for m in _clique_forest(g1, peo)[0]]
+        candidates = chain([bags], (c.cliques for c in self.covers), repeat(()))
         return {
             "base": self.base.to_json(),
-            "factors": [g.to_json() for g in self.factors],
+            "factors": [g.to_json(c) for g, c in zip(self.factors, candidates)],
             "chordal_cert": self.chordal_cert.to_json(),
             "covers": [c.to_json() for c in self.covers],
             "widths": list(self.widths),

@@ -116,6 +116,15 @@ class TestSeparateAudit:
         assert lines[0] == "family,n,k,N,lstar,sep_size,sep_cliques,bound,mu_a,mu_b"
         assert lines[1].startswith("apex-grid,8,1,65,")
 
+    def test_unwritable_csv_writes_nothing(self, tmp_path, capsys):
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)])
+        out, csvf = tmp_path / "sep.json", tmp_path / "rows.csv"
+        csvf.mkdir()
+        assert run(["separate", str(f), "--out", str(out), "--csv", str(csvf)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert not out.exists() and not any(csvf.iterdir())
+
     def test_audit(self, tmp_path):
         f = tmp_path / "f.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "6", "--out", str(f)])

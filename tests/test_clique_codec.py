@@ -1,0 +1,288 @@
+"""Graphs written as cliques plus leftover edges: `Graph.to_json(cliques)`,
+the `cliques` key of `Graph.from_json`, and factorization envelopes, whose
+factors are written that way while older edge-only envelopes still load
+and give the same outputs."""
+
+import dataclasses
+import json
+import random
+import shutil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccwkit import (
+    ChordalCertificate,
+    CliqueSumSpec,
+    Factorization,
+    Graph,
+    OrderedCliqueCover,
+    factorize_apex_grid,
+    factorize_clique_sum,
+)
+from ccwkit.cli import main
+from ccwkit.errors import InvalidGraph
+
+from test_codec import graphs
+
+DATA = Path(__file__).parent / "data"
+
+
+def round_trip(obj):
+    return json.loads(json.dumps(obj))
+
+
+@st.composite
+def candidates(draw, g):
+    """Candidate cliques for g: greedy cliques and their subsets, arbitrary
+    vertex sets (mostly not cliques), singletons, empty sets and repeats,
+    as lists, sets or frozensets."""
+    if g.n == 0:
+        return []
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    out = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = rng.randrange(5)
+        if kind == 0:  # a clique grown greedily from a random order
+            c = []
+            for v in rng.sample(range(g.n), g.n):
+                if all(g.has_edge(u, v) for u in c):
+                    c.append(v)
+        elif kind == 1 and out:  # part of, or all of, an earlier candidate
+            earlier = list(out[rng.randrange(len(out))])
+            c = rng.sample(earlier, rng.randint(0, len(earlier)))
+        elif kind == 2:
+            c = rng.sample(range(g.n), rng.randint(0, g.n))
+        elif kind == 3:
+            c = [rng.randrange(g.n)]
+        else:  # a vertex listed twice
+            v = rng.randrange(g.n)
+            c = [v, *rng.sample(range(g.n), rng.randint(0, min(3, g.n))), v]
+        out.append(c)
+    form = draw(st.sampled_from([list, set, frozenset]))
+    return [form(c) for c in out]
+
+
+def is_clique_of(g, members):
+    return all(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
+
+
+class TestGraphRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_decodes_to_the_graph(self, data):
+        g = data.draw(graphs(max_n=40))
+        cands = data.draw(candidates(g))
+        obj = g.to_json(cands)
+        assert Graph.from_json(round_trip(obj)) == g
+
+        written = obj.get("cliques", [])
+        assert "cliques" not in obj or written
+        assert all(len(c) >= 2 and c == sorted(set(c)) and is_clique_of(g, c) for c in written)
+        # the surviving candidates, in the order given
+        survivors = [sorted(set(c)) for c in cands]
+        survivors = [c for c in survivors if len(c) >= 2 and is_clique_of(g, c)]
+        assert written == survivors
+        # leftover edges: exactly those no written clique covers, in edges() order
+        covered = {(u, v) for c in written for i, u in enumerate(c) for v in c[i + 1:]}
+        assert obj["edges"] == [[u, v] for u, v in g.edges() if (u, v) not in covered]
+
+    def test_no_surviving_candidate_writes_the_plain_form(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert g.to_json([[0], [0, 2], [], [1, 2, 3], [5, 6]]) == g.to_json()
+        assert "cliques" not in g.to_json()
+
+    def test_triangle_as_one_clique(self):
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        obj = g.to_json([{2, 1, 0}])
+        assert obj["cliques"] == [[0, 1, 2]] and obj["edges"] == [[2, 3]]
+
+    def test_singleton_and_empty_cliques_add_nothing(self):
+        obj = {**Graph.from_edges(3, [(0, 1)]).to_json(), "cliques": [[2], [], [0, 1]]}
+        assert Graph.from_json(obj) == Graph.from_edges(3, [(0, 1)])
+
+
+def labels(n):
+    return [{"kind": "plain", "id": v} for v in range(n)]
+
+
+N = 5
+
+
+def graph_obj(edges=(), **extra):
+    return {"n": N, "edges": [list(e) for e in edges], "labels": labels(N), **extra}
+
+
+class TestMalformedCliques:
+    @pytest.mark.parametrize(
+        "cliques, message",
+        [
+            (5, "'cliques' must be a list of lists"),
+            ({"0": [0, 1]}, "'cliques' must be a list of lists"),
+            ([[0, 1], 5], "'cliques' must be a list of lists"),
+            ([[0, 1], (2, 3)], "'cliques' must be a list of lists"),
+            ([[0, True]], "clique members must be integer vertex ids, not booleans"),
+            ([[False, 1]], "clique members must be integer vertex ids, not booleans"),
+            ([[0, 1.0]], "clique member 1.0 is not an integer vertex id"),
+            ([[0, "1"]], "clique member '1' is not an integer vertex id"),
+            ([[0, None]], "clique member None is not an integer vertex id"),
+            ([[0, [1]]], "clique member [1] is not an integer vertex id"),
+            ([[0, N]], f"clique member {N} out of range for n={N}"),
+            ([[0, 2 * N - 1]], f"clique member {2 * N - 1} out of range"),
+            ([[0, 2 * N]], f"clique member {2 * N} out of range"),
+            ([[0, 2**70]], f"clique member {2**70} out of range"),
+            ([[0, -1]], "clique member -1 out of range"),
+            ([[0, -N]], f"clique member {-N} out of range"),
+            ([[0, -N - 1]], f"clique member {-N - 1} out of range"),
+            ([[0, -2 * N]], f"clique member {-2 * N} out of range"),
+            ([[0, -2 * N - 1]], f"clique member {-2 * N - 1} out of range"),
+            ([[N - 1, -N - 1]], f"clique member {-N - 1} out of range"),
+            ([[1, 2], [0, 3, 0]], "clique [0, 3, 0] repeats a member"),
+            ([[1, 1]], "clique [1, 1] repeats a member"),
+        ],
+    )
+    def test_invalid_graph(self, cliques, message):
+        with pytest.raises(InvalidGraph) as info:
+            Graph.from_json(graph_obj(cliques=cliques))
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("edge", [[0, N], [0, 1.5], [0, 1, 2], [3, 3]])
+    def test_edge_errors_come_first(self, edge):
+        with pytest.raises(Exception) as plain:
+            Graph.from_json(graph_obj([edge]))
+        with pytest.raises(Exception) as both:
+            Graph.from_json(graph_obj([edge], cliques=[[0, 0], [True]]))
+        assert type(both.value) is type(plain.value) and str(both.value) == str(plain.value)
+
+    @pytest.mark.parametrize("edges", [[[True, 0]], [[0, 1], [2, False]]])
+    def test_boolean_endpoints(self, edges):
+        with pytest.raises(InvalidGraph, match="edge endpoints must be integer vertex ids, not booleans"):
+            Graph.from_json(graph_obj(edges))
+
+
+def hole_free_and_holed():
+    f = factorize_apex_grid(2, 4, {(1, 2)})
+    return f, dataclasses.replace(f, chordal_cert=ChordalCertificate(hole=(0, 1, 5, 4)))
+
+
+class TestEnvelopeRoundTrip:
+    def test_factors_are_written_as_their_cliques(self):
+        f = factorize_apex_grid(2, 4, {(1, 2)})
+        g1, g2 = f.to_json()["factors"]
+        assert g1["edges"] == [] and len(g1["cliques"]) == 3  # the row bands
+        assert g2["cliques"] == f.covers[0].to_json()[:2] + f.covers[0].to_json()[4:]
+        assert f.to_json()["base"] == f.base.to_json()
+
+    def test_hole_certificate(self):
+        _, holed = hole_free_and_holed()
+        g1 = holed.to_json()["factors"][0]
+        assert "cliques" not in g1 and g1 == holed.factors[0].to_json()
+        assert Factorization.from_json(round_trip(holed.to_json())) == holed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_any_order_as_the_peo(self, data):
+        f = factorize_clique_sum(CliqueSumSpec(((2, 2), (2, 3)), ((1, 2),)))
+        n = f.base.n
+        order = data.draw(
+            st.permutations(range(n))
+            | st.lists(st.integers(0, n - 1), max_size=2 * n)
+        )
+        g = dataclasses.replace(f, chordal_cert=ChordalCertificate(peo=tuple(order)))
+        assert Factorization.from_json(round_trip(g.to_json())) == g
+
+    def test_covers_that_do_not_fit_their_factors(self):
+        f, _ = hole_free_and_holed()
+        blocks = f.covers[0].cliques
+        not_a_clique = OrderedCliqueCover(blocks[::-1] + (frozenset({0, 15}),))
+        for covers in ([], [f.covers[0]] * 3, [not_a_clique]):
+            g = dataclasses.replace(f, covers=tuple(covers))
+            assert Factorization.from_json(round_trip(g.to_json())) == g
+
+    def test_factor_1_smaller_than_its_peo(self):
+        f, _ = hole_free_and_holed()
+        g = dataclasses.replace(f, factors=(Graph.from_edges(3, [(0, 1)]), f.factors[1]))
+        assert Factorization.from_json(round_trip(g.to_json())) == g
+
+
+LEGACY = {
+    "legacy-apex-grid-k1-n3.json": ["apex-grid", "--k", "1", "--n", "3"],
+    "legacy-clique-sum-2x2-2x3.json": ["clique-sum", "--parts", "2:2,2:3", "--removed-edges", "1-2"],
+}
+
+
+def outputs(envelope, work, capsys):
+    """verify's stdout and the files separate (with --csv) and audit write."""
+    work.mkdir()
+    assert main(["verify", str(envelope)]) == 0
+    verdict = capsys.readouterr().out
+    sep, rows, aud = work / "sep.json", work / "rows.csv", work / "audit.json"
+    assert main(["separate", str(envelope), "--out", str(sep), "--csv", str(rows)]) == 0
+    assert main(["audit", str(envelope), "--out", str(aud)]) == 0
+    return verdict, sep.read_bytes(), rows.read_bytes(), aud.read_bytes()
+
+
+class TestLegacyEnvelopes:
+    """tests/data holds edge-only envelopes as `factorize` wrote them before
+    factors were written as cliques."""
+
+    @pytest.mark.parametrize("name", LEGACY)
+    def test_same_outputs_as_the_clique_encoded_envelope(self, tmp_path, capsys, name):
+        legacy = tmp_path / name
+        shutil.copy(DATA / name, legacy)
+        assert all("cliques" not in g for g in json.loads(legacy.read_text())["factors"])
+        new = tmp_path / "new.json"
+        assert main(["factorize", *LEGACY[name], "--out", str(new)]) == 0
+        assert all("cliques" in g for g in json.loads(new.read_text())["factors"])
+        assert new.stat().st_size < legacy.stat().st_size
+
+        decoded = [Factorization.from_json(json.loads(p.read_text())) for p in (legacy, new)]
+        assert decoded[0] == decoded[1]
+        assert outputs(legacy, tmp_path / "legacy", capsys) == outputs(new, tmp_path / "new", capsys)
+
+
+class TestMalformedCliquesInTheCli:
+    @pytest.fixture(scope="class")
+    def envelope(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("env") / "f.json"
+        assert main(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)]) == 0
+        return json.loads(f.read_text())
+
+    @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
+    @pytest.mark.parametrize(
+        "factor, cliques, message",
+        [
+            (0, 5, "'cliques' must be a list of lists of vertex ids"),
+            (1, [[0, 3], 6], "'cliques' must be a list of lists of vertex ids"),
+            (0, [[0, 1, True]], "clique members must be integer vertex ids, not booleans"),
+            (1, [["0", 3]], "clique member '0' is not an integer vertex id"),
+            (0, [[0, 10]], "clique member 10 out of range for n=10"),
+            (1, [[0, 2**70]], f"clique member {2**70} out of range for n=10"),
+            (0, [[0, -21]], "clique member -21 out of range for n=10"),
+            (1, [[0, 3, 6, 3]], "clique [0, 3, 6, 3] repeats a member"),
+        ],
+        ids=["not-a-list", "not-lists", "boolean", "string", "out-of-range", "huge",
+             "negative", "repeated"],
+    )
+    def test_exits_2(self, tmp_path, capsys, envelope, cmd, factor, cliques, message):
+        factors = [dict(g) for g in envelope["factors"]]
+        factors[factor]["cliques"] = cliques
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({**envelope, "factors": factors}))
+        out, rows = tmp_path / "out.json", tmp_path / "rows.csv"
+        argv = {
+            "verify": ["verify", str(f)],
+            "separate": ["separate", str(f), "--out", str(out), "--csv", str(rows)],
+            "audit": ["audit", str(f), "--out", str(out)],
+        }[cmd]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not rows.exists()
+
+    def test_boolean_edge_in_a_graph_file(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 2, "edges": [[True, False]], "labels": labels(2)}))
+        assert main(["ccw", str(g)]) == 2
+        assert "not booleans" in capsys.readouterr().err

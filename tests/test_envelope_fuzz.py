@@ -1,8 +1,7 @@
 """Mutated envelopes never end in a traceback: `verify`, `separate --csv`
 and `audit` return an exit code of 0, 1 or 2 whatever one key or value of a
 valid envelope is deleted or replaced with.  0 stays possible: a mutation
-can leave a valid envelope (a `meta` field, or a boolean vertex id, which
-decodes as 0 or 1)."""
+can leave a valid envelope (a `meta` field, say)."""
 
 import contextlib
 import copy

@@ -6,6 +6,7 @@ comes first."""
 
 import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ccwkit import (
     CliqueSumSpec,
+    Factorization,
     apex_grid,
     clique_sum,
     complete_apex_edges,
@@ -83,8 +85,8 @@ class TestAgainstDefinitions:
         assert f.covers[0].to_json() == columns
 
 
-# sha256 of each envelope as `cli._dump` writes it, taken before the grid
-# factorizations shared one builder
+# sha256 of each envelope as `cli._dump` wrote it with every graph as a plain
+# edge list, taken before the grid factorizations shared one builder
 GOLDEN = {
     ("apex-grid", "--k", "0", "--n", "2"):
         "eb60cf1a47d1e434b23782ea1aa49b80542704ac3001a84b14aefde9faa5a1fd",
@@ -108,9 +110,56 @@ GOLDEN = {
         "369092a3fb51b4fde88523284be81c0e4afe684940054b5c776dccc10dc32261",
 }
 
+# sha256 of the same envelopes with each factor written as its cliques plus
+# the edges they leave uncovered; "part 2" is factorize_apex_grid(2, 4,
+# {(1, 2)}, part=2)
+CLIQUE_ENCODED = {
+    ("apex-grid", "--k", "0", "--n", "2"):
+        "755c2d943910bf97a68a2fbf1f02c02f837a24a6fb63af8c181210af9734b52e",
+    ("apex-grid", "--k", "1", "--n", "5"):
+        "515919ee3273b823a6a02675d5226af42c8e758f10c3feded3bf5633ff76ae36",
+    ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
+        "988d6e8db27a48c800f012f08231c956818b4a157a3ff408f2f52d96cbd10c80",
+    ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
+        "6b23d773a45946bf8951434d784a0cb1fe48a0d3382ca64a540eec0206747cbb",
+    ("clique-sum", "--parts", "1:4,1:6"):
+        "0c2b62738e7472c05e7687f0a6d0334dfe82aa886f4b0e1b63db18b9f3eaebf3",
+    ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
+        "0b1d99b8bd739f23c130d58a2250986ddd5727894b46f5c658cdb9f50445513c",
+    ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
+        "ee9e9b0f1baaaba2f174159ae1954da715206746856adc544d2863d963a2f416",
+    ("example3ii", "--n", "1", "--k", "3"):
+        "ca48277765d7a96f4de820ee91776a71fae674ad6956eef1bbd70a6b9d1f082b",
+    ("example3ii", "--n", "3", "--k", "2"):
+        "a9f299db2c017297154a2361772519af53404940dfcdf583cd9a80c70f24364f",
+    ("example3ii", "--n", "4", "--k", "3"):
+        "94a41dea4ae6fde0d887a1eba38fa0c601c4d0a279c2299cbdc2511ec7de2713",
+    "part 2": "060d4e5906ebcc70789d56f86cd1080165206adc28314c0fd4ac366b47360ed9",
+}
+
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def edge_only(path):
+    """The envelope at `path` decoded, then written back with every graph
+    as a plain edge list, the form GOLDEN was taken in."""
+    obj = json.loads(path.read_text())
+    f = Factorization.from_json(obj)
+    legacy = {
+        "base": f.base.to_json(),
+        "factors": [g.to_json() for g in f.factors],
+        "chordal_cert": f.chordal_cert.to_json(),
+        "covers": [c.to_json() for c in f.covers],
+        "widths": list(f.widths),
+        "lstar": f.lstar,
+    }
+    if "meta" in obj:
+        legacy["meta"] = obj["meta"]
+    out = path.with_name("edge-only.json")
+    _dump(legacy, str(out))
+    return out
 
 
 class TestGolden:
@@ -118,12 +167,14 @@ class TestGolden:
     def test_factorize_envelope(self, tmp_path, argv):
         out = tmp_path / "f.json"
         assert main(["factorize", *argv, "--out", str(out)]) == 0
-        assert sha256_of(out) == GOLDEN[argv]
+        assert sha256_of(out) == CLIQUE_ENCODED[argv]
+        assert sha256_of(edge_only(out)) == GOLDEN[argv]
 
     def test_apex_grid_of_a_later_part(self, tmp_path):
         out = tmp_path / "f.json"
         _dump(factorize_apex_grid(2, 4, {(1, 2)}, part=2).to_json(), str(out))
-        assert sha256_of(out) == (
+        assert sha256_of(out) == CLIQUE_ENCODED["part 2"]
+        assert sha256_of(edge_only(out)) == (
             "297c71f041e89198204e109453ef16f552b26fc719ac3fabd81894bac317cae2"
         )
 
