@@ -130,18 +130,17 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
     for i, cover in enumerate(f.covers):
         # cover_width runs verify_cover first and raises its reason
         try:
-            w = cover_width(f.factors[i + 1], cover).width
+            report = cover_width(f.factors[i + 1], cover)
         except InvalidCover as exc:
             checks.append((f"cover_validity[{i + 1}]", False, str(exc)))
             continue
         checks.append((f"cover_validity[{i + 1}]", True, "cover verifies"))
-        checks.append(
-            (
-                f"cover_width[{i + 1}]",
-                w == f.widths[i],
-                f"recomputed width {w}, declared {f.widths[i]}",
-            )
-        )
+        ok = report.width == f.widths[i]
+        detail = f"recomputed width {report.width}, declared {f.widths[i]}"
+        if not ok and report.witness:
+            x, y, bx, by = report.witness
+            detail += f": edge ({x},{y}) spans blocks {bx} and {by}"
+        checks.append((f"cover_width[{i + 1}]", ok, detail))
     if f.widths:
         checks.append(
             ("lstar", f.lstar == max(f.widths), f"lstar must equal max width")

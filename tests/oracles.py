@@ -245,3 +245,19 @@ def brute_intersection_witness(factors, base: Graph):
         if bool(lacking) == base.has_edge(u, v):
             return u, v, lacking[0] if lacking else "base"
     return None
+
+
+def pairwise_verify_hole(g: Graph, hole) -> bool:
+    """The hole test by its definition, one vertex pair at a time: at least
+    four distinct vertices, and two of them adjacent iff they are consecutive
+    on the cycle."""
+    k = len(hole)
+    if k < 4 or len(set(hole)) != k:
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            adjacent = g.has_edge(hole[i], hole[j])
+            consecutive = j - i == 1 or (i == 0 and j == k - 1)
+            if adjacent != consecutive:
+                return False
+    return True

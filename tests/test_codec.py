@@ -88,6 +88,17 @@ def test_malformed_edge(edge):
         {"n": 1, "edges": [], "labels": [{"kind": "grid", "part": 0}]},
         {"n": 1, "edges": [], "labels": [{"kind": "plain", "id": [0]}]},
         {"n": 1, "edges": [], "labels": ["plain"]},
+        {"n": True, "edges": [], "labels": [{"kind": "plain", "id": 0}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "plain", "id": "zero"}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "plain", "id": True}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "plain", "id": 0.0}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "grid", "part": 0, "row": "1", "col": 1}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "grid", "part": 0, "row": 1.5, "col": 1}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "grid", "part": 0, "row": 1, "col": False}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "grid", "part": None, "row": 1, "col": 1}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": 0, "apex_index": "1"}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": True, "apex_index": 1}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": 0, "apex_index": [1]}]},
     ],
 )
 def test_malformed_graph_object(obj):

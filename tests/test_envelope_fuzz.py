@@ -1,7 +1,9 @@
 """Mutated envelopes never end in a traceback: `verify`, `separate --csv`
 and `audit` return an exit code of 0, 1 or 2 whatever one key or value of a
 valid envelope is deleted or replaced with.  0 stays possible: a mutation
-can leave a valid envelope (a `meta` field, say)."""
+can leave a valid envelope (a `meta` field, say).  A label field changed
+alike in the base and in every factor gets past `vertex_sets`, and exits 2
+unless it is still an integer."""
 
 import contextlib
 import copy
@@ -113,3 +115,77 @@ def test_envelope_without_meta_still_loads(tmp_path):
     assert run(["separate", str(f), "--out", str(tmp_path / "s.json"),
                 "--csv", str(tmp_path / "rows.csv")]) == 0
     assert (tmp_path / "rows.csv").read_text().splitlines()[1].startswith("?,,,")
+
+
+def graphs_of(obj):
+    return [obj["base"], *obj["factors"]]
+
+
+def with_label_field(family, vertex, key, value):
+    """The envelope with one label field set to `value` (or deleted) in the
+    base and in every factor alike, so `vertex_sets` still passes."""
+    obj = copy.deepcopy(envelope(family))
+    for g in graphs_of(obj):
+        if value is DELETE:
+            del g["labels"][vertex][key]
+        else:
+            g["labels"][vertex][key] = value
+    return obj
+
+
+def commands(tmp):
+    return [
+        ["verify", str(tmp / "f.json")],
+        ["separate", str(tmp / "f.json"), "--out", str(tmp / "sep.json"),
+         "--csv", str(tmp / "rows.csv")],
+        ["audit", str(tmp / "f.json"), "--out", str(tmp / "audit.json")],
+    ]
+
+
+@st.composite
+def label_mutations(draw):
+    family = draw(st.sampled_from(sorted(SOURCES)))
+    labels = envelope(family)["base"]["labels"]
+    vertex = draw(st.integers(0, len(labels) - 1))
+    key = draw(st.sampled_from(sorted(labels[vertex])))
+    return family, vertex, key, draw(st.sampled_from([DELETE, *REPLACEMENTS]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_mutations())
+def test_a_label_field_changed_in_every_copy(mutation):
+    """A label field that is missing or not an integer, in the base and in
+    every factor, is an input error; 2**70 in an integer field is a valid
+    label, so the envelope still verifies (`audit` may then exit 2: its
+    default `--apex 1` names no apex once apex 1's index is 2**70)."""
+    family, vertex, key, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "f.json").write_text(json.dumps(with_label_field(*mutation)))
+        codes = [run(argv) for argv in commands(tmp)]
+        if key != "kind" and type(value) is int:
+            assert codes[0] == 0 and set(codes[1:]) <= {0, 1, 2}
+        else:
+            assert codes == [2, 2, 2]
+            assert sorted(p.name for p in tmp.iterdir()) == ["f.json"]
+
+
+@pytest.mark.parametrize("cmd", range(3), ids=["verify", "separate", "audit"])
+@pytest.mark.parametrize("row", [str, lambda r: r + 0.5], ids=["string", "float"])
+def test_grid_rows_that_are_not_integers_exit_2(tmp_path, capsys, cmd, row):
+    # before labels were type-checked, string rows verified and then broke
+    # `audit` with a TypeError, and rows r + 0.5 made `audit` exit 1
+    src = tmp_path / "src.json"
+    assert run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)]) == 0
+    obj = json.loads(src.read_text())
+    src.unlink()
+    for g in graphs_of(obj):
+        for label in g["labels"]:
+            if label["kind"] == "grid":
+                label["row"] = row(label["row"])
+    (tmp_path / "f.json").write_text(json.dumps(obj))
+    assert main(commands(tmp_path)[cmd]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed vertex label {")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]

@@ -1,7 +1,8 @@
 """`verify` FAIL lines name a concrete witness: the first edge on which the
 factors' intersection and the base differ, and which side lacks it; the
 vertex at which the stored PEO fails, with its two non-adjacent later
-neighbours.  PASS lines are unchanged."""
+neighbours; the first edge that attains a cover's recomputed width, with the
+blocks it spans.  PASS lines are unchanged."""
 
 import dataclasses
 import json
@@ -14,13 +15,14 @@ from ccwkit import (
     ChordalCertificate,
     CliqueSumSpec,
     Graph,
+    OrderedCliqueCover,
     factorize_apex_grid,
     factorize_clique_sum,
     verify_factorization,
 )
 from ccwkit.cli import main
 
-from oracles import brute_intersection_witness, brute_peo_witness
+from oracles import brute_cover_width, brute_intersection_witness, brute_peo_witness
 
 FACTORIZATIONS = [
     factorize_apex_grid(1, 3),
@@ -112,3 +114,43 @@ def test_verify_prints_the_witnesses(tmp_path, capsys):
         "its later neighbours 0 and 6 are not adjacent",
     ]
     assert err == "verification failed: intersection\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_width_witness(data):
+    f = data.draw(st.sampled_from(FACTORIZATIONS))
+    blocks = data.draw(st.permutations(f.covers[0].cliques))
+    f = dataclasses.replace(f, covers=(OrderedCliqueCover(tuple(blocks)),))
+    width, witness = brute_cover_width(f.factors[1], blocks)
+    detail = f"recomputed width {width}, declared {f.widths[0]}"
+    if width != f.widths[0]:
+        x, y, bx, by = witness
+        detail += f": edge ({x},{y}) spans blocks {bx} and {by}"
+    assert detail_of(f, "cover_width[1]") == detail
+
+
+def test_verify_prints_the_width_witness(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    assert main(["factorize", "apex-grid", "--k", "1", "--n", "5", "--out", str(src)]) == 0
+    obj = json.loads(src.read_text())
+    # the split-block tamper of acceptance criterion 7: the largest block's
+    # second half moves to the end of the cover
+    cover = obj["covers"][0]
+    blk = max(cover, key=len)
+    i = cover.index(blk)
+    cover[i] = blk[: len(blk) // 2]
+    cover.append(blk[len(blk) // 2 :])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "PASS vertex_sets: factors share the base vertex set",
+        "PASS intersection: intersection of factors edge-equals base",
+        "PASS chordal_certificate: factor 1 PEO verifies",
+        "PASS cover_validity[1]: cover verifies",
+        "FAIL cover_width[1]: recomputed width 6, declared 3: edge (0,10) spans blocks 0 and 6",
+        "PASS lstar: lstar must equal max width",
+    ]
+    assert err == "verification failed: cover_width[1]\n"
