@@ -47,12 +47,13 @@ def lex_bfs(g: Graph) -> list[int]:
     """
     cells = [g.vertex_mask()] if g.n else []
     order: list[int] = []
+    adj = g._adj  # every v taken from a cell is a vertex, so no range check
     while cells:
         low = cells[0] & -cells[0]
         v = low.bit_length() - 1
         order.append(v)
         cells[0] ^= low
-        nb = g.adj_mask(v)
+        nb = adj[v]
         refined: list[int] = []
         for cell in cells:
             hit = cell & nb
@@ -69,23 +70,23 @@ def _elimination(g: Graph, order: Sequence[int]) -> tuple[list[int], list[int]]:
     `order`, and its parent, the earliest of them (-1 when there is none).
 
     `order` may list only some of the vertices; the result is then that of
-    the subgraph they induce, in g's indices.  Parents come from one forward
-    sweep: `pending` holds the vertices still without a parent, and each w
-    adopts those of them it is adjacent to.  That is O(V) big-int operations
-    plus one step per assigned parent, whatever E is.  On the apex-grid
-    factor 1 (k=2, n=20/40/60, V=402/1602/3602) it measured 0.3/1.3/4.0 ms
-    on a 2-vCPU Xeon VM, ~V^1.2 as the masks widen; the per-edge `min` it
-    replaced took 4.8/48/152 ms.
+    the subgraph they induce, in g's indices.  They are not range-checked:
+    every caller passes a checked permutation of V(g), or part of one.
+    Parents come from one forward sweep: `pending` holds the vertices still
+    without a parent, and each w adopts those of them it is adjacent to.
+    That is O(V) big-int operations plus one step per assigned parent,
+    whatever E is.  On the apex-grid factor 1 (k=2, n=20/40/60,
+    V=402/1602/3602) it measured 0.3/1.3/4.0 ms on a 2-vCPU Xeon VM, ~V^1.2
+    as the masks widen; the per-edge `min` it replaced took 4.8/48/152 ms.
     """
-    succ = [0] * g.n
-    parent = [-1] * g.n
+    adj, succ, parent = g._adj, [0] * g.n, [-1] * g.n
     later = 0
     for v in reversed(order):
-        succ[v] = g.adj_mask(v) & later
+        succ[v] = adj[v] & later
         later |= 1 << v
     pending = 0
     for w in order:
-        hit = pending & g.adj_mask(w)
+        hit = pending & adj[w]
         for u in bits(hit):
             parent[u] = w
         pending = pending ^ hit | 1 << w
@@ -108,7 +109,7 @@ def verify_peo(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
     succ, parent = _elimination(g, order)
     for v in order:
         p = parent[v]
-        if p >= 0 and (missing := succ[v] & ~g.adj_mask(p) & ~(1 << p)):
+        if p >= 0 and (missing := succ[v] & ~g._adj[p] & ~(1 << p)):
             return v, p, next(bits(missing))
     return None
 

@@ -82,13 +82,13 @@ def cover_width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
     suffix = masks + [0]
     for i in range(m - 1, -1, -1):
         suffix[i] |= suffix[i + 1]
-    block = [0] * g.n
+    adj, block = g._adj, [0] * g.n  # verify_cover has range-checked every vertex
     width = 0
     for i, blk in enumerate(c.cliques):
         reach = 0
         for v in blk:
             block[v] = i
-            reach |= g.adj_mask(v)
+            reach |= adj[v]
         while i + width + 1 < m and reach & suffix[i + width + 1]:
             width += 1
     if width == 0:
@@ -98,7 +98,7 @@ def cover_width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
         near = masks[b + width] if b + width < m else 0
         if b >= width:
             near |= masks[b - width]
-        hit = (g.adj_mask(u) & near) >> (u + 1)
+        hit = (adj[u] & near) >> (u + 1)
         if hit:
             v = u + (hit & -hit).bit_length()
             return WidthReport(width, (u, v, b, block[v]))

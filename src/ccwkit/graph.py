@@ -114,6 +114,26 @@ def _bit_table(n: int) -> list[int | None]:
     return [1 << v for v in range(n)] + [None] * n
 
 
+def _edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The adjacency masks of n vertices joined by `edges`, checked as
+    `Graph.from_edges` describes: the first edge that fails the loop is
+    reported before any self-loop."""
+    bit = _bit_table(n)
+    adj = [0] * n
+    edge = None
+    try:
+        for edge in edges:
+            u, v = edge
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
+    except (IndexError, TypeError, ValueError):
+        raise _edge_error(edge, n) from None
+    for v in range(n):
+        if adj[v] >> v & 1:
+            raise InvalidGraph(f"self-loop at vertex {v}")
+    return tuple(adj)
+
+
 def _clique_error(clique, n: int) -> InvalidGraph:
     """The error for a clique that `Graph.from_json` could not decode."""
     for v in clique:
@@ -185,20 +205,7 @@ class Graph:
         if not isinstance(n, int):
             raise InvalidGraph(f"n must be an integer, got {n!r}")
         labels = _checked_labels(n, labels)
-        bit = _bit_table(n)
-        adj = [0] * n
-        edge = None
-        try:
-            for edge in edges:
-                u, v = edge
-                adj[u] |= bit[v]
-                adj[v] |= bit[u]
-        except (IndexError, TypeError, ValueError):
-            raise _edge_error(edge, n) from None
-        for v in range(n):
-            if adj[v] >> v & 1:
-                raise InvalidGraph(f"self-loop at vertex {v}")
-        return cls(n, tuple(adj), labels)
+        return cls(n, _edge_masks(n, edges), labels)
 
     @classmethod
     def from_masks(
@@ -283,6 +290,13 @@ class Graph:
         against 3.0/30 ms for its edge list, and factor 2 (4 981/35 961
         edges) as its cover blocks in 0.6/3.5 ms, against 1.4/11 ms.
         """
+        obj = self._unlabeled_json(cliques)
+        obj["labels"] = [label_to_json(lbl) for lbl in self.labels]
+        return obj
+
+    def _unlabeled_json(self, cliques: Iterable[Iterable[int]]) -> dict:
+        """`to_json(cliques)` without `labels`, for a graph that shares the
+        labels of another one written next to it (see `_from_json`)."""
         n, adj = self.n, self._adj
         kept, covered = [], [0] * n
         for clique in cliques:
@@ -298,7 +312,6 @@ class Graph:
         obj = {
             "n": n,
             "edges": [[u, v] for u, v in _pairs([a & ~c for a, c in zip(adj, covered)])],
-            "labels": [label_to_json(lbl) for lbl in self.labels],
         }
         if kept:
             obj["cliques"] = kept
@@ -317,20 +330,35 @@ class Graph:
         OR per member.  On a 2-vCPU Xeon VM, collector paused, the two
         clique-encoded factors of that apex grid decode in 0.6 and 0.8 ms at
         n=20 and 2.2 and 3.3 ms at n=40, against 2.6 and 1.4 ms, and 20 and
-        9.6 ms, as edge lists; the 1 602 labels are most of what is left.
+        9.6 ms, as edge lists.  The 1 602 labels are most of what is left
+        of the base's decode; an envelope's factors share the base's labels
+        and decode none (see `_from_json`).
         Booleans are found by one C-level scan of all ids for `bool`, about
         45 ns an id: 3 us of the 21 us a 25-edge graph file takes, and 9 ms
         were factor 1 at n=40 written as its 96 801 edges.
         """
+        return cls._from_json(obj, None)
+
+    @classmethod
+    def _from_json(cls, obj: dict, shared: tuple[VertexLabel, ...] | None) -> "Graph":
+        """`from_json(obj)`, or, with `shared` given, the graph of an `obj`
+        without labels of its own that takes `shared`, labels already
+        checked, by reference: no label is decoded, hashed or compared.  The
+        caller has checked that obj's n is len(shared)."""
         try:
-            n, edges, labels = obj["n"], obj["edges"], obj["labels"]
+            n, edges = obj["n"], obj["edges"]
+            labels = obj["labels"] if shared is None else shared
         except (KeyError, TypeError):
-            raise InvalidGraph("a graph needs keys 'n', 'edges' and 'labels'") from None
-        if not isinstance(labels, list):
-            raise InvalidGraph("a graph's labels must be a list")
-        if type(n) is bool:
-            raise InvalidGraph(f"n must be an integer, got {n!r}")
-        g = cls.from_edges(n, edges, [label_from_json(lbl) for lbl in labels])
+            keys = "'n', 'edges' and 'labels'" if shared is None else "'n' and 'edges'"
+            raise InvalidGraph(f"a graph needs keys {keys}") from None
+        if shared is None:
+            if not isinstance(labels, list):
+                raise InvalidGraph("a graph's labels must be a list")
+            if type(n) is bool:
+                raise InvalidGraph(f"n must be an integer, got {n!r}")
+            g = cls.from_edges(n, edges, [label_from_json(lbl) for lbl in labels])
+        else:
+            g = cls(n, _edge_masks(n, edges), shared)
         if bool in map(type, chain.from_iterable(edges)):
             raise InvalidGraph("edge endpoints must be integer vertex ids, not booleans")
         if "cliques" not in obj:
@@ -466,11 +494,11 @@ def diameter(g: Graph) -> int:
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     smask = g._check_subset(s)
     for v in bits(smask):
-        if smask & ~g.adj_mask(v) & ~(1 << v):
+        if smask & ~g._adj[v] & ~(1 << v):
             return False
     return True
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     smask = g._check_subset(s)
-    return all(not (smask & g.adj_mask(v)) for v in bits(smask))
+    return all(not (smask & g._adj[v]) for v in bits(smask))

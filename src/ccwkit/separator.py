@@ -9,7 +9,16 @@ from .chordal import _balanced_bag, _clique_forest
 from .cliquecover import OrderedCliqueCover
 from .constructions import Factorization, check_factorization
 from .errors import InvalidFactorization, NoApex, NotCliqueInFactorOne
-from .graph import Apex, Graph, GridCell, bits, connected_components, is_clique, is_independent
+from .graph import (
+    Apex,
+    Graph,
+    GridCell,
+    _bfs_layers,
+    bits,
+    connected_components,
+    is_clique,
+    is_independent,
+)
 from .measure import Measure
 
 
@@ -158,21 +167,26 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     grid_peo = [v for v in f.chordal_cert.peo if isinstance(base.labels[v], GridCell)]
     bags, _, home = _clique_forest(f.factors[0], grid_peo)
     # the first largest bag in PEO order, the order of maximal_cliques_chordal
-    s = set(bits(max((bags[home[v]] for v in grid_peo), key=int.bit_count)))
+    smask = max((bags[home[v]] for v in grid_peo), key=int.bit_count)
+    s = set(bits(smask))
 
-    # independent half of s via the grid bipartition
-    colors: dict[int, int] = {}
-    for v in s:
-        lbl = base.labels[v]
-        colors[v] = (lbl.row + lbl.col) % 2
-    classes = [
-        {v for v in s if colors[v] == 0},
-        {v for v in s if colors[v] == 1},
-    ]
-    s_prime = max(classes, key=len)
+    # independent half of s: base[s] 2-coloured from the graph, not from the
+    # labels, by BFS layers (even against odd) in each of its components;
+    # the even class wins a tie
+    classes, rest = [0, 0], smask
+    while rest:
+        for depth, layer in enumerate(_bfs_layers(base, rest & -rest, smask)):
+            classes[depth % 2] |= layer
+            rest ^= layer
+    s_prime = set(bits(max(classes, key=int.bit_count)))
     if not is_independent(base, s_prime):
         raise InvalidFactorization("bipartition class is not independent in the base")
 
+    if unjoined := smask & ~base.adj_mask(apex):
+        v = (unjoined & -unjoined).bit_length() - 1
+        raise InvalidFactorization(
+            f"apex {x} (vertex {apex}) is not adjacent in the base to vertex {v} of the grid clique"
+        )
     s_hat = s | {apex}
     restricted_sizes = []
     for cover in f.covers:

@@ -134,6 +134,31 @@ class TestSeparateAudit:
         assert obj["grid_clique_size"] == 12
         assert obj["restricted_cover_sizes"] == [7]
 
+    @pytest.mark.parametrize("copies", [False, True], ids=["labels-once", "labels-in-every-graph"])
+    def test_audit_reads_the_bipartition_from_the_graph(self, tmp_path, copies):
+        # rows doubled in every graph that carries labels: the label parity
+        # (row + col) % 2 then colours each grid row alike, but verify still
+        # passes, and audit 2-colours the grid clique from the base itself
+        src = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)])
+        obj = json.loads(src.read_text())
+        if copies:
+            for g in obj["factors"]:
+                g["labels"] = json.loads(json.dumps(obj["base"]["labels"]))
+        for g in [obj["base"], *obj["factors"]]:
+            for label in g.get("labels", []):
+                if label["kind"] == "grid":
+                    label["row"] *= 2
+        doubled = tmp_path / "doubled.json"
+        doubled.write_text(json.dumps(obj))
+        assert run(["verify", str(doubled)]) == 0
+        reports = []
+        for env in (src, doubled):
+            out = tmp_path / f"audit-{env.stem}.json"
+            assert run(["audit", str(env), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestManifestReplay:
     def test_replay_byte_identical(self, tmp_path):

@@ -178,7 +178,9 @@ class TestEnvelopeRoundTrip:
     def test_hole_certificate(self):
         _, holed = hole_free_and_holed()
         g1 = holed.to_json()["factors"][0]
-        assert "cliques" not in g1 and g1 == holed.factors[0].to_json()
+        plain = holed.factors[0].to_json()
+        del plain["labels"]  # a factor shares the base's labels
+        assert "cliques" not in g1 and g1 == plain
         assert Factorization.from_json(round_trip(holed.to_json())) == holed
 
     @settings(max_examples=40, deadline=None)

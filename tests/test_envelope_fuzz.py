@@ -2,8 +2,10 @@
 and `audit` return an exit code of 0, 1 or 2 whatever one key or value of a
 valid envelope is deleted or replaced with.  0 stays possible: a mutation
 can leave a valid envelope (a `meta` field, say).  A label field changed
-alike in the base and in every factor gets past `vertex_sets`, and exits 2
-unless it is still an integer."""
+alike in every graph that carries labels gets past `vertex_sets`, and exits
+2 unless it is still an integer.  Envelopes are fuzzed as `factorize` writes
+them, labels in the base only, and in the form of earlier releases, with a
+copy of the labels in every factor."""
 
 import contextlib
 import copy
@@ -34,11 +36,17 @@ def run(argv):
 
 
 @functools.cache
-def envelope(family):
+def envelope(family, copies=False):
+    """The envelope `factorize` writes, or with `copies`, the same one with
+    the base's labels copied into every factor."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "f.json"
         assert run(["factorize", *SOURCES[family], "--out", str(out)]) == 0
-        return json.loads(out.read_text())
+        obj = json.loads(out.read_text())
+    if copies:
+        for g in obj["factors"]:
+            g["labels"] = copy.deepcopy(obj["base"]["labels"])
+    return obj
 
 
 def paths(obj, prefix=()):
@@ -57,15 +65,16 @@ def paths(obj, prefix=()):
 @st.composite
 def mutations(draw):
     family = draw(st.sampled_from(sorted(SOURCES)))
-    every = list(paths(envelope(family)))
+    copies = draw(st.booleans())
+    every = list(paths(envelope(family, copies)))
     # most paths are edge endpoints; draw the top two levels as often as the rest
     shallow = [p for p in every if len(p) <= 2]
     path = draw(st.sampled_from(shallow) | st.sampled_from(every))
-    return family, path, draw(st.sampled_from([DELETE, *REPLACEMENTS]))
+    return family, copies, path, draw(st.sampled_from([DELETE, *REPLACEMENTS]))
 
 
-def mutated(family, path, value):
-    obj = copy.deepcopy(envelope(family))
+def mutated(family, copies, path, value):
+    obj = copy.deepcopy(envelope(family, copies))
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
@@ -117,15 +126,16 @@ def test_envelope_without_meta_still_loads(tmp_path):
     assert (tmp_path / "rows.csv").read_text().splitlines()[1].startswith("?,,,")
 
 
-def graphs_of(obj):
-    return [obj["base"], *obj["factors"]]
+def labeled_graphs(obj):
+    """The base, and each factor that carries its own labels."""
+    return [g for g in [obj["base"], *obj["factors"]] if "labels" in g]
 
 
-def with_label_field(family, vertex, key, value):
-    """The envelope with one label field set to `value` (or deleted) in the
-    base and in every factor alike, so `vertex_sets` still passes."""
-    obj = copy.deepcopy(envelope(family))
-    for g in graphs_of(obj):
+def with_label_field(family, copies, vertex, key, value):
+    """The envelope with one label field set to `value` (or deleted) in
+    every graph that carries labels alike, so `vertex_sets` still passes."""
+    obj = copy.deepcopy(envelope(family, copies))
+    for g in labeled_graphs(obj):
         if value is DELETE:
             del g["labels"][vertex][key]
         else:
@@ -148,17 +158,18 @@ def label_mutations(draw):
     labels = envelope(family)["base"]["labels"]
     vertex = draw(st.integers(0, len(labels) - 1))
     key = draw(st.sampled_from(sorted(labels[vertex])))
-    return family, vertex, key, draw(st.sampled_from([DELETE, *REPLACEMENTS]))
+    copies = draw(st.booleans())
+    return family, copies, vertex, key, draw(st.sampled_from([DELETE, *REPLACEMENTS]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(label_mutations())
 def test_a_label_field_changed_in_every_copy(mutation):
-    """A label field that is missing or not an integer, in the base and in
-    every factor, is an input error; 2**70 in an integer field is a valid
+    """A label field that is missing or not an integer, in every graph that
+    carries labels, is an input error; 2**70 in an integer field is a valid
     label, so the envelope still verifies (`audit` may then exit 2: its
     default `--apex 1` names no apex once apex 1's index is 2**70)."""
-    family, vertex, key, value = mutation
+    family, copies, vertex, key, value = mutation
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "f.json").write_text(json.dumps(with_label_field(*mutation)))
@@ -179,7 +190,7 @@ def test_grid_rows_that_are_not_integers_exit_2(tmp_path, capsys, cmd, row):
     assert run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)]) == 0
     obj = json.loads(src.read_text())
     src.unlink()
-    for g in graphs_of(obj):
+    for g in labeled_graphs(obj):
         for label in g["labels"]:
             if label["kind"] == "grid":
                 label["row"] = row(label["row"])

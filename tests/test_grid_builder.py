@@ -111,30 +111,30 @@ GOLDEN = {
 }
 
 # sha256 of the same envelopes with each factor written as its cliques plus
-# the edges they leave uncovered; "part 2" is factorize_apex_grid(2, 4,
-# {(1, 2)}, part=2)
+# the edges they leave uncovered, and without the labels it shares with the
+# base; "part 2" is factorize_apex_grid(2, 4, {(1, 2)}, part=2)
 CLIQUE_ENCODED = {
     ("apex-grid", "--k", "0", "--n", "2"):
-        "755c2d943910bf97a68a2fbf1f02c02f837a24a6fb63af8c181210af9734b52e",
+        "5c799bdfe7b46aa5dac0574e2696d5b59b7e5af303cba6a9db18e6becb1cc86d",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "515919ee3273b823a6a02675d5226af42c8e758f10c3feded3bf5633ff76ae36",
+        "df26e3f7943f840c3a0016780a0fb0db74abeda87e88ed8f74a331096e851427",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "988d6e8db27a48c800f012f08231c956818b4a157a3ff408f2f52d96cbd10c80",
+        "8fc0cde6c741b3721a98c7e134f5b159133800a18fa21d9e3553e1d2fc9271ab",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "6b23d773a45946bf8951434d784a0cb1fe48a0d3382ca64a540eec0206747cbb",
+        "cb791f2027a79c1a7480d9cb91004b36beca580f4251e784a50750f33a9e619c",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "0c2b62738e7472c05e7687f0a6d0334dfe82aa886f4b0e1b63db18b9f3eaebf3",
+        "fe60adb79f02808c9a3e0cd7cf59559bb6be07b4f779a3e5dd0038edbc041db2",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "0b1d99b8bd739f23c130d58a2250986ddd5727894b46f5c658cdb9f50445513c",
+        "218d15030a1dd4955a44f11abcb4705be36eb60969debaf5a72285fb967122c2",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "ee9e9b0f1baaaba2f174159ae1954da715206746856adc544d2863d963a2f416",
+        "e0989989435a948a8e825d5eb24d0c363742b174499691737a2ce1679afe9c80",
     ("example3ii", "--n", "1", "--k", "3"):
-        "ca48277765d7a96f4de820ee91776a71fae674ad6956eef1bbd70a6b9d1f082b",
+        "cd7ced05a442d35393304fe9f2de01454584edcba6db0420df527b3ae9c730aa",
     ("example3ii", "--n", "3", "--k", "2"):
-        "a9f299db2c017297154a2361772519af53404940dfcdf583cd9a80c70f24364f",
+        "ce1b1b33805307162bbd33e21b79029f5ae3d3dddd056793f995021a88d00eee",
     ("example3ii", "--n", "4", "--k", "3"):
-        "94a41dea4ae6fde0d887a1eba38fa0c601c4d0a279c2299cbdc2511ec7de2713",
-    "part 2": "060d4e5906ebcc70789d56f86cd1080165206adc28314c0fd4ac366b47360ed9",
+        "299ba51996a90b1dddb4483fb960fbb0043c6da18525d52f6c195b56089e0e5d",
+    "part 2": "acd027809c8a75dbcc09b178152d71319baee8fd13bb1854721b8c1b2a853166",
 }
 
 

@@ -15,7 +15,8 @@ from ccwkit import (
     product_cell_cover,
     separate,
 )
-from ccwkit.errors import InvalidMeasure, NoApex, NotCliqueInFactorOne
+from ccwkit.constructions import _make_factorization
+from ccwkit.errors import InvalidFactorization, InvalidMeasure, NoApex, NotCliqueInFactorOne
 from ccwkit.graph import GridCell
 
 
@@ -195,6 +196,22 @@ class TestAudit:
     def test_missing_apex(self):
         with pytest.raises(NoApex):
             audit_lower_bound(factorize_apex_grid(1, 4), x=2)
+
+    def test_apex_not_joined_to_the_grid_clique(self):
+        # the grid clique is rows 3 and 4 (vertices 8..15); apex 1, vertex
+        # 16, loses its edges to 9 and 12 in the base and in factor 2
+        f = factorize_apex_grid(1, 4)
+        gone = {(9, 16), (12, 16)}
+
+        def cut(g):
+            return Graph.from_edges(g.n, [e for e in g.edges() if e not in gone], g.labels)
+
+        g = _make_factorization(cut(f.base), [f.factors[0], cut(f.factors[1])], f.covers)
+        with pytest.raises(InvalidFactorization) as info:
+            audit_lower_bound(g)
+        assert str(info.value) == (
+            "apex 1 (vertex 16) is not adjacent in the base to vertex 9 of the grid clique"
+        )
 
     def test_lower_bound_consistency_d2(self):
         for n in (5, 9):

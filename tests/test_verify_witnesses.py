@@ -2,7 +2,9 @@
 factors' intersection and the base differ, and which side lacks it; the
 vertex at which the stored PEO fails, with its two non-adjacent later
 neighbours; the first edge that attains a cover's recomputed width, with the
-blocks it spans.  PASS lines are unchanged."""
+blocks it spans; the first factor whose n or labels differ from the base's,
+and where; the numbers of factors, covers and widths; the declared lstar
+and the largest width.  PASS lines are unchanged."""
 
 import dataclasses
 import json
@@ -154,3 +156,70 @@ def test_verify_prints_the_width_witness(tmp_path, capsys):
         "PASS lstar: lstar must equal max width",
     ]
     assert err == "verification failed: cover_width[1]\n"
+
+
+def verify_lines(tmp_path, capsys, edit):
+    """verify's exit code and stdout lines on the `factorize apex-grid --k 1
+    --n 3` envelope after `edit(obj)`."""
+    src = tmp_path / "f.json"
+    assert main(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)]) == 0
+    obj = json.loads(src.read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["verify", str(bad)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def relabel_factor_2(obj):
+    # factor 2 carries its own labels, with the centre cell's row moved
+    labels = json.loads(json.dumps(obj["base"]["labels"]))
+    labels[4]["row"] = 5
+    obj["factors"][1]["labels"] = labels
+
+
+def shrink_factor_1(obj):
+    obj["factors"][0] = {"n": 3, "edges": [[0, 1]], "labels": obj["base"]["labels"][:3]}
+
+
+@pytest.mark.parametrize(
+    "edit, lines",
+    [
+        (relabel_factor_2, [
+            "FAIL vertex_sets: factor 2 labels vertex 4 GridCell(part=0, row=5, col=2), "
+            "the base GridCell(part=0, row=2, col=2)",
+        ]),
+        (shrink_factor_1, ["FAIL vertex_sets: factor 1 has n=3, the base n=10"]),
+        (lambda obj: obj.update(covers=[]), [
+            "PASS vertex_sets: factors share the base vertex set",
+            "PASS intersection: intersection of factors edge-equals base",
+            "PASS chordal_certificate: factor 1 PEO verifies",
+            "FAIL cover_count: 2 factors, 0 covers and 1 widths: "
+            "need one cover/width per factor >= 2",
+        ]),
+        (lambda obj: obj.update(lstar=7), [
+            "PASS vertex_sets: factors share the base vertex set",
+            "PASS intersection: intersection of factors edge-equals base",
+            "PASS chordal_certificate: factor 1 PEO verifies",
+            "PASS cover_validity[1]: cover verifies",
+            "PASS cover_width[1]: recomputed width 2, declared 2",
+            "FAIL lstar: declared lstar 7, max width 2",
+        ]),
+    ],
+    ids=["vertex_sets-label", "vertex_sets-n", "cover_count", "lstar"],
+)
+def test_verify_names_the_count_and_label_witnesses(tmp_path, capsys, edit, lines):
+    assert verify_lines(tmp_path, capsys, edit) == (1, lines)
+
+
+def test_vertex_set_witness_in_the_library():
+    f = FACTORIZATIONS[0]
+    g = dataclasses.replace(f, factors=(f.factors[0], Graph.from_edges(3, [(0, 1)])))
+    assert detail_of(g, "vertex_sets") == "factor 2 has n=3, the base n=10"
+    labels = list(f.base.labels)
+    labels[0], labels[9] = labels[9], labels[0]
+    g = dataclasses.replace(f, factors=(Graph.from_masks(f.factors[0]._adj, labels), f.factors[1]))
+    assert detail_of(g, "vertex_sets") == (
+        "factor 1 labels vertex 0 Apex(part=0, index=1), the base GridCell(part=0, row=1, col=1)"
+    )
+    assert detail_of(f, "vertex_sets") == "factors share the base vertex set"
