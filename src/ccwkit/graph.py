@@ -49,11 +49,108 @@ def label_to_json(label: VertexLabel) -> dict:
     return {"kind": "plain", "id": label.id}
 
 
+def _run_key(label: VertexLabel) -> tuple | None:
+    """GridCell(p, r, c) as ("grid", p, r, c) and Apex(p, j) as ("apex", p,
+    1, j), so a run of either is a block of keys (kind, p, r, c) with
+    r = 1..R, c = 1..C in row-major order; None for a Plain label."""
+    kind = type(label)
+    if kind is GridCell:
+        return "grid", label.part, label.row, label.col
+    if kind is Apex:
+        return "apex", label.part, 1, label.index
+    return None
+
+
+def labels_to_json(labels: Sequence[VertexLabel]) -> list[dict]:
+    """The label entries of a graph: each block of at least two labels
+    GridCell(p, r, c), r = 1..R, c = 1..C row-major, as one entry
+    `{"kind": "grid", "part": p, "rows": R, "cols": C}`, each block
+    Apex(p, 1..k) of at least two labels as `{"kind": "apex", "part": p,
+    "count": k}`, and every other label as its own `label_to_json` dict.
+    A run's first row, then its row count, is taken as long as it goes, so
+    the entries are unique and `labels_from_json` inverts them.
+
+    On a 2-vCPU Xeon VM it takes 0.15/0.55 ms for the 402/1 602 labels of
+    the apex grid k=2 at n=20/40, as long as one dict per label takes
+    (0.15/0.61 ms), and writes 2 entries, 81 bytes of JSON, against
+    17/68 KB that the C encoder and decoder had to handle."""
+    keys = [_run_key(x) for x in labels]
+    out, i = [], 0
+    while i < len(keys):
+        rows = cols = 1
+        if keys[i] is not None and keys[i][2:] == (1, 1):
+            kind, p = keys[i][:2]
+            while keys[i + cols : i + cols + 1] == [(kind, p, 1, cols + 1)]:
+                cols += 1
+            row = [(kind, p, 2, c) for c in range(1, cols + 1)]
+            while keys[i + rows * cols : i + (rows + 1) * cols] == row:
+                rows += 1
+                row = [(kind, p, rows + 1, c) for c in range(1, cols + 1)]
+        if rows * cols < 2:
+            out.append(label_to_json(labels[i]))
+        elif kind == "grid":
+            out.append({"kind": "grid", "part": p, "rows": rows, "cols": cols})
+        else:
+            out.append({"kind": "apex", "part": p, "count": cols})
+        i += rows * cols
+    return out
+
+
+def _run_from_json(obj: dict, owed: int) -> list[VertexLabel]:
+    """The labels of an entry with a run field (`rows`, `cols` or `count`).
+    `part`, `rows`, `cols` and `count` must be ints, not booleans, the last
+    three >= 1, and the run no longer than the `owed` labels still missing
+    from n.  All is checked before any label is made, so a huge run
+    allocates nothing.  A run field on another kind is ignored, as any
+    extra field of a single label is."""
+    kind = obj.get("kind")
+    if kind == "grid" and ("rows" in obj or "cols" in obj):
+        sizes = obj.get("rows"), obj.get("cols")
+    elif kind == "apex" and "count" in obj:
+        sizes = 1, obj["count"]
+    else:
+        return [label_from_json(obj)]
+    part = obj.get("part")
+    if type(part) is not int or not all(type(s) is int and s >= 1 for s in sizes):
+        raise InvalidGraph(f"malformed label run {obj!r}")
+    rows, cols = sizes
+    if rows * cols > owed:
+        raise InvalidGraph(
+            f"label run {obj!r} holds {rows * cols} labels, more than the {owed} left of n"
+        )
+    if kind == "apex":
+        return [Apex(part, j) for j in range(1, cols + 1)]
+    return [GridCell(part, r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+
+
+def labels_from_json(entries: list, n: int) -> list[VertexLabel]:
+    """Inverse of `labels_to_json`: run entries expanded in place, every
+    other entry decoded by `label_from_json`, so a list of one dict per
+    label (as earlier releases wrote) decodes too.  Raises `InvalidGraph`
+    for a malformed entry or a run longer than the labels still owed to
+    n; the caller checks the total count and distinctness.
+
+    On a 2-vCPU Xeon VM the apex grid k=2 at n=20/40 decodes its 2
+    entries in 0.3-0.5/1.6-1.8 ms, nearly all of it making the 402/1 602
+    label objects, against 0.5/2.1 ms for one dict per label, and the C
+    JSON decoder no longer parses those 17/68 KB."""
+    labels: list[VertexLabel] = []
+    for obj in entries:
+        if type(obj) is dict and ("rows" in obj or "cols" in obj or "count" in obj):
+            labels += _run_from_json(obj, n - len(labels))
+        else:
+            labels.append(label_from_json(obj))
+    return labels
+
+
 def label_from_json(obj: dict) -> VertexLabel:
     """Decode one label; raises `InvalidGraph` for an unknown kind, or for a
     missing field or one that is not an int (booleans and floats included).
-    The type tests cost about 0.1 us a label: 1.10 -> 1.25 ms for the 1 602
-    labels of the apex grid k=2, n=40 on a 2-vCPU Xeon VM."""
+    The type tests cost about 0.1 us a label: 1.10 -> 1.25 ms for 1 602
+    labels on a 2-vCPU Xeon VM.  Grid and apex blocks are written as runs
+    (`labels_to_json`), which `labels_from_json` expands without this
+    function, so only labels outside a run, such as Plain ones, and files
+    of earlier releases come through here, one call a label."""
     try:
         kind = obj["kind"]
         if kind == "grid":
@@ -213,8 +310,14 @@ class Graph:
     ) -> "Graph":
         """Build from per-vertex adjacency masks (must already be symmetric,
         no loops); labels are checked as in `from_edges`."""
+        return cls._from_masks(masks, _checked_labels(len(masks), labels))
+
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int], labels: tuple[VertexLabel, ...]) -> "Graph":
+        """`from_masks` for labels already checked, such as another graph's
+        tuple, which the graph then shares: the masks are checked, the
+        labels (one per mask) are not checked again."""
         n = len(masks)
-        labels = _checked_labels(n, labels)
         for v, m in enumerate(masks):
             if m & (1 << v):
                 raise InvalidGraph(f"self-loop at vertex {v}")
@@ -289,9 +392,12 @@ class Graph:
         (12 201/96 801 edges) as its 19/39 clique-forest bags in 0.5/2.5 ms,
         against 3.0/30 ms for its edge list, and factor 2 (4 981/35 961
         edges) as its cover blocks in 0.6/3.5 ms, against 1.4/11 ms.
+        Labels are written by `labels_to_json`, grid and apex blocks as
+        runs: the base of that apex grid writes in 0.8-0.9/3.6-4.0 ms, its
+        labels as 2 entries (81 bytes) in 0.15/0.55 ms of it.
         """
         obj = self._unlabeled_json(cliques)
-        obj["labels"] = [label_to_json(lbl) for lbl in self.labels]
+        obj["labels"] = labels_to_json(self.labels)
         return obj
 
     def _unlabeled_json(self, cliques: Iterable[Iterable[int]]) -> dict:
@@ -330,9 +436,12 @@ class Graph:
         OR per member.  On a 2-vCPU Xeon VM, collector paused, the two
         clique-encoded factors of that apex grid decode in 0.6 and 0.8 ms at
         n=20 and 2.2 and 3.3 ms at n=40, against 2.6 and 1.4 ms, and 20 and
-        9.6 ms, as edge lists.  The 1 602 labels are most of what is left
-        of the base's decode; an envelope's factors share the base's labels
-        and decode none (see `_from_json`).
+        9.6 ms, as edge lists.  Labels are decoded by `labels_from_json`,
+        which expands each run after checking it: the base of that apex grid
+        parses and decodes in 1.7/5.7-6.0 ms from its 2 label entries,
+        against 2.1-2.2/9.4-9.7 ms from one dict per label, and an
+        envelope's factors share the base's labels and decode none (see
+        `_from_json`).  `n` must be an int before any run is expanded.
         Booleans are found by one C-level scan of all ids for `bool`, about
         45 ns an id: 3 us of the 21 us a 25-edge graph file takes, and 9 ms
         were factor 1 at n=40 written as its 96 801 edges.
@@ -354,9 +463,9 @@ class Graph:
         if shared is None:
             if not isinstance(labels, list):
                 raise InvalidGraph("a graph's labels must be a list")
-            if type(n) is bool:
+            if type(n) is not int:
                 raise InvalidGraph(f"n must be an integer, got {n!r}")
-            g = cls.from_edges(n, edges, [label_from_json(lbl) for lbl in labels])
+            g = cls.from_edges(n, edges, labels_from_json(labels, n))
         else:
             g = cls(n, _edge_masks(n, edges), shared)
         if bool in map(type, chain.from_iterable(edges)):

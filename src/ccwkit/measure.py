@@ -35,8 +35,18 @@ class Measure:
 
     @classmethod
     def from_list(cls, weights: Sequence[float]) -> "Measure":
+        """A measure from a list (or tuple) of int or float weights, as a
+        `--weights` file holds them.  Anything else, a string, an object, a
+        boolean or a numeric string included, raises `InvalidMeasure` naming
+        the first bad entry instead of being read as some other measure."""
+        if not isinstance(weights, (list, tuple)):
+            raise InvalidMeasure(
+                f"measure weights must be a list of numbers, not {type(weights).__name__}"
+            )
+        for i, w in enumerate(weights):
+            if not isinstance(w, (int, float)) or isinstance(w, bool):
+                raise InvalidMeasure(f"measure weights must be numbers: entry {i} is {w!r}")
         try:
-            floats = tuple(float(w) for w in weights)
-        except (TypeError, ValueError) as exc:
-            raise InvalidMeasure(f"measure weights must be numbers: {exc}") from None
-        return cls(weights=floats)
+            return cls(weights=tuple(map(float, weights)))
+        except OverflowError:
+            raise InvalidMeasure("measure weights must be finite and non-negative") from None

@@ -18,6 +18,7 @@ from .graph import (
     connected_components,
     is_clique,
     is_independent,
+    mask_of,
 )
 from .measure import Measure
 
@@ -132,8 +133,12 @@ def _assert_separator(base: Graph, mu: Measure, r: SeparatorResult) -> None:
         raise InvalidFactorization("separator result does not partition V")
     if r.side_a & r.side_b or r.side_a & r.separator or r.side_b & r.separator:
         raise InvalidFactorization("separator result blocks overlap")
-    for u, v in base.edges():
-        if (u in r.side_a and v in r.side_b) or (u in r.side_b and v in r.side_a):
+    # the lexicographically first crossing edge: for each u, ascending, the
+    # lowest v > u on the other side
+    a, b = mask_of(r.side_a), mask_of(r.side_b)
+    for u in bits(a | b):
+        if crossing := (base._adj[u] & (b if a >> u & 1 else a)) >> (u + 1):
+            v = u + (crossing & -crossing).bit_length()
             raise InvalidFactorization(f"edge ({u},{v}) crosses the separator")
     if r.mu_a > 2 * total / 3 + 1e-9 or r.mu_b > 2 * total / 3 + 1e-9:
         raise InvalidFactorization("side measure exceeds 2mu(G)/3")

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from ccwkit import verify_factorization
+from ccwkit import Factorization, verify_factorization
 from ccwkit.cli import main
+from ccwkit.graph import label_to_json
 
 
 def run(argv):
@@ -142,9 +143,12 @@ class TestSeparateAudit:
         src = tmp_path / "f.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)])
         obj = json.loads(src.read_text())
+        # the base's label runs expanded to one dict per label first
+        labels = [label_to_json(lbl) for lbl in Factorization.from_json(obj).base.labels]
+        obj["base"]["labels"] = labels
         if copies:
             for g in obj["factors"]:
-                g["labels"] = json.loads(json.dumps(obj["base"]["labels"]))
+                g["labels"] = json.loads(json.dumps(labels))
         for g in [obj["base"], *obj["factors"]]:
             for label in g.get("labels", []):
                 if label["kind"] == "grid":
@@ -219,6 +223,32 @@ class TestInvalidWeights:
         assert run(["separate", str(f), "--weights", str(w), "--out", str(out),
                     "--csv", str(csvf)]) == 2
         assert capsys.readouterr().err.startswith("error: measure weights must be")
+        assert not out.exists() and not csvf.exists()
+
+    @pytest.mark.parametrize(
+        "weights, bad",
+        [
+            ("1111111111", "not str"),
+            ({str(v): 1 for v in range(10)}, "not dict"),
+            ([str(v) for v in range(1, 11)], "entry 0 is '1'"),
+            ([True] * 10, "entry 0 is True"),
+            ([1] * 9 + [None], "entry 9 is None"),
+            ([1] * 9 + [10**400], "finite and non-negative"),
+        ],
+        ids=["string", "object", "numeric-strings", "booleans", "null", "huge-int"],
+    )
+    def test_weights_that_are_not_a_list_of_numbers(self, tmp_path, capsys, weights, bad):
+        # the first four shapes were read as ten weights for the ten vertices
+        # and exited 0; an int too large for a float ended in a traceback
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)])
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps(weights))
+        out, csvf = tmp_path / "sep.json", tmp_path / "rows.csv"
+        assert run(["separate", str(f), "--weights", str(w), "--out", str(out),
+                    "--csv", str(csvf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: measure weights must be") and err.rstrip().endswith(bad)
         assert not out.exists() and not csvf.exists()
 
     @pytest.mark.parametrize("count", [16, 18])

@@ -172,7 +172,11 @@ class TestEnvelopeRoundTrip:
         f = factorize_apex_grid(2, 4, {(1, 2)})
         g1, g2 = f.to_json()["factors"]
         assert g1["edges"] == [] and len(g1["cliques"]) == 3  # the row bands
-        assert g2["cliques"] == f.covers[0].to_json()[:2] + f.covers[0].to_json()[4:]
+        # each cover block widened in ascending order to a maximal clique:
+        # a column takes both apexes (16, 17), an apex cell 0, then 1 and
+        # the other apex
+        columns = [blk + [16, 17] for blk in f.covers[0].to_json() if len(blk) > 1]
+        assert g2["cliques"] == columns[:2] + [[0, 1, 16, 17]] * 2 + columns[2:]
         assert f.to_json()["base"] == f.base.to_json()
 
     def test_hole_certificate(self):

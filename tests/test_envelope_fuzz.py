@@ -4,8 +4,9 @@ valid envelope is deleted or replaced with.  0 stays possible: a mutation
 can leave a valid envelope (a `meta` field, say).  A label field changed
 alike in every graph that carries labels gets past `vertex_sets`, and exits
 2 unless it is still an integer.  Envelopes are fuzzed as `factorize` writes
-them, labels in the base only, and in the form of earlier releases, with a
-copy of the labels in every factor."""
+them, labels in the base only and grid and apex labels as runs, and in the
+forms of earlier releases: one dict per label, and a copy of the labels in
+every factor.  Tests that edit a label field first expand the runs."""
 
 import contextlib
 import copy
@@ -19,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccwkit import Factorization
 from ccwkit.cli import main
+from ccwkit.graph import label_to_json
 
 SOURCES = {
     "apex-grid": ["apex-grid", "--k", "2", "--n", "3", "--apex-edges", "1-2"],
@@ -35,14 +38,23 @@ def run(argv):
         return main(argv)
 
 
+def expand_labels(obj):
+    """The base's label runs rewritten as one dict per label."""
+    labels = Factorization.from_json(obj).base.labels
+    obj["base"]["labels"] = [label_to_json(lbl) for lbl in labels]
+
+
 @functools.cache
-def envelope(family, copies=False):
-    """The envelope `factorize` writes, or with `copies`, the same one with
-    the base's labels copied into every factor."""
+def envelope(family, copies=False, per_label=False):
+    """The envelope `factorize` writes; with `per_label`, its base labels
+    written one dict per label; with `copies`, the base's labels copied into
+    every factor."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "f.json"
         assert run(["factorize", *SOURCES[family], "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
+    if per_label:
+        expand_labels(obj)
     if copies:
         for g in obj["factors"]:
             g["labels"] = copy.deepcopy(obj["base"]["labels"])
@@ -65,16 +77,16 @@ def paths(obj, prefix=()):
 @st.composite
 def mutations(draw):
     family = draw(st.sampled_from(sorted(SOURCES)))
-    copies = draw(st.booleans())
-    every = list(paths(envelope(family, copies)))
+    copies, per_label = draw(st.booleans()), draw(st.booleans())
+    every = list(paths(envelope(family, copies, per_label)))
     # most paths are edge endpoints; draw the top two levels as often as the rest
     shallow = [p for p in every if len(p) <= 2]
     path = draw(st.sampled_from(shallow) | st.sampled_from(every))
-    return family, copies, path, draw(st.sampled_from([DELETE, *REPLACEMENTS]))
+    return family, copies, per_label, path, draw(st.sampled_from([DELETE, *REPLACEMENTS]))
 
 
-def mutated(family, copies, path, value):
-    obj = copy.deepcopy(envelope(family, copies))
+def mutated(family, copies, per_label, path, value):
+    obj = copy.deepcopy(envelope(family, copies, per_label))
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
@@ -133,8 +145,9 @@ def labeled_graphs(obj):
 
 def with_label_field(family, copies, vertex, key, value):
     """The envelope with one label field set to `value` (or deleted) in
-    every graph that carries labels alike, so `vertex_sets` still passes."""
-    obj = copy.deepcopy(envelope(family, copies))
+    every graph that carries labels alike, so `vertex_sets` still passes.
+    The labels are one dict per label."""
+    obj = copy.deepcopy(envelope(family, copies, per_label=True))
     for g in labeled_graphs(obj):
         if value is DELETE:
             del g["labels"][vertex][key]
@@ -155,7 +168,7 @@ def commands(tmp):
 @st.composite
 def label_mutations(draw):
     family = draw(st.sampled_from(sorted(SOURCES)))
-    labels = envelope(family)["base"]["labels"]
+    labels = envelope(family, per_label=True)["base"]["labels"]
     vertex = draw(st.integers(0, len(labels) - 1))
     key = draw(st.sampled_from(sorted(labels[vertex])))
     copies = draw(st.booleans())
@@ -190,6 +203,7 @@ def test_grid_rows_that_are_not_integers_exit_2(tmp_path, capsys, cmd, row):
     assert run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)]) == 0
     obj = json.loads(src.read_text())
     src.unlink()
+    expand_labels(obj)
     for g in labeled_graphs(obj):
         for label in g["labels"]:
             if label["kind"] == "grid":

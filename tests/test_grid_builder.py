@@ -26,6 +26,7 @@ from ccwkit import (
 )
 from ccwkit.cli import _dump, main
 from ccwkit.errors import InvalidApexEdge, InvalidSize, UnequalApexSizes
+from ccwkit.graph import label_to_json
 
 from oracles import blown_up_grid
 
@@ -110,31 +111,33 @@ GOLDEN = {
         "369092a3fb51b4fde88523284be81c0e4afe684940054b5c776dccc10dc32261",
 }
 
-# sha256 of the same envelopes with each factor written as its cliques plus
-# the edges they leave uncovered, and without the labels it shares with the
-# base; "part 2" is factorize_apex_grid(2, 4, {(1, 2)}, part=2)
+# sha256 of the same envelopes with each factor written as its cliques (the
+# cover blocks of factor 2 widened to maximal cliques) plus the edges they
+# leave uncovered, without the labels it shares with the base, and the base's
+# grid and apex labels written as runs; "part 2" is
+# factorize_apex_grid(2, 4, {(1, 2)}, part=2)
 CLIQUE_ENCODED = {
     ("apex-grid", "--k", "0", "--n", "2"):
-        "5c799bdfe7b46aa5dac0574e2696d5b59b7e5af303cba6a9db18e6becb1cc86d",
+        "7247eee8f926417958ce9146029d42d700ed987412f29c701f4f3f67c5436365",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "df26e3f7943f840c3a0016780a0fb0db74abeda87e88ed8f74a331096e851427",
+        "05cf6ffb39ff64a9e0e72e97123158ec29e93cd5e83747f81761e004b87a8048",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "8fc0cde6c741b3721a98c7e134f5b159133800a18fa21d9e3553e1d2fc9271ab",
+        "38f5038742ab7ee5a25274a9789381807ec64abcd7f71a21a6931534783c3dbe",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "cb791f2027a79c1a7480d9cb91004b36beca580f4251e784a50750f33a9e619c",
+        "8c062dfbe415411300a8bc0f0e6642c454de169edcf62248f3620d85455acd96",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "fe60adb79f02808c9a3e0cd7cf59559bb6be07b4f779a3e5dd0038edbc041db2",
+        "cb4896f028e41a0407715b931a2b71067c87726ac934ac8187d9e381e8da6cac",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "218d15030a1dd4955a44f11abcb4705be36eb60969debaf5a72285fb967122c2",
+        "c096513a233584e91d0769399414477016b25fbc51781c52de3cd14f091af7f0",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "e0989989435a948a8e825d5eb24d0c363742b174499691737a2ce1679afe9c80",
+        "cd3e7aec8101d5d7303a222a5712fcaeb9c133d41af722be1291a79e178523e7",
     ("example3ii", "--n", "1", "--k", "3"):
         "cd7ced05a442d35393304fe9f2de01454584edcba6db0420df527b3ae9c730aa",
     ("example3ii", "--n", "3", "--k", "2"):
         "ce1b1b33805307162bbd33e21b79029f5ae3d3dddd056793f995021a88d00eee",
     ("example3ii", "--n", "4", "--k", "3"):
         "299ba51996a90b1dddb4483fb960fbb0043c6da18525d52f6c195b56089e0e5d",
-    "part 2": "acd027809c8a75dbcc09b178152d71319baee8fd13bb1854721b8c1b2a853166",
+    "part 2": "2d0cbb245b755aa16060e1a2e14c92c6f46bc65c42e4834df93406886c23c291",
 }
 
 
@@ -144,12 +147,17 @@ def sha256_of(path):
 
 def edge_only(path):
     """The envelope at `path` decoded, then written back with every graph
-    as a plain edge list, the form GOLDEN was taken in."""
+    as a plain edge list with one label dict per label, the form GOLDEN was
+    taken in."""
     obj = json.loads(path.read_text())
     f = Factorization.from_json(obj)
+
+    def plain(g):
+        return {**g.to_json(), "labels": [label_to_json(lbl) for lbl in g.labels]}
+
     legacy = {
-        "base": f.base.to_json(),
-        "factors": [g.to_json() for g in f.factors],
+        "base": plain(f.base),
+        "factors": [plain(g) for g in f.factors],
         "chordal_cert": f.chordal_cert.to_json(),
         "covers": [c.to_json() for c in f.covers],
         "widths": list(f.widths),

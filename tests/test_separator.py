@@ -8,6 +8,7 @@ from ccwkit import (
     Graph,
     Measure,
     OrderedCliqueCover,
+    SeparatorResult,
     audit_lower_bound,
     factorize_apex_grid,
     is_chordal,
@@ -18,6 +19,7 @@ from ccwkit import (
 from ccwkit.constructions import _make_factorization
 from ccwkit.errors import InvalidFactorization, InvalidMeasure, NoApex, NotCliqueInFactorOne
 from ccwkit.graph import GridCell
+from ccwkit.separator import _assert_separator
 
 
 def complete(n):
@@ -217,3 +219,26 @@ class TestAudit:
         for n in (5, 9):
             rep = audit_lower_bound(factorize_apex_grid(1, n))
             assert rep.restricted_cover_sizes[0] == n + 1 >= n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_crossing_edge_matches_a_scan_of_every_edge(data):
+    # the first crossing edge found from side masks is the first of a scan
+    # over every base edge in order
+    n = data.draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    g = Graph.from_edges(n, edges)
+    place = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    sep, a, b = ({v for v in range(n) if place[v] == i} for i in range(3))
+    r = SeparatorResult(frozenset(sep), tuple(frozenset({v}) for v in sorted(sep)),
+                        frozenset(a), frozenset(b), 0.0, 0.0, 0, 0.0)
+    first = next(((u, v) for u, v in sorted(g.edges())
+                  if {place[u], place[v]} == {1, 2}), None)
+    if first is None:
+        _assert_separator(g, Measure.uniform(n), r)
+    else:
+        with pytest.raises(InvalidFactorization) as info:
+            _assert_separator(g, Measure.uniform(n), r)
+        assert str(info.value) == f"edge ({first[0]},{first[1]}) crosses the separator"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ccwkit import (
     ChordalCertificate,
     CliqueSumSpec,
+    Factorization,
     Graph,
     OrderedCliqueCover,
     factorize_apex_grid,
@@ -23,6 +24,7 @@ from ccwkit import (
     verify_factorization,
 )
 from ccwkit.cli import main
+from ccwkit.graph import label_to_json
 
 from oracles import brute_cover_width, brute_intersection_witness, brute_peo_witness
 
@@ -100,10 +102,11 @@ def test_verify_prints_the_witnesses(tmp_path, capsys):
     src = tmp_path / "f.json"
     assert main(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(src)]) == 0
     obj = json.loads(src.read_text())
-    g2 = obj["factors"][1]
-    # drop base edge (0,1) from factor 2, and let the PEO start at the centre
+    # drop base edge (0,1) from factor 2, written as its edge list since the
+    # edge lies in one of its cliques, and let the PEO start at the centre
     # cell 4, whose later neighbours include rows 0 and 2: first 0, then 6
-    g2["edges"].remove([0, 1])
+    g2 = Factorization.from_json(obj).factors[1]
+    obj["factors"][1] = {"n": g2.n, "edges": [[u, v] for u, v in g2.edges() if (u, v) != (0, 1)]}
     obj["chordal_cert"]["peo"] = [4, 0, 1, 2, 3, 5, 6, 7, 8, 9]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -171,15 +174,20 @@ def verify_lines(tmp_path, capsys, edit):
     return code, capsys.readouterr().out.splitlines()
 
 
+def per_label(obj):
+    """The base's labels, one dict per label."""
+    return [label_to_json(lbl) for lbl in Factorization.from_json(obj).base.labels]
+
+
 def relabel_factor_2(obj):
     # factor 2 carries its own labels, with the centre cell's row moved
-    labels = json.loads(json.dumps(obj["base"]["labels"]))
+    labels = per_label(obj)
     labels[4]["row"] = 5
     obj["factors"][1]["labels"] = labels
 
 
 def shrink_factor_1(obj):
-    obj["factors"][0] = {"n": 3, "edges": [[0, 1]], "labels": obj["base"]["labels"][:3]}
+    obj["factors"][0] = {"n": 3, "edges": [[0, 1]], "labels": per_label(obj)[:3]}
 
 
 @pytest.mark.parametrize(
