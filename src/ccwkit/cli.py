@@ -75,9 +75,11 @@ def _dump(obj: dict, out: str | None) -> None:
 
 
 def _read_json(path: str):
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # past sys.get_int_max_str_digits(); RecursionError, nesting too deep
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CcwKitError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -340,8 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _write_manifest(args.manifest, argv, args.seed)
     try:
+        _write_manifest(args.manifest, argv, args.seed)
         return args.func(args)
     except (CcwKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

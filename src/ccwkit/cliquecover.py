@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidCover
-from .graph import Graph, bits, is_clique, mask_of
+from .graph import Graph, _grown_clique, bits, is_clique, mask_of
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,7 @@ def ccw_upper_greedy(g: Graph) -> tuple[int, OrderedCliqueCover]:
     rest = g.vertex_mask()
     blocks = []
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        blk = 1 << v
-        cand = g.adj_mask(v) & rest
-        for u in bits(cand):
-            if blk & ~g.adj_mask(u) & ~(1 << u) == 0:
-                blk |= 1 << u
+        blk = _grown_clique(g._adj, rest & -rest, rest)
         blocks.append(frozenset(bits(blk)))
         rest &= ~blk
     cover = OrderedCliqueCover(tuple(blocks))

@@ -21,7 +21,7 @@ from .errors import (
     UnequalApexSizes,
 )
 from .graph import Apex, Graph, GridCell, VertexLabel, bits, intersect_graphs, is_clique, mask_of
-from .graph import _first_differing_edge
+from .graph import _first_differing_edge, _grown_clique
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class Factorization:
         return {
             "base": base.to_json(),
             "factors": [
-                g._unlabeled_json(c) if _same_labels(g, base) else g.to_json(c)
+                g._unlabeled_json(c) if g.labels == base.labels else g.to_json(c)
                 for g, c in zip(self.factors, candidates)
             ],
             "chordal_cert": self.chordal_cert.to_json(),
@@ -83,11 +83,10 @@ class Factorization:
         non-integer widths or lstar: O(V) per cover.  Whether they are right
         is left to `verify_factorization`.
 
-        A factor without `labels` takes the base's label tuple, already
-        checked, by reference, so its labels are not decoded again and
-        `vertex_sets` passes without comparing them; its n must then be the
-        base's.  A factor with `labels` (as in envelopes of earlier
-        releases) is decoded in full, and `vertex_sets` compares them."""
+        A factor without `labels` takes the base's label tuple, so its labels
+        are not decoded again; its n must then be the base's.  A factor with
+        `labels` (as in envelopes of earlier releases) is decoded in full.
+        Either way `vertex_sets` compares the labels with the base's."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -139,20 +138,7 @@ def _widened(g: Graph, block: frozenset[int]) -> Iterable[int]:
     m = mask_of(block)
     if not m or m >> g.n:
         return block
-    common = g.vertex_mask()
-    for v in bits(m):
-        common &= g._adj[v]
-    while common:
-        low = common & -common
-        m |= low
-        common &= g._adj[low.bit_length() - 1]
-    return bits(m)
-
-
-def _same_labels(g: Graph, base: Graph) -> bool:
-    """Whether g has the base's labels; true at once for the shared tuple
-    that `Factorization.from_json` gives a factor written without labels."""
-    return g.labels is base.labels or g.labels == base.labels
+    return bits(_grown_clique(g._adj, m, g.vertex_mask()))
 
 
 def _vertex_set_failure(f: Factorization) -> str | None:
@@ -162,7 +148,7 @@ def _vertex_set_failure(f: Factorization) -> str | None:
     for i, g in enumerate(f.factors, 1):
         if g.n != base.n:
             return f"factor {i} has n={g.n}, the base n={base.n}"
-        if not _same_labels(g, base):
+        if g.labels != base.labels:
             v = next(v for v, (a, b) in enumerate(zip(g.labels, base.labels)) if a != b)
             return f"factor {i} labels vertex {v} {g.labels[v]!r}, the base {base.labels[v]!r}"
     return None
@@ -386,11 +372,11 @@ def _apex_grid_factors(
         base[first + b - 1] |= 1 << (first + a - 1)
     masks2[first : first + k] = base[first : first + k]
     g = Graph.from_masks(base, labels)
-    # the factors share the base's checked label tuple
+    # from_masks keeps a tuple as it is, so the factors share the base's labels
     return (
         g,
-        Graph._from_masks(masks1, g.labels),
-        Graph._from_masks(masks2, g.labels),
+        Graph.from_masks(masks1, g.labels),
+        Graph.from_masks(masks2, g.labels),
         OrderedCliqueCover(tuple(cover)),
     )
 

@@ -7,9 +7,8 @@ components) at the target scales of a few thousand vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CcwKitError,
@@ -20,21 +19,18 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     part: int
     row: int  # 1-based
     col: int  # 1-based
 
 
-@dataclass(frozen=True)
-class Apex:
+class Apex(NamedTuple):
     part: int
-    index: int  # 1-based
+    index: int  # 1-based; shadows tuple.index
 
 
-@dataclass(frozen=True)
-class Plain:
+class Plain(NamedTuple):
     id: int
 
 
@@ -131,9 +127,7 @@ def labels_from_json(entries: list, n: int) -> list[VertexLabel]:
     n; the caller checks the total count and distinctness.
 
     On a 2-vCPU Xeon VM the apex grid k=2 at n=20/40 decodes its 2
-    entries in 0.3-0.5/1.6-1.8 ms, nearly all of it making the 402/1 602
-    label objects, against 0.5/2.1 ms for one dict per label, and the C
-    JSON decoder no longer parses those 17/68 KB."""
+    entries into its 402/1 602 label tuples in 0.16-0.19/0.6-0.8 ms."""
     labels: list[VertexLabel] = []
     for obj in entries:
         if type(obj) is dict and ("rows" in obj or "cols" in obj or "count" in obj):
@@ -146,11 +140,11 @@ def labels_from_json(entries: list, n: int) -> list[VertexLabel]:
 def label_from_json(obj: dict) -> VertexLabel:
     """Decode one label; raises `InvalidGraph` for an unknown kind, or for a
     missing field or one that is not an int (booleans and floats included).
-    The type tests cost about 0.1 us a label: 1.10 -> 1.25 ms for 1 602
-    labels on a 2-vCPU Xeon VM.  Grid and apex blocks are written as runs
+    One call a label, type tests included: 0.9-1.4 ms for 1 602 labels on a
+    2-vCPU Xeon VM.  Grid and apex blocks are written as runs
     (`labels_to_json`), which `labels_from_json` expands without this
     function, so only labels outside a run, such as Plain ones, and files
-    of earlier releases come through here, one call a label."""
+    of earlier releases come through here."""
     try:
         kind = obj["kind"]
         if kind == "grid":
@@ -184,9 +178,9 @@ def _edge_error(edge, n: int) -> CcwKitError:
 
 
 def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[VertexLabel, ...]:
-    """The labels of an n-vertex graph (Plain(0..n-1) by default); a wrong
-    count or an unhashable label raises `InvalidGraph`, a repeated one
-    `DuplicateLabel`."""
+    """The labels of an n-vertex graph (Plain(0..n-1) by default), a tuple
+    given returned as it is; a wrong count or an unhashable label raises
+    `InvalidGraph`, a repeated one `DuplicateLabel`."""
     if labels is None:
         return tuple(Plain(i) for i in range(n))
     labels = tuple(labels)
@@ -209,26 +203,6 @@ def _bit_table(n: int) -> list[int | None]:
     test, and never computes 1 << v for an unchecked v (a huge v would
     allocate a huge int before any IndexError)."""
     return [1 << v for v in range(n)] + [None] * n
-
-
-def _edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The adjacency masks of n vertices joined by `edges`, checked as
-    `Graph.from_edges` describes: the first edge that fails the loop is
-    reported before any self-loop."""
-    bit = _bit_table(n)
-    adj = [0] * n
-    edge = None
-    try:
-        for edge in edges:
-            u, v = edge
-            adj[u] |= bit[v]
-            adj[v] |= bit[u]
-    except (IndexError, TypeError, ValueError):
-        raise _edge_error(edge, n) from None
-    for v in range(n):
-        if adj[v] >> v & 1:
-            raise InvalidGraph(f"self-loop at vertex {v}")
-    return tuple(adj)
 
 
 def _clique_error(clique, n: int) -> InvalidGraph:
@@ -259,6 +233,20 @@ def _pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
             low = m & -m
             yield u, u + low.bit_length()
             m ^= low
+
+
+def _grown_clique(adj: Sequence[int], start: int, allowed: int) -> int:
+    """`start` plus, in ascending order, each vertex of `allowed` adjacent
+    to every vertex of `start` and to every vertex added before it: a
+    maximal clique within `start | allowed` if `start` is a clique."""
+    common = allowed
+    for v in bits(start):
+        common &= adj[v]
+    while common:
+        low = common & -common
+        start |= low
+        common &= adj[low.bit_length() - 1]
+    return start
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -294,15 +282,29 @@ class Graph:
         or a non-integer n.  The first edge that fails the loop is reported
         before any self-loop, wherever the self-loop stands in the list,
         because self-loops are found by one O(V) scan of the masks after it.
-        The loop only ORs masks, about 0.15 us an edge on a 2-vCPU Xeon VM:
-        0.9 ms of the 3.4 ms `from_json` takes on the base edge list of the
-        apex grid k=2, n=40 (6 321 edges, the rest is its 1 602 labels), and
-        13 us is a whole 17-edge, 8-vertex `ccw` graph file.
+        The loop only ORs masks, about 0.2 us an edge on a 2-vCPU Xeon VM:
+        1.3 ms of the 2.6-3.2 ms `from_json` takes on the base of the apex
+        grid k=2, n=40 (6 321 edges; decoding its 1 602 labels takes
+        0.6-0.8 ms, and checking them here 0.07 ms), and 10-17 us is a whole
+        17-edge, 8-vertex `ccw` graph file.
         """
         if not isinstance(n, int):
             raise InvalidGraph(f"n must be an integer, got {n!r}")
         labels = _checked_labels(n, labels)
-        return cls(n, _edge_masks(n, edges), labels)
+        bit = _bit_table(n)
+        adj = [0] * n
+        edge = None
+        try:
+            for edge in edges:
+                u, v = edge
+                adj[u] |= bit[v]
+                adj[v] |= bit[u]
+        except (IndexError, TypeError, ValueError):
+            raise _edge_error(edge, n) from None
+        for v in range(n):
+            if adj[v] >> v & 1:
+                raise InvalidGraph(f"self-loop at vertex {v}")
+        return cls(n, tuple(adj), labels)
 
     @classmethod
     def from_masks(
@@ -310,14 +312,8 @@ class Graph:
     ) -> "Graph":
         """Build from per-vertex adjacency masks (must already be symmetric,
         no loops); labels are checked as in `from_edges`."""
-        return cls._from_masks(masks, _checked_labels(len(masks), labels))
-
-    @classmethod
-    def _from_masks(cls, masks: Sequence[int], labels: tuple[VertexLabel, ...]) -> "Graph":
-        """`from_masks` for labels already checked, such as another graph's
-        tuple, which the graph then shares: the masks are checked, the
-        labels (one per mask) are not checked again."""
         n = len(masks)
+        labels = _checked_labels(n, labels)
         for v, m in enumerate(masks):
             if m & (1 << v):
                 raise InvalidGraph(f"self-loop at vertex {v}")
@@ -434,26 +430,26 @@ class Graph:
         Each clique costs one C-level sum of its members' bits, which also
         finds a repeated member (a carry lowers the bit count), and one mask
         OR per member.  On a 2-vCPU Xeon VM, collector paused, the two
-        clique-encoded factors of that apex grid decode in 0.6 and 0.8 ms at
-        n=20 and 2.2 and 3.3 ms at n=40, against 2.6 and 1.4 ms, and 20 and
-        9.6 ms, as edge lists.  Labels are decoded by `labels_from_json`,
-        which expands each run after checking it: the base of that apex grid
-        parses and decodes in 1.7/5.7-6.0 ms from its 2 label entries,
-        against 2.1-2.2/9.4-9.7 ms from one dict per label, and an
-        envelope's factors share the base's labels and decode none (see
-        `_from_json`).  `n` must be an int before any run is expanded.
-        Booleans are found by one C-level scan of all ids for `bool`, about
-        45 ns an id: 3 us of the 21 us a 25-edge graph file takes, and 9 ms
-        were factor 1 at n=40 written as its 96 801 edges.
+        clique-encoded factors of the apex grid k=2 decode in 0.25-0.4 and
+        0.36 ms at n=20 and 1.1-1.2 and 1.3-1.7 ms at n=40.  Labels are
+        decoded by `labels_from_json`, which expands each run after checking
+        it: the base of that apex grid parses and decodes from its 2 label
+        entries in 1.2-1.4/3.6-4.4 ms.  An envelope's factors share the
+        base's labels and decode none (see `_from_json`).  `n` must be an
+        int before any run is expanded.  Booleans are found by one C-level
+        scan of all ids for `bool`, about 50 ns an id: 2-4 us of the 14-23
+        us a 25-edge graph file takes.
         """
         return cls._from_json(obj, None)
 
     @classmethod
     def _from_json(cls, obj: dict, shared: tuple[VertexLabel, ...] | None) -> "Graph":
         """`from_json(obj)`, or, with `shared` given, the graph of an `obj`
-        without labels of its own that takes `shared`, labels already
-        checked, by reference: no label is decoded, hashed or compared.  The
-        caller has checked that obj's n is len(shared)."""
+        without labels of its own on the label tuple `shared`: no label is
+        decoded, and `from_edges` keeps the tuple, so the graph shares it.
+        It does hash them once more to check them, 0.07 ms for the 1 602
+        labels of the apex grid k=2, n=40.  The caller has checked that
+        obj's n is len(shared)."""
         try:
             n, edges = obj["n"], obj["edges"]
             labels = obj["labels"] if shared is None else shared
@@ -465,9 +461,8 @@ class Graph:
                 raise InvalidGraph("a graph's labels must be a list")
             if type(n) is not int:
                 raise InvalidGraph(f"n must be an integer, got {n!r}")
-            g = cls.from_edges(n, edges, labels_from_json(labels, n))
-        else:
-            g = cls(n, _edge_masks(n, edges), shared)
+            labels = labels_from_json(labels, n)
+        g = cls.from_edges(n, edges, labels)
         if bool in map(type, chain.from_iterable(edges)):
             raise InvalidGraph("edge endpoints must be integer vertex ids, not booleans")
         if "cliques" not in obj:
