@@ -235,19 +235,28 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
 
     Enumerates unordered clique partitions (each vertex joins an earlier
     block it is adjacent to, or opens a new one; blocks in order of their
-    smallest member).  For each it lays out the block quotient graph with
-    `_layout`, below the incumbent width: the best block ordering for a fixed
-    partition is a minimum-width layout of that quotient.  The incumbent
-    starts at the greedy cover's width.  So the cover returned is the greedy
-    one if no partition beats it, else the first partition of minimum width
-    with its blocks in the lexicographically first optimal order.
+    smallest member), keeping the block quotient graph as it grows.  At each
+    leaf it lays out that quotient with `_layout`, below the incumbent width:
+    the best block ordering for a fixed partition is a minimum-width layout
+    of that quotient.  The incumbent starts at the greedy cover's width.  So
+    the cover returned is the greedy one if no partition beats it, else the
+    first partition of minimum width with its blocks in the lexicographically
+    first optimal order.
 
-    `budget` counts partition nodes; the quotient layouts are not charged.
-    The search stops at width 1: a greedy width above 0 means g is not a
-    disjoint union of cliques, so every cover has width >= 1.  Measured on a
-    2-vCPU Xeon VM: median 1.6 / 20 / 350 ms on G(n, 1/2) at n = 8 / 10 / 12;
-    on grid(4), 13 ms at budget 1 000 (inexact) and 0.25 s to prove ccw = 2
-    at the default budget.
+    A child is skipped when the block v lands in, or a block that gains a
+    neighbour, would have more than 2 (inc_w - 1) quotient neighbours.  Down
+    a branch blocks and quotient edges only grow, and a block of degree D
+    forces width >= ceil(D / 2) (Del Corso & Manzini, Computing 62, 1999), so
+    no skipped leaf could beat the incumbent and the cover returned is the
+    one the full enumeration returns.
+
+    `budget` counts the partition nodes visited; skipped children and the
+    quotient layouts are not charged.  The search stops at width 1: a greedy
+    width above 0 means g is not a disjoint union of cliques, so every cover
+    has width >= 1.  Measured on a 2-vCPU Xeon VM: median 0.2 / 0.7 / 8 ms
+    (max 1 / 13 / 91 ms) on G(n, 1/2) at n = 8 / 10 / 12; 0.2 ms to prove
+    ccw(grid(4)) = 2; on grid(5), 0.06 to 0.1 s at budget 1 000 (inexact) and
+    15 s to prove ccw = 3 at the default budget.
     """
     n = g.n
     if n == 0:
@@ -257,20 +266,22 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
     nodes = 0
     exhausted = False
     blocks: list[int] = []
-    reach: list[int] = []  # reach[i]: union of block i's neighbourhoods
+    quot: list[int] = []  # quot[i]: mask of the blocks adjacent to block i
 
     def leaf() -> None:
         nonlocal inc_w, inc_cover
-        quotient = [
-            sum(1 << j for j, b in enumerate(blocks) if j != i and r & b)
-            for i, r in enumerate(reach)
-        ]
-        width, order, _ = _layout(quotient, inc_w)
+        width, order, _ = _layout(quot, inc_w)
         if order is not None:  # order[i]: the block placed at position i
             inc_w = width
             inc_cover = OrderedCliqueCover(
                 tuple(frozenset(bits(blocks[i])) for i in order)
             )
+
+    def too_wide(own: int, gain: int) -> bool:
+        """Whether a block with quotient neighbours `own`, or a block in
+        `gain` given one more neighbour, exceeds 2 (inc_w - 1) of them."""
+        cap = 2 * (inc_w - 1)
+        return own.bit_count() > cap or any(quot[j].bit_count() >= cap for j in bits(gain))
 
     def rec(v: int) -> None:
         nonlocal nodes, exhausted
@@ -283,17 +294,36 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
         if v == n:
             leaf()
             return
+        nv = adj[v]
+        hit = 0  # the blocks that meet adj[v]
         for i, b in enumerate(blocks):
-            if b & ~adj[v] == 0:  # v adjacent to the whole block
-                r = reach[i]
-                blocks[i], reach[i] = b | 1 << v, r | adj[v]
+            if b & nv:
+                hit |= 1 << i
+        for i, b in enumerate(blocks):
+            if b & ~nv == 0:  # v adjacent to the whole block
+                q, me = quot[i], 1 << i
+                gain = hit & ~q & ~me
+                if too_wide(q | gain, gain):
+                    continue
+                blocks[i], quot[i] = b | 1 << v, q | gain
+                for j in bits(gain):
+                    quot[j] |= me
                 rec(v + 1)
-                blocks[i], reach[i] = b, r
+                blocks[i], quot[i] = b, q
+                for j in bits(gain):
+                    quot[j] ^= me
+        if too_wide(hit, hit):
+            return
+        me = 1 << len(blocks)
         blocks.append(1 << v)
-        reach.append(adj[v])
+        quot.append(hit)
+        for j in bits(hit):
+            quot[j] |= me
         rec(v + 1)
         blocks.pop()
-        reach.pop()
+        quot.pop()
+        for j in bits(hit):
+            quot[j] ^= me
 
     rec(0)
     return SearchResult(inc_w, not exhausted), inc_cover

@@ -6,6 +6,7 @@ deliberately kept free of any code path they are used to check.
 
 from itertools import combinations, permutations
 
+from ccwkit.cliquecover import OrderedCliqueCover, SearchResult, _layout, ccw_upper_greedy
 from ccwkit.graph import Graph
 
 
@@ -261,3 +262,58 @@ def pairwise_verify_hole(g: Graph, hole) -> bool:
             if adjacent != consecutive:
                 return False
     return True
+
+
+def unpruned_ccw_exact(g: Graph, budget: int = 500_000):
+    """The clique-partition search of `ccw_exact` without its quotient-degree
+    pruning: every clique partition is a leaf, and each leaf rebuilds its
+    block quotient from scratch.  It shares the greedy incumbent and `_layout`
+    with the library, so it pins the pruning and nothing else."""
+    n = g.n
+    if n == 0:
+        return SearchResult(0, True), OrderedCliqueCover(())
+    inc_w, inc_cover = ccw_upper_greedy(g)
+    adj = [g.adj_mask(v) for v in range(n)]
+    nodes = 0
+    exhausted = False
+    blocks = []
+    reach = []  # reach[i]: union of block i's neighbourhoods
+
+    def leaf():
+        nonlocal inc_w, inc_cover
+        quotient = [
+            sum(1 << j for j, b in enumerate(blocks) if j != i and r & b)
+            for i, r in enumerate(reach)
+        ]
+        width, order, _ = _layout(quotient, inc_w)
+        if order is not None:
+            inc_w = width
+            inc_cover = OrderedCliqueCover(tuple(
+                frozenset(u for u in range(n) if blocks[i] >> u & 1) for i in order
+            ))
+
+    def rec(v):
+        nonlocal nodes, exhausted
+        if exhausted or inc_w <= 1:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if v == n:
+            leaf()
+            return
+        for i, b in enumerate(blocks):
+            if b & ~adj[v] == 0:
+                r = reach[i]
+                blocks[i], reach[i] = b | 1 << v, r | adj[v]
+                rec(v + 1)
+                blocks[i], reach[i] = b, r
+        blocks.append(1 << v)
+        reach.append(adj[v])
+        rec(v + 1)
+        blocks.pop()
+        reach.pop()
+
+    rec(0)
+    return SearchResult(inc_w, not exhausted), inc_cover

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccwkit import Graph, SearchResult, bandwidth_exact, ccw_exact, ccw_upper_greedy, grid
 
-from oracles import all_clique_partitions, brute_ccw, brute_first_min_layout
+from oracles import all_clique_partitions, brute_ccw, brute_first_min_layout, unpruned_ccw_exact
 
 
 @st.composite
@@ -59,9 +59,28 @@ def test_ccw_cover_is_first_optimal_partition(g):
     assert cover.to_json() == expected
 
 
-def test_small_budget_bounds_wall_time_on_grid4():
+@given(graphs(max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_pruned_search_matches_unpruned(g):
+    res, cover = ccw_exact(g)
+    want, want_cover = unpruned_ccw_exact(g)
+    assert res == want and res.exact
+    assert cover.to_json() == want_cover.to_json()
+
+
+@given(graphs(max_n=8), st.integers(min_value=0, max_value=60))
+@settings(max_examples=80, deadline=None)
+def test_pruning_only_helps_a_budget(g, budget):
+    """Pruned children cost no node, so the same budget gets at least as far."""
+    res, _ = ccw_exact(g, budget)
+    want, _ = unpruned_ccw_exact(g, budget)
+    assert res.value <= want.value
+    assert res.exact or not want.exact
+
+
+def test_small_budget_bounds_wall_time_on_grid5():
     start = time.perf_counter()
-    res, _ = ccw_exact(grid(4), budget=1000)
+    res, _ = ccw_exact(grid(5), budget=1000)
     assert time.perf_counter() - start < 2.0
     assert not res.exact
     assert ccw_exact(grid(4))[0] == SearchResult(2, True)
