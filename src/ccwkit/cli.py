@@ -65,13 +65,17 @@ def _gc_paused():
             gc.enable()
 
 
-def _dump(obj: dict, out: str | None) -> None:
-    # compact separators keep CPython on its C encoder; `indent` does not
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _write(text: str, out: str | None) -> None:
+    # to stdout for no --out or "-"; any other value, "" included, is a path
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _dump(obj: dict, out: str | None) -> None:
+    # compact separators keep CPython on its C encoder; `indent` does not
+    _write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
 
 
 def _read_json(path: str):
@@ -156,10 +160,7 @@ def _build_factorization(args: argparse.Namespace) -> tuple[Factorization, dict]
 def cmd_construct(args: argparse.Namespace) -> int:
     g = _build_graph(args)
     if args.dot:
-        if args.out and args.out != "-":
-            Path(args.out).write_text(g.to_dot())
-        else:
-            sys.stdout.write(g.to_dot())
+        _write(g.to_dot(), args.out)
     else:
         with _gc_paused():
             _dump(g.to_json(), args.out)

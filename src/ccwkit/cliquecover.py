@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidCover
-from .graph import Graph, _grown_clique, bits, is_clique, mask_of
+from .graph import Graph, _grown_clique, _pairs, bits, is_clique, mask_of
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,11 @@ def cover_width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
             width += 1
     if width == 0:
         return WidthReport(0, None)
-    for u in range(g.n):
-        b = block[u]
-        near = masks[b + width] if b + width < m else 0
-        if b >= width:
-            near |= masks[b - width]
-        hit = (adj[u] & near) >> (u + 1)
-        if hit:
-            v = u + (hit & -hit).bit_length()
-            return WidthReport(width, (u, v, b, block[v]))
-    raise AssertionError("no edge attains the cover width")
+    # padded[b] | padded[b + 2 * width] is the union of blocks b +- width
+    padded = [0] * width + masks + [0] * width
+    far = (adj[u] & (padded[b] | padded[b + 2 * width]) for u, b in enumerate(block))
+    u, v = next(_pairs(far))  # some edge attains width > 0
+    return WidthReport(width, (u, v, block[u], block[v]))
 
 
 # -- greedy upper bound ------------------------------------------------------

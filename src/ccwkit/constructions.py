@@ -21,7 +21,7 @@ from .errors import (
     UnequalApexSizes,
 )
 from .graph import Apex, Graph, GridCell, VertexLabel, bits, intersect_graphs, is_clique, mask_of
-from .graph import _first_differing_edge, _grown_clique
+from .graph import _grown_clique, _is_clique_mask, _pairs
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,8 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
     if failure:
         return checks
 
-    edge = _first_differing_edge(intersect_graphs(list(f.factors)), f.base)
+    meet = intersect_graphs(list(f.factors))
+    edge = next(_pairs(a ^ b for a, b in zip(meet._adj, f.base._adj)), None)
     if edge is None:
         detail = "intersection of factors edge-equals base"
     else:
@@ -431,10 +432,8 @@ def clique_sum(
         glob_set = set(ident.values())
         if len(glob_set) != len(ident):
             raise JunctionNotClique("identification is not injective")
-        for a in glob_set:
-            for b in glob_set:
-                if a < b and not masks[a] >> b & 1:
-                    raise JunctionNotClique("identified set is not a clique in the sum")
+        if not _is_clique_mask(masks, mask_of(glob_set)):
+            raise JunctionNotClique("identified set is not a clique in the sum")
         if not is_clique(part, ident.keys()):
             raise JunctionNotClique("identified set is not a clique in the new part")
         # place the non-identified vertices of the part

@@ -37,12 +37,19 @@ class Plain(NamedTuple):
 VertexLabel = GridCell | Apex | Plain
 
 
+# How each label kind is spelled: JSON `kind` -> (label class, JSON field
+# names in the class's field order, DOT name prefix).
+_LABEL_KINDS = {
+    "grid": (GridCell, ("part", "row", "col"), "g"),
+    "apex": (Apex, ("part", "apex_index"), "x"),
+    "plain": (Plain, ("id",), "v"),
+}
+_KIND_OF = {cls: (kind, fields, prefix) for kind, (cls, fields, prefix) in _LABEL_KINDS.items()}
+
+
 def label_to_json(label: VertexLabel) -> dict:
-    if isinstance(label, GridCell):
-        return {"kind": "grid", "part": label.part, "row": label.row, "col": label.col}
-    if isinstance(label, Apex):
-        return {"kind": "apex", "part": label.part, "apex_index": label.index}
-    return {"kind": "plain", "id": label.id}
+    kind, fields, _ = _KIND_OF[type(label)]
+    return {"kind": kind, **dict(zip(fields, label))}
 
 
 def _run_key(label: VertexLabel) -> tuple | None:
@@ -138,28 +145,22 @@ def labels_from_json(entries: list, n: int) -> list[VertexLabel]:
 
 
 def label_from_json(obj: dict) -> VertexLabel:
-    """Decode one label; raises `InvalidGraph` for an unknown kind, or for a
-    missing field or one that is not an int (booleans and floats included).
-    One call a label, type tests included: 0.9-1.4 ms for 1 602 labels on a
+    """Decode one label by `_LABEL_KINDS`; raises `InvalidGraph` for a kind
+    that is not a string key of it, or for a missing field or one that is
+    not an int (booleans and floats included).
+    One call a label, type tests included: 2-3.5 ms for 1 602 labels on a
     2-vCPU Xeon VM.  Grid and apex blocks are written as runs
     (`labels_to_json`), which `labels_from_json` expands without this
     function, so only labels outside a run, such as Plain ones, and files
     of earlier releases come through here."""
     try:
         kind = obj["kind"]
-        if kind == "grid":
-            part, row, col = obj["part"], obj["row"], obj["col"]
-            if type(part) is type(row) is type(col) is int:
-                return GridCell(part, row, col)
-        elif kind == "apex":
-            part, index = obj["part"], obj["apex_index"]
-            if type(part) is type(index) is int:
-                return Apex(part, index)
-        elif kind == "plain":
-            if type(ident := obj["id"]) is int:
-                return Plain(ident)
-        else:
+        if type(kind) is not str or kind not in _LABEL_KINDS:
             raise InvalidGraph(f"unknown label kind {kind!r}")
+        cls, fields, _ = _LABEL_KINDS[kind]
+        values = [obj[name] for name in fields]
+        if all(type(x) is int for x in values):
+            return cls(*values)
     except (KeyError, TypeError):
         pass
     raise InvalidGraph(f"malformed vertex label {obj!r}")
@@ -195,6 +196,11 @@ def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[Verte
     return labels
 
 
+# The largest n a graph file may declare.  A label run lets a few bytes
+# declare a huge n, and decoding one builds `_bit_table(n)`, about n^2/16 bytes.
+MAX_VERTICES = 32_768
+
+
 def _bit_table(n: int) -> list[int | None]:
     """bit[v] == 1 << v for v in [0, n), then n Nones.  An id in [n, 2n) or
     [-n, 0) gives None, which fails in `|=` or `sum`; one in [-2n, -n)
@@ -223,16 +229,25 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+def _pairs(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The pairs (u, v), u < v, with bit v set in masks[u], in lexicographic
-    order.  Peels the lowest bit of masks[u] >> (u + 1), so the bit at
-    position b is the pair (u, u + 1 + b): three big-int operations each."""
+    order, so `next(_pairs(masks), None)` is the first such pair (or None):
+    the witness the intersection, separator and cover-width checks report.
+    Given a generator, it computes masks[u] only as far as it is asked.
+    Peels the lowest bit of masks[u] >> (u + 1), so the bit at position b
+    is the pair (u, u + 1 + b): three big-int operations each."""
     for u, m in enumerate(masks):
         m >>= u + 1
         while m:
             low = m & -m
             yield u, u + low.bit_length()
             m ^= low
+
+
+def _is_clique_mask(adj: Sequence[int], m: int) -> bool:
+    """Whether the vertices of mask m, all below len(adj), are pairwise
+    adjacent in the graph with adjacency masks adj."""
+    return all(m & ~adj[v] == 1 << v for v in bits(m))
 
 
 def _grown_clique(adj: Sequence[int], start: int, allowed: int) -> int:
@@ -403,11 +418,9 @@ class Graph:
         kept, covered = [], [0] * n
         for clique in cliques:
             m = mask_of(clique)
-            if m >> n or m.bit_count() < 2:
+            if m >> n or m.bit_count() < 2 or not _is_clique_mask(adj, m):
                 continue
             members = list(bits(m))
-            if any(m & ~adj[v] != 1 << v for v in members):
-                continue
             kept.append(members)
             for v in members:
                 covered[v] |= m
@@ -436,7 +449,7 @@ class Graph:
         it: the base of that apex grid parses and decodes from its 2 label
         entries in 1.2-1.4/3.6-4.4 ms.  An envelope's factors share the
         base's labels and decode none (see `_from_json`).  `n` must be an
-        int before any run is expanded.  Booleans are found by one C-level
+        int, at most `MAX_VERTICES`, before any run is expanded.  Booleans are found by one C-level
         scan of all ids for `bool`, about 50 ns an id: 2-4 us of the 14-23
         us a 25-edge graph file takes.
         """
@@ -461,6 +474,8 @@ class Graph:
                 raise InvalidGraph("a graph's labels must be a list")
             if type(n) is not int:
                 raise InvalidGraph(f"n must be an integer, got {n!r}")
+            if n > MAX_VERTICES:
+                raise InvalidGraph(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
             labels = labels_from_json(labels, n)
         g = cls.from_edges(n, edges, labels)
         if bool in map(type, chain.from_iterable(edges)):
@@ -485,16 +500,10 @@ class Graph:
         return cls(n, tuple(a & ~b for a, b in zip(adj, bit)), g.labels)
 
     def to_dot(self) -> str:
-        def name(lbl: VertexLabel) -> str:
-            if isinstance(lbl, GridCell):
-                return f"g{lbl.part}_{lbl.row}_{lbl.col}"
-            if isinstance(lbl, Apex):
-                return f"x{lbl.part}_{lbl.index}"
-            return f"v{lbl.id}"
-
         lines = ["graph G {"]
-        for v in range(self.n):
-            lines.append(f'  {v} [label="{name(self.labels[v])}"];')
+        for v, lbl in enumerate(self.labels):
+            prefix = _KIND_OF[type(lbl)][2]
+            lines.append(f'  {v} [label="{prefix}{"_".join(map(str, lbl))}"];')
         for u, v in self.edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")
@@ -517,17 +526,6 @@ def intersect_graphs(factors: Sequence[Graph]) -> Graph:
         for v in range(first.n):
             masks[v] &= g._adj[v]
     return Graph(first.n, tuple(masks), first.labels)
-
-
-def _first_differing_edge(g: Graph, h: Graph) -> tuple[int, int] | None:
-    """The lexicographically first pair u < v that is an edge of exactly one
-    of g and h (on the same vertices), or None.  Masks are symmetric, so the
-    first vertex whose masks differ has its lowest differing bit above it."""
-    for u, (a, b) in enumerate(zip(g._adj, h._adj)):
-        if a != b:
-            d = a ^ b
-            return u, (d & -d).bit_length() - 1
-    return None
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -596,11 +594,7 @@ def diameter(g: Graph) -> int:
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
-    smask = g._check_subset(s)
-    for v in bits(smask):
-        if smask & ~g._adj[v] & ~(1 << v):
-            return False
-    return True
+    return _is_clique_mask(g._adj, g._check_subset(s))
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

@@ -3,6 +3,7 @@ audit pipeline over apex-grid factorizations."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chordal import _balanced_bag, _clique_forest
@@ -14,6 +15,7 @@ from .graph import (
     Graph,
     GridCell,
     _bfs_layers,
+    _pairs,
     bits,
     connected_components,
     is_clique,
@@ -133,13 +135,10 @@ def _assert_separator(base: Graph, mu: Measure, r: SeparatorResult) -> None:
         raise InvalidFactorization("separator result does not partition V")
     if r.side_a & r.side_b or r.side_a & r.separator or r.side_b & r.separator:
         raise InvalidFactorization("separator result blocks overlap")
-    # the lexicographically first crossing edge: for each u, ascending, the
-    # lowest v > u on the other side
     a, b = mask_of(r.side_a), mask_of(r.side_b)
-    for u in bits(a | b):
-        if crossing := (base._adj[u] & (b if a >> u & 1 else a)) >> (u + 1):
-            v = u + (crossing & -crossing).bit_length()
-            raise InvalidFactorization(f"edge ({u},{v}) crosses the separator")
+    crossing = (m & (b if a >> u & 1 else a if b >> u & 1 else 0) for u, m in enumerate(base._adj))
+    if edge := next(_pairs(crossing), None):
+        raise InvalidFactorization(f"edge ({edge[0]},{edge[1]}) crosses the separator")
     if r.mu_a > 2 * total / 3 + 1e-9 or r.mu_b > 2 * total / 3 + 1e-9:
         raise InvalidFactorization("side measure exceeds 2mu(G)/3")
     covered: set[int] = set()
@@ -205,11 +204,8 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
         restricted_cover_sizes=tuple(restricted_sizes),
         product_cells=len(cells),
     )
-    prod = 1
-    for sz in report.restricted_cover_sizes:
-        prod *= sz
     if report.indep_size < (report.grid_clique_size + 1) // 2:
         raise InvalidFactorization("independent set smaller than half the clique")
-    if report.product_cells > prod:
+    if report.product_cells > math.prod(report.restricted_cover_sizes):
         raise InvalidFactorization("product cells exceed the block-count product")
     return report

@@ -483,3 +483,15 @@ class TestFailedVerification:
             "PASS lstar: lstar must equal max width\n",
             "verification failed: cover_validity[1]\n",
         )
+
+
+class TestEmptyOutPath:
+    """`--out ""` names a path (the current directory), not stdout, for the
+    JSON and the DOT form of `construct` alike: both exit 2."""
+
+    @pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["json", "dot"])
+    def test_exits_2(self, capsys, dot):
+        assert run(["construct", "grid", "--n", "2", *dot, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

@@ -249,3 +249,19 @@ class TestFactorizationEnvelope:
         assert again.factors == f.factors
         assert again.covers == f.covers
         check_factorization(again)
+
+
+class TestJunctionMessages:
+    def test_not_a_clique_in_the_sum(self):
+        a = Graph.from_edges(3, [(0, 1)])
+        b = complete(3, labels=[GridCell(1, 1, c) for c in range(1, 4)])
+        with pytest.raises(JunctionNotClique, match="^identified set is not a clique in the sum$"):
+            clique_sum([a, b], [[(0, 0), (2, 1)]])
+
+    def test_not_a_clique_in_the_new_part(self):
+        a = complete(3)
+        b = Graph.from_edges(3, [(0, 1)], labels=[GridCell(1, 1, c) for c in range(1, 4)])
+        with pytest.raises(
+            JunctionNotClique, match="^identified set is not a clique in the new part$"
+        ):
+            clique_sum([a, b], [[(0, 0), (1, 2)]])
