@@ -135,6 +135,14 @@ def _layout(
     - v may go at position i iff no neighbour sits at a position <= i - best;
     - a vertex at a position <= i + 1 - best with an unplaced neighbour
       forces that neighbour to position i, so two such neighbours prune;
+    - deadlines: an unplaced vertex in nbr[j] has a neighbour at a position
+      < j, so it must go at a position <= j + best - 2, and only
+      j + best - 1 - i of those are free; more unplaced vertices in nbr[j]
+      than that, for any j in [i + 2 - best, i], prune.  This is Hall's
+      condition on position windows (Caprara & Salazar-Gonzalez, INFORMS J.
+      Computing 17, 2005) with neighbours only, no distance table; j =
+      i + 2 - best is the rule above.  It costs at most best - 1 popcounts
+      each time `best` changes;
     - a leaf lowers `best` to its width and the search unwinds to the first
       position attaining it, so every later leaf is strictly narrower; it
       stops at best <= ceil(maxdeg / 2) (Del Corso & Manzini, Computing 62, 1999).
@@ -175,15 +183,17 @@ def _layout(
             return
         placed = prefix[i]
         cand = full & ~placed
-        b = 0  # the best that `far` and `need` were computed for
+        b = 0  # the best that `far`, the deadlines and `need` were computed for
         while cand:
             if b != best:
                 b = best
                 far = prefix[max(i + 1 - b, 0)]
-                # b >= 2 unless there are no edges, so nbr[i + 2 - b] is set
-                need = nbr[max(i + 2 - b, 0)] & ~placed
-                if need & (need - 1):
-                    return
+                # b >= 2 unless there are no edges, so nbr[lo] is set
+                lo = max(i + 2 - b, 0)
+                for j in range(lo, i + 1):
+                    if (nbr[j] & ~placed).bit_count() > j + b - 1 - i:
+                        return
+                need = nbr[lo] & ~placed
                 if need:
                     cand &= need
                     continue
@@ -210,8 +220,10 @@ def bandwidth_exact(g: Graph, budget: int = 2_000_000) -> tuple[SearchResult, li
 
     `budget` counts layout search nodes (see `_layout`); when it runs out the
     result is the narrowest ordering found, flagged inexact.  Measured on a
-    2-vCPU Xeon VM: median 0.85 / 10 / 620 ms on G(n, 1/2) at n = 8 / 10 / 12;
-    7 ms to prove that grid(4) has bandwidth 4.
+    2-vCPU Xeon VM: median 0.15 / 0.33 / 0.66 ms (max 0.3 / 0.7 / 1.5 ms) on
+    30 G(n, 1/2) graphs each at n = 8 / 10 / 12; 1 ms and 538 nodes to prove
+    that grid(4) has bandwidth 4, 20 ms and 9 327 nodes for bandwidth 5 on
+    grid(5).
     """
     n = g.n
     if g.num_edges() == 0:
@@ -248,10 +260,10 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
     `budget` counts the partition nodes visited; skipped children and the
     quotient layouts are not charged.  The search stops at width 1: a greedy
     width above 0 means g is not a disjoint union of cliques, so every cover
-    has width >= 1.  Measured on a 2-vCPU Xeon VM: median 0.2 / 0.7 / 8 ms
-    (max 1 / 13 / 91 ms) on G(n, 1/2) at n = 8 / 10 / 12; 0.2 ms to prove
-    ccw(grid(4)) = 2; on grid(5), 0.06 to 0.1 s at budget 1 000 (inexact) and
-    15 s to prove ccw = 3 at the default budget.
+    has width >= 1.  Measured on a 2-vCPU Xeon VM: median 0.2 / 0.3 / 4 ms
+    (max 1 / 8 / 61 ms) on 30 G(n, 1/2) graphs each at n = 8 / 10 / 12;
+    0.2 ms to prove ccw(grid(4)) = 2; on grid(5), 0.03 to 0.04 s at budget
+    1 000 (inexact) and 4.7 s to prove ccw = 3 at the default budget.
     """
     n = g.n
     if n == 0:

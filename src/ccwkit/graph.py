@@ -180,8 +180,9 @@ def _edge_error(edge, n: int) -> CcwKitError:
 
 def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[VertexLabel, ...]:
     """The labels of an n-vertex graph (Plain(0..n-1) by default), a tuple
-    given returned as it is; a wrong count or an unhashable label raises
-    `InvalidGraph`, a repeated one `DuplicateLabel`."""
+    given returned as it is; a wrong count, an unhashable label or one that
+    is not a GridCell, Apex or Plain raises `InvalidGraph`, a repeated one
+    `DuplicateLabel`."""
     if labels is None:
         return tuple(Plain(i) for i in range(n))
     labels = tuple(labels)
@@ -193,6 +194,11 @@ def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[Verte
         raise InvalidGraph("vertex labels must be hashable") from None
     if not distinct:
         raise DuplicateLabel("vertex labels must be pairwise distinct")
+    kinds = set(map(type, labels))
+    if not kinds <= _KIND_OF.keys():
+        allowed = ", ".join(t.__name__ for t in _KIND_OF)
+        names = ", ".join(sorted(t.__name__ for t in kinds - _KIND_OF.keys()))
+        raise InvalidGraph(f"vertex labels must be one of {allowed}, not {names}")
     return labels
 
 

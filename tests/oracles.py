@@ -4,10 +4,11 @@ These are written against the definitions only (enumerate everything) and are
 deliberately kept free of any code path they are used to check.
 """
 
+import math
 from itertools import combinations, permutations
 
 from ccwkit.cliquecover import OrderedCliqueCover, SearchResult, _layout, ccw_upper_greedy
-from ccwkit.graph import Graph
+from ccwkit.graph import Graph, bits
 
 
 def all_clique_partitions(g: Graph):
@@ -267,8 +268,9 @@ def pairwise_verify_hole(g: Graph, hole) -> bool:
 def unpruned_ccw_exact(g: Graph, budget: int = 500_000):
     """The clique-partition search of `ccw_exact` without its quotient-degree
     pruning: every clique partition is a leaf, and each leaf rebuilds its
-    block quotient from scratch.  It shares the greedy incumbent and `_layout`
-    with the library, so it pins the pruning and nothing else."""
+    block quotient from scratch.  It shares the greedy incumbent and the
+    library `_layout` (deadline rule included), so it pins only the partition
+    pruning; `unpruned_layout` pins the layout search."""
     n = g.n
     if n == 0:
         return SearchResult(0, True), OrderedCliqueCover(())
@@ -317,3 +319,74 @@ def unpruned_ccw_exact(g: Graph, budget: int = 500_000):
 
     rec(0)
     return SearchResult(inc_w, not exhausted), inc_cover
+
+
+def unpruned_layout(
+    adj: list[int], cutoff: int, budget: float = math.inf
+) -> tuple[int, list[int] | None, bool]:
+    """`ccwkit.cliquecover._layout` as it was before the deadline rule: the
+    same depth-first layout search with only its placement test, its
+    open-neighbour rule, its unwinding and its degree floor.  The library's
+    search must return what this one returns, and at any budget get at least
+    as far, so this pins the deadline rule and nothing else."""
+    n = len(adj)
+    floor = (max((m.bit_count() for m in adj), default=0) + 1) // 2
+    if cutoff <= floor:
+        return cutoff, None, True
+    full = (1 << n) - 1
+    order, pos = [0] * n, [0] * n
+    prefix, nbr = [0] * (n + 1), [0] * (n + 1)
+    # fit < n: levels past position `fit` unwind, their prefix too wide now
+    best, found, nodes, fit = cutoff, None, 0, n
+    done = exhausted = False
+
+    def leaf() -> None:
+        nonlocal best, found, fit, done
+        width = 0
+        for j in range(1, n):
+            earlier = adj[order[j]] & prefix[j]
+            if earlier:
+                gap = j - min(pos[u] for u in bits(earlier))
+                if gap > width:  # fit: the first position attaining the width
+                    width, fit = gap, j
+        best, found = width, order[:]
+        done = best <= floor
+
+    def rec(i: int) -> None:
+        nonlocal nodes, exhausted, done, fit
+        nodes += 1
+        if nodes > budget:
+            exhausted = done = True
+            return
+        if i == n:
+            leaf()
+            return
+        placed = prefix[i]
+        cand = full & ~placed
+        b = 0  # the best that `far` and `need` were computed for
+        while cand:
+            if b != best:
+                b = best
+                far = prefix[max(i + 1 - b, 0)]
+                # b >= 2 unless there are no edges, so nbr[i + 2 - b] is set
+                need = nbr[max(i + 2 - b, 0)] & ~placed
+                if need & (need - 1):
+                    return
+                if need:
+                    cand &= need
+                    continue
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if adj[v] & far:
+                continue
+            order[i], pos[v] = v, i
+            prefix[i + 1] = placed | low
+            nbr[i + 1] = nbr[i] | adj[v]
+            rec(i + 1)
+            if done or fit < i:
+                return
+            fit = n
+
+    rec(0)
+    return best, found, not exhausted

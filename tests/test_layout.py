@@ -1,13 +1,21 @@
 """The exact searches return the lexicographically first optimum, which the
-brute-force oracles pin; a small node budget bounds their wall time."""
+brute-force oracles pin; the frozen unpruned layout search pins the deadline
+rule; a small node budget bounds their wall time."""
 
 import time
 
 from hypothesis import given, settings, strategies as st
 
 from ccwkit import Graph, SearchResult, bandwidth_exact, ccw_exact, ccw_upper_greedy, grid
+from ccwkit.cliquecover import _layout
 
-from oracles import all_clique_partitions, brute_ccw, brute_first_min_layout, unpruned_ccw_exact
+from oracles import (
+    all_clique_partitions,
+    brute_ccw,
+    brute_first_min_layout,
+    unpruned_ccw_exact,
+    unpruned_layout,
+)
 
 
 @st.composite
@@ -76,6 +84,42 @@ def test_pruning_only_helps_a_budget(g, budget):
     want, _ = unpruned_ccw_exact(g, budget)
     assert res.value <= want.value
     assert res.exact or not want.exact
+
+
+def adj_of(g):
+    return [g.adj_mask(v) for v in range(g.n)]
+
+
+@given(graphs(max_n=9), st.data())
+@settings(max_examples=80, deadline=None)
+def test_layout_matches_unpruned_layout(g, data):
+    """The deadline rule cuts only subtrees without a narrower ordering, so
+    at the full cutoff and at any other the search returns the same result."""
+    cutoff = data.draw(st.integers(min_value=0, max_value=g.n + 1))
+    for c in (g.n + 1, cutoff):
+        assert _layout(adj_of(g), c) == unpruned_layout(adj_of(g), c)
+
+
+@given(graphs(max_n=10), st.integers(min_value=0, max_value=80))
+@settings(max_examples=80, deadline=None)
+def test_deadline_rule_only_helps_a_budget(g, budget):
+    """The budgeted search visits the unpruned node sequence with the pruned
+    subtrees left out, so the same budget gets at least as far."""
+    width, _, exact = _layout(adj_of(g), g.n + 1, budget)
+    want, _, want_exact = unpruned_layout(adj_of(g), g.n + 1, budget)
+    assert width <= want
+    assert exact or not want_exact
+
+
+def test_grid4_bandwidth_proved_within_600_nodes():
+    g = grid(4)
+    res, order = bandwidth_exact(g, budget=600)
+    assert res == SearchResult(4, True)
+    assert width_of(g, order) == 4
+
+
+def test_grid5_bandwidth_proved_within_10000_nodes():
+    assert bandwidth_exact(grid(5), budget=10_000)[0] == SearchResult(5, True)
 
 
 def test_small_budget_bounds_wall_time_on_grid5():
