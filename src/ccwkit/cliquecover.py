@@ -77,12 +77,17 @@ def cover_width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
     ok, why = verify_cover(g, c)
     if not ok:
         raise InvalidCover(why)
+    return _width(g, c)
+
+
+def _width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
+    """`cover_width` of a cover that `verify_cover` accepts, without that check."""
     masks = [mask_of(blk) for blk in c.cliques]
     m = len(masks)
     suffix = masks + [0]
     for i in range(m - 1, -1, -1):
         suffix[i] |= suffix[i + 1]
-    adj, block = g._adj, [0] * g.n  # verify_cover has range-checked every vertex
+    adj, block = g._adj, [0] * g.n  # the cover is valid, so every vertex is in range
     width = 0
     for i, blk in enumerate(c.cliques):
         reach = 0
@@ -120,7 +125,7 @@ def ccw_upper_greedy(g: Graph) -> tuple[int, OrderedCliqueCover]:
 
 
 def _layout(
-    adj: list[int], cutoff: int, budget: float = math.inf
+    adj: Sequence[int], cutoff: int, budget: float = math.inf
 ) -> tuple[int, list[int] | None, bool]:
     """The lexicographically first minimum-width ordering of the graph with
     adjacency masks `adj`, among orderings of width < `cutoff`.
@@ -132,7 +137,6 @@ def _layout(
     Depth-first over positions, trying vertices in ascending order.  With
     `best` the smallest width found so far (at first `cutoff`), prefix[j]
     holds the vertices at positions < j and nbr[j] their neighbourhoods:
-    - v may go at position i iff no neighbour sits at a position <= i - best;
     - a vertex at a position <= i + 1 - best with an unplaced neighbour
       forces that neighbour to position i, so two such neighbours prune;
     - deadlines: an unplaced vertex in nbr[j] has a neighbour at a position
@@ -148,6 +152,16 @@ def _layout(
       stops at best <= ceil(maxdeg / 2) (Del Corso & Manzini, Computing 62, 1999).
     Each rule cuts only orderings of width >= best, so the first ordering of
     the minimum width in lexicographic order is the last one accepted.
+
+    No vertex is ever placed best or more positions after a neighbour, so
+    the search needs no placement test.  nbr[j] only grows with j, so each
+    unplaced neighbour of a vertex at position p lies in nbr[p + 1], and at
+    position p + best - 1 the first rule forced the one such vertex there
+    was; none is left after it.  After a leaf the search resumes only at
+    positions up to the first one attaining the new `best`, and every gap
+    of the leaf's prefix before it is below that width, so the same holds
+    under the new `best`.  `leaf` asserts it: its width is below the `best`
+    it was searched under.
     """
     n = len(adj)
     floor = (max((m.bit_count() for m in adj), default=0) + 1) // 2
@@ -169,6 +183,7 @@ def _layout(
                 gap = j - min(pos[u] for u in bits(earlier))
                 if gap > width:  # fit: the first position attaining the width
                     width, fit = gap, j
+        assert width < best, "a vertex was placed best positions after a neighbour"
         best, found = width, order[:]
         done = best <= floor
 
@@ -183,11 +198,10 @@ def _layout(
             return
         placed = prefix[i]
         cand = full & ~placed
-        b = 0  # the best that `far`, the deadlines and `need` were computed for
+        b = 0  # the best that the deadlines and `need` were computed for
         while cand:
             if b != best:
                 b = best
-                far = prefix[max(i + 1 - b, 0)]
                 # b >= 2 unless there are no edges, so nbr[lo] is set
                 lo = max(i + 2 - b, 0)
                 for j in range(lo, i + 1):
@@ -200,8 +214,6 @@ def _layout(
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            if adj[v] & far:
-                continue
             order[i], pos[v] = v, i
             prefix[i + 1] = placed | low
             nbr[i + 1] = nbr[i] | adj[v]
@@ -220,15 +232,15 @@ def bandwidth_exact(g: Graph, budget: int = 2_000_000) -> tuple[SearchResult, li
 
     `budget` counts layout search nodes (see `_layout`); when it runs out the
     result is the narrowest ordering found, flagged inexact.  Measured on a
-    2-vCPU Xeon VM: median 0.15 / 0.33 / 0.66 ms (max 0.3 / 0.7 / 1.5 ms) on
-    30 G(n, 1/2) graphs each at n = 8 / 10 / 12; 1 ms and 538 nodes to prove
-    that grid(4) has bandwidth 4, 20 ms and 9 327 nodes for bandwidth 5 on
-    grid(5).
+    2-vCPU Xeon VM (best of 3 per graph): median 0.11 / 0.21 / 0.51 ms (max
+    0.16 / 0.5 / 1.0 ms) on 30 G(n, 1/2) graphs each at n = 8 / 10 / 12; 1 ms
+    and 538 nodes to prove that grid(4) has bandwidth 4, 16 ms and 9 327
+    nodes for bandwidth 5 on grid(5).
     """
     n = g.n
     if g.num_edges() == 0:
         return SearchResult(0, True), list(range(n))
-    width, order, exact = _layout([g.adj_mask(v) for v in range(n)], n + 1, budget)
+    width, order, exact = _layout(g._adj, n + 1, budget)
     if order is None:  # out of budget before the first leaf
         return SearchResult(n - 1, False), list(range(n))
     return SearchResult(width, exact), order
@@ -241,12 +253,13 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
     """Minimum width over all ordered clique covers, with an optimal cover.
 
     Enumerates unordered clique partitions (each vertex joins an earlier
-    block it is adjacent to, or opens a new one; blocks in order of their
-    smallest member), keeping the block quotient graph as it grows.  At each
-    leaf it lays out that quotient with `_layout`, below the incumbent width:
-    the best block ordering for a fixed partition is a minimum-width layout
-    of that quotient.  The incumbent starts at the greedy cover's width.  So
-    the cover returned is the greedy one if no partition beats it, else the
+    block it is adjacent to, or opens a new one, in one child loop whose
+    last child is the new block; blocks in order of their smallest member),
+    keeping the block quotient graph as it grows.  At each leaf it lays out
+    that quotient with `_layout`, below the incumbent width: the best block
+    ordering for a fixed partition is a minimum-width layout of that
+    quotient.  The incumbent starts at the greedy cover's width.  So the
+    cover returned is the greedy one if no partition beats it, else the
     first partition of minimum width with its blocks in the lexicographically
     first optimal order.
 
@@ -260,16 +273,15 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
     `budget` counts the partition nodes visited; skipped children and the
     quotient layouts are not charged.  The search stops at width 1: a greedy
     width above 0 means g is not a disjoint union of cliques, so every cover
-    has width >= 1.  Measured on a 2-vCPU Xeon VM: median 0.2 / 0.3 / 4 ms
-    (max 1 / 8 / 61 ms) on 30 G(n, 1/2) graphs each at n = 8 / 10 / 12;
-    0.2 ms to prove ccw(grid(4)) = 2; on grid(5), 0.03 to 0.04 s at budget
-    1 000 (inexact) and 4.7 s to prove ccw = 3 at the default budget.
+    has width >= 1.  Measured on a 2-vCPU Xeon VM (best of 3 per graph):
+    median 0.24 / 0.38 / 6.5 ms (max 0.5 / 10 / 33 ms) on 30 G(n, 1/2)
+    graphs each at n = 8 / 10 / 12; 0.26 ms to prove ccw(grid(4)) = 2; on
+    grid(5), 0.03 s at budget 1 000 (inexact) and 3.9 s to prove ccw = 3 at
+    the default budget.
     """
     n = g.n
-    if n == 0:
-        return SearchResult(0, True), OrderedCliqueCover(())
     inc_w, inc_cover = ccw_upper_greedy(g)
-    adj = [g.adj_mask(v) for v in range(n)]
+    adj = g._adj
     nodes = 0
     exhausted = False
     blocks: list[int] = []
@@ -283,12 +295,6 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
             inc_cover = OrderedCliqueCover(
                 tuple(frozenset(bits(blocks[i])) for i in order)
             )
-
-    def too_wide(own: int, gain: int) -> bool:
-        """Whether a block with quotient neighbours `own`, or a block in
-        `gain` given one more neighbour, exceeds 2 (inc_w - 1) of them."""
-        cap = 2 * (inc_w - 1)
-        return own.bit_count() > cap or any(quot[j].bit_count() >= cap for j in bits(gain))
 
     def rec(v: int) -> None:
         nonlocal nodes, exhausted
@@ -306,31 +312,27 @@ def ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, OrderedCli
         for i, b in enumerate(blocks):
             if b & nv:
                 hit |= 1 << i
-        for i, b in enumerate(blocks):
-            if b & ~nv == 0:  # v adjacent to the whole block
-                q, me = quot[i], 1 << i
-                gain = hit & ~q & ~me
-                if too_wide(q | gain, gain):
-                    continue
-                blocks[i], quot[i] = b | 1 << v, q | gain
-                for j in bits(gain):
-                    quot[j] |= me
-                rec(v + 1)
-                blocks[i], quot[i] = b, q
-                for j in bits(gain):
-                    quot[j] ^= me
-        if too_wide(hit, hit):
-            return
-        me = 1 << len(blocks)
-        blocks.append(1 << v)
-        quot.append(hit)
-        for j in bits(hit):
-            quot[j] |= me
-        rec(v + 1)
+        t = len(blocks)
+        for i in range(t + 1):
+            if i == t:  # v opens a new block
+                blocks.append(0)
+                quot.append(0)
+            b, q, me = blocks[i], quot[i], 1 << i
+            if b & ~nv:  # v not adjacent to the whole block
+                continue
+            gain = hit & ~q & ~me
+            cap = 2 * (inc_w - 1)
+            if (q | gain).bit_count() > cap or any(quot[j].bit_count() >= cap for j in bits(gain)):
+                continue
+            blocks[i], quot[i] = b | 1 << v, q | gain
+            for j in bits(gain):
+                quot[j] |= me
+            rec(v + 1)
+            blocks[i], quot[i] = b, q
+            for j in bits(gain):
+                quot[j] ^= me
         blocks.pop()
         quot.pop()
-        for j in bits(hit):
-            quot[j] ^= me
 
     rec(0)
     return SearchResult(inc_w, not exhausted), inc_cover

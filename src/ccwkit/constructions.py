@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat, zip_longest
 from typing import Iterable, Sequence
 
+from . import graph
 from .chordal import ChordalCertificate, _clique_forest, _peo_failure, lex_bfs
-from .cliquecover import OrderedCliqueCover, cover_width
+from .cliquecover import OrderedCliqueCover, _width, cover_width
 from .errors import (
     BadRemovedEdge,
     InvalidApexEdge,
@@ -225,9 +226,8 @@ def _make_factorization(
     since the checker's `chordal_certificate` test verifies it, so a
     non-chordal factor 1 raises `InvalidFactorization` from there."""
     cert = ChordalCertificate(peo=tuple(lex_bfs(factors[0])[::-1]))
-    widths = tuple(
-        cover_width(factors[i + 1], covers[i]).width for i in range(len(covers))
-    )
+    # declared unchecked; check_factorization below certifies each cover and width
+    widths = tuple(_width(factors[i + 1], covers[i]).width for i in range(len(covers)))
     f = Factorization(
         base=base,
         factors=tuple(factors),
@@ -243,6 +243,13 @@ def _make_factorization(
 # -- grid and apex grid ------------------------------------------------------
 
 
+def _check_vertex_count(what: str, n: int) -> None:
+    """Refuse a construction of n > `graph.MAX_VERTICES` vertices, the most a
+    graph file may declare, before anything is allocated."""
+    if n > graph.MAX_VERTICES:
+        raise InvalidSize(f"{what}: n={n} exceeds the limit of {graph.MAX_VERTICES} vertices")
+
+
 def _grid_labels(n: int, part: int = 0) -> list[VertexLabel]:
     return [GridCell(part, r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
 
@@ -251,6 +258,7 @@ def grid(n: int) -> Graph:
     """n x n planar grid; cells row-major, edges between orthogonal neighbors."""
     if n < 1:
         raise InvalidSize("grid requires n >= 1")
+    _check_vertex_count("grid", n * n)
     edges = []
     for r in range(n):
         for c in range(n):
@@ -282,6 +290,7 @@ def apex_grid(
     given edge set among the apexes."""
     if n < 1 or k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
+    _check_vertex_count("apex_grid", n * n + k)
     apex_edges = _check_apex_edges(k, apex_edges or set())
     base = grid(n)
     n2 = n * n
@@ -336,6 +345,7 @@ def _apex_grid_factors(
     for n in sizes[1:]:
         starts.append(total)
         total += n * n
+    _check_vertex_count("apex_grid", total)
     apexes = ((1 << k) - 1) << first
     everything = (1 << total) - 1
     base, masks1, masks2 = [0] * total, [0] * total, [0] * total
@@ -501,8 +511,9 @@ def example3_i(n: int, k: int) -> Factorization:
     cover, factor 1 completes consecutive blocks into an interval-like graph."""
     if n < 1 or k < 1:
         raise InvalidSize("example3_i requires n, k >= 1")
-    h = (n + 1) // 2
     total = n * k
+    _check_vertex_count("example3_i", total)
+    h = (n + 1) // 2
 
     def block(i: int) -> range:
         return range(i * n, (i + 1) * n)
@@ -549,6 +560,7 @@ def example3_ii(n: int, k: int) -> Factorization:
     column cover."""
     if n < 1 or k < 1:
         raise InvalidSize("example3_ii requires n, k >= 1")
+    _check_vertex_count("example3_ii", n * n * k)
     base, g1, g2, cover = _apex_grid_factors(0, [n], None)
     columns = tuple(
         frozenset(v * k + x for v in blk for x in range(k)) for blk in cover.cliques

@@ -202,8 +202,9 @@ def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[Verte
     return labels
 
 
-# The largest n a graph file may declare.  A label run lets a few bytes
-# declare a huge n, and decoding one builds `_bit_table(n)`, about n^2/16 bytes.
+# The largest n a graph file may declare, and that a construction builds.  A
+# label run lets a few bytes declare a huge n, and decoding one builds
+# `_bit_table(n)`, about n^2/16 bytes.
 MAX_VERTICES = 32_768
 
 

@@ -1,7 +1,7 @@
 """Each factorizing construction builds its parts once and certifies the
-result once, through the checker `verify` uses: one Lex-BFS, one PEO check
-and no separate chordality test per construction, one cover check per cover
-in `verify_factorization`."""
+result once, through the checker `verify` uses: one Lex-BFS, one PEO check,
+no separate chordality test and one cover check per cover per construction,
+one cover check per cover in `verify_factorization`."""
 
 import pytest
 
@@ -10,7 +10,14 @@ import ccwkit.chordal
 import ccwkit.cliquecover
 import ccwkit.constructions
 import ccwkit.separator
-from ccwkit import CliqueSumSpec, factorize_apex_grid, factorize_clique_sum, verify_factorization
+from ccwkit import (
+    CliqueSumSpec,
+    example3_i,
+    example3_ii,
+    factorize_apex_grid,
+    factorize_clique_sum,
+    verify_factorization,
+)
 from ccwkit.errors import InvalidFactorization
 
 MODULES = (ccwkit, ccwkit.chordal, ccwkit.cliquecover, ccwkit.constructions, ccwkit.separator)
@@ -48,6 +55,20 @@ def test_one_search_and_one_peo_check_per_construction(monkeypatch, build):
     f = build()
     assert len(lex) == 1 and chordal == []
     assert [order for _, order in peo] == [f.chordal_cert.peo]
+
+
+EVERY_CONSTRUCTION = {
+    **CONSTRUCTIONS,
+    "example3-i": lambda: example3_i(3, 4),
+    "example3-ii": lambda: example3_ii(3, 2),
+}
+
+
+@pytest.mark.parametrize("build", EVERY_CONSTRUCTION.values(), ids=EVERY_CONSTRUCTION.keys())
+def test_construction_checks_each_cover_once(monkeypatch, build):
+    calls = count_calls(monkeypatch, ccwkit.cliquecover, "verify_cover")
+    f = build()
+    assert [cover for _, cover in calls] == list(f.covers)
 
 
 @pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())

@@ -1,18 +1,31 @@
 """The exact searches return the lexicographically first optimum, which the
 brute-force oracles pin; the frozen unpruned layout search pins the deadline
-rule; a small node budget bounds their wall time."""
+rule; frozen references pin both searches node for node, through their
+results at every budget; a small node budget bounds their wall time."""
 
+import math
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccwkit import Graph, SearchResult, bandwidth_exact, ccw_exact, ccw_upper_greedy, grid
+from ccwkit import (
+    Graph,
+    SearchResult,
+    apex_grid,
+    bandwidth_exact,
+    ccw_exact,
+    ccw_upper_greedy,
+    grid,
+)
 from ccwkit.cliquecover import _layout
 
 from oracles import (
     all_clique_partitions,
     brute_ccw,
     brute_first_min_layout,
+    reference_ccw_exact,
+    reference_layout,
     unpruned_ccw_exact,
     unpruned_layout,
 )
@@ -109,6 +122,47 @@ def test_deadline_rule_only_helps_a_budget(g, budget):
     want, _, want_exact = unpruned_layout(adj_of(g), g.n + 1, budget)
     assert width <= want
     assert exact or not want_exact
+
+
+@given(graphs(max_n=10), st.integers(min_value=0, max_value=300))
+@settings(deadline=None)  # the example count comes from the active profile
+def test_layout_matches_the_reference(g, budget):
+    """Node for node: at every cutoff, with and without a budget, the layout
+    search returns what the reference returns, and so does bandwidth_exact."""
+    adj = adj_of(g)
+    for cutoff in range(g.n + 2):
+        for b in (budget, math.inf):
+            assert _layout(g._adj, cutoff, b) == reference_layout(adj, cutoff, b)
+    width, order, exact = reference_layout(adj, g.n + 1, budget)
+    if g.num_edges() == 0:
+        want = SearchResult(0, True), list(range(g.n))
+    elif order is None:
+        want = SearchResult(g.n - 1, False), list(range(g.n))
+    else:
+        want = SearchResult(width, exact), order
+    assert bandwidth_exact(g, budget) == want
+
+
+@given(graphs(max_n=10), st.integers(min_value=0, max_value=300))
+@settings(deadline=None)  # the example count comes from the active profile
+def test_ccw_exact_matches_the_reference(g, budget):
+    """Node for node: ccw_exact returns what the reference returns at every
+    budget, so it visits the same partitions and quotient layouts."""
+    assert ccw_exact(g, budget) == reference_ccw_exact(g, budget)
+    assert ccw_exact(g) == reference_ccw_exact(g)
+
+
+@pytest.mark.parametrize("search, g, proved, smallest", [
+    (bandwidth_exact, grid(4), SearchResult(4, True), 538),
+    (bandwidth_exact, grid(5), SearchResult(5, True), 9_327),
+    (ccw_exact, grid(4), SearchResult(2, True), 29),
+    (ccw_exact, apex_grid(1, 3), SearchResult(2, True), 29),
+], ids=["bandwidth-grid4", "bandwidth-grid5", "ccw-grid4", "ccw-apex-grid-1-3"])
+def test_smallest_proving_budget(search, g, proved, smallest):
+    """The fewest nodes that prove each result: one node fewer finds the
+    same width but cannot prove it."""
+    assert search(g, smallest)[0] == proved
+    assert search(g, smallest - 1)[0] == SearchResult(proved.value, False)
 
 
 def test_grid4_bandwidth_proved_within_600_nodes():
