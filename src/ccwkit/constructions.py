@@ -513,30 +513,23 @@ def example3_i(n: int, k: int) -> Factorization:
         raise InvalidSize("example3_i requires n, k >= 1")
     total = n * k
     _check_vertex_count("example3_i", total)
-    h = (n + 1) // 2
-
-    def block(i: int) -> range:
-        return range(i * n, (i + 1) * n)
-
-    edges = []
+    # built from block and head masks, as `_apex_grid_factors` builds its
+    # factors, so the peak is the masks the graphs keep, not a list of about
+    # n^2 k / 2 edge tuples (20.9 MB at n = 800, k = 1)
+    blocks = [((1 << n) - 1) << (i * n) for i in range(k)] + [0]
+    heads = [((1 << (n + 1) // 2) - 1) << (i * n) for i in range(k)] + [0]
+    masks, masks1 = [], []
     for i in range(k):
-        vs = list(block(i))
-        edges.extend((vs[a], vs[b]) for a in range(n) for b in range(a + 1, n))
-        if i + 1 < k:
-            nxt = list(block(i + 1))
-            edges.extend((vs[a], nxt[b]) for a in range(h) for b in range(h))
-    base = Graph.from_edges(total, edges)
-
-    masks1 = list(base._adj)
-    for i in range(k - 1):
-        for u in block(i):
-            for v in block(i + 1):
-                masks1[u] |= 1 << v
-                masks1[v] |= 1 << u
+        # blocks[-1] and heads[-1] are 0, so block 0 has no earlier neighbour
+        for v in range(i * n, (i + 1) * n):
+            bit = 1 << v
+            joined = (heads[i - 1] | heads[i + 1]) if bit & heads[i] else 0
+            masks.append((blocks[i] ^ bit) | joined)
+            masks1.append((blocks[i - 1] | blocks[i] | blocks[i + 1]) ^ bit)
+    base = Graph.from_masks(masks)
     g1 = Graph.from_masks(masks1, base.labels)
-    g2 = base
-    cover = OrderedCliqueCover(tuple(frozenset(block(i)) for i in range(k)))
-    return _make_factorization(base, [g1, g2], [cover])
+    cover = OrderedCliqueCover(tuple(frozenset(range(i * n, (i + 1) * n)) for i in range(k)))
+    return _make_factorization(base, [g1, base], [cover])
 
 
 def _blow_up(g: Graph, b: int) -> Graph:

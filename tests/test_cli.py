@@ -80,6 +80,16 @@ class TestCcw:
         assert run(["ccw", str(g), "--exact", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["width"] == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--greedy"], ["--bandwidth"]])
+    def test_negative_budget_exits_2(self, tmp_path, capsys, extra):
+        g = tmp_path / "g.json"
+        run(["construct", "grid", "--n", "3", "--out", str(g)])
+        out = tmp_path / "r.json"
+        assert run(["ccw", str(g), "--budget", "-1", *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --budget must be >= 0\n"
+        assert not out.exists()
+        assert run(["ccw", str(g), "--budget", "0", *extra, "--out", str(out)]) == 0
+
     def test_k5_zero(self, tmp_path):
         g = tmp_path / "k5.json"
         g.write_text(json.dumps({

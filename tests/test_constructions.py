@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +32,7 @@ from ccwkit.errors import (
     BadRemovedEdge,
     UnequalApexSizes,
 )
+from ccwkit.cli import main
 
 
 def complete(n, labels=None):
@@ -215,6 +218,34 @@ class TestExample3i:
             f = example3_i(n, k)
             assert all(ok for _, ok, _ in verify_factorization(f))
             assert f.widths[0] <= 1
+
+    # sha256 over the files `construct example3i` and `factorize example3i`
+    # wrote for n = 1..12, k = 1..4 (n outer, k inner), taken when the graph
+    # was still built from a list of edge tuples
+    CLI_DIGESTS = {
+        "construct": "dbae1d22f54fe960d4b3d2dce9aaa6ea422707ab936972fc91e1d78f59f36aa7",
+        "factorize": "d21b41fa90ff0ec292f79069cfb7040a87648c2e87709416f95af579d5c2e7a6",
+    }
+
+    @pytest.mark.parametrize("cmd", CLI_DIGESTS)
+    def test_cli_bytes_unchanged(self, tmp_path, cmd):
+        digest = hashlib.sha256()
+        for n, k in itertools.product(range(1, 13), range(1, 5)):
+            out = tmp_path / f"{n}-{k}.json"
+            assert main([cmd, "example3i", "--n", str(n), "--k", str(k), "--out", str(out)]) == 0
+            digest.update(out.read_bytes())
+        assert digest.hexdigest() == self.CLI_DIGESTS[cmd]
+
+    def test_memory_is_the_masks(self):
+        # the edge-tuple build peaked at 20.9 MB here; the masks peak at 0.57 MB
+        tracemalloc.start()
+        try:
+            f = example3_i(800, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.base.num_edges() == 800 * 799 // 2
+        assert peak < 2_000_000
 
 
 class TestExample3ii:
