@@ -71,16 +71,27 @@ def _write(text: str, out: str | None) -> None:
     included, is a path, and every output file goes through here.
 
     An existing file is overwritten in place: opened without O_TRUNC,
-    written, then cut to the new length only if it was longer, so it keeps
+    written, then cut to the new length if it was longer (the fstat check
+    keeps /dev/null and pipes, which cannot be cut, writable), so it keeps
     its inode and mode, as with `Path.write_text`.  Truncating a file to 0
     bytes and writing it again makes ext4 (with its default `auto_da_alloc`)
-    force the file's writeback at close().  On a 2-vCPU Xeon VM with an ext4
-    root (medians of 300 rewrites, two runs), one rewrite took 110-140 us
-    truncated against 6-7 us in place for a 130-byte `ccw` result, and
-    210-290 against 12-13 us for a 121 KB envelope; a temporary file renamed
-    over it (96 and 244 us) is no better, since ext4 forces writeback on a
-    rename over a file too.  A write that fails part way leaves the file
-    empty, never one run's bytes after another's.
+    force the file's writeback at close(), its guard against a file left
+    empty by a crash.  Writing in place gives that writeback up, and the
+    writeback is the whole saving, so it shows only when the file already
+    exists (a re-run or a `replay` into the same paths).  On a 2-vCPU Xeon
+    VM with an ext4 root (medians of 300 writes, two runs), a rewrite took
+    90-140 us truncated against 6-7 us in place for a 130-byte `ccw` result,
+    and 180-290 against 10-13 us for a 121 KB envelope.  A new file is not
+    written back either way: the 130-byte result took 25 us with
+    `write_text` against 16 us here, the cost of the text layer.  A
+    temporary file renamed over the old one (96 and 244 us) is no better,
+    since ext4 forces writeback on a rename over a file too.
+
+    An exception raised while writing (an OSError such as ENOSPC, or
+    KeyboardInterrupt) cuts the file to 0 bytes before it propagates.  Until
+    the write ends, though, the file holds the new bytes followed by the old
+    tail, so a concurrent reader, a kill by a signal Python cannot catch, or
+    a crash can see or leave one run's bytes after another's.
     """
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -89,6 +100,9 @@ def _write(text: str, out: str | None) -> None:
     # Path("") is ".", so `--out ""` names the current directory and exits 2
     fd = os.open(Path(out), os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        # os.write, not a buffered file object: after a failed flush a
+        # BufferedWriter keeps its bytes and writes them again at close(),
+        # after the cut to 0 below
         done = 0
         while done < len(data):
             done += os.write(fd, data[done:])

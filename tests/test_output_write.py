@@ -1,6 +1,6 @@
 """How the CLI writes its output files: an existing file is overwritten in
 place (no O_TRUNC), cut to the new length only if it was longer, and keeps
-its inode and mode; a write that fails part way leaves it empty.  Every
+its inode and mode; a write that raises part way leaves it empty.  Every
 output path of every command goes through the one writer, `cli._write`."""
 
 import errno
