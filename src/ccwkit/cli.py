@@ -159,44 +159,35 @@ def _write_manifest(path: str | None, argv: list[str], seed: int) -> None:
         _dump({"command": "ccwkit", "argv": argv, "seed": seed}, path)
 
 
-def _clique_sum(args: argparse.Namespace) -> Factorization:
-    spec = CliqueSumSpec(
-        parts=tuple(_parse_parts(args.parts)),
-        removed_edges=tuple(_parse_apex_edges(args.removed_edges)),
-    )
-    return factorize_clique_sum(spec)
+def _clique_sum(args: argparse.Namespace) -> tuple[Factorization, int, int]:
+    parts = tuple(_parse_parts(args.parts))
+    spec = CliqueSumSpec(parts, tuple(_parse_apex_edges(args.removed_edges)))
+    # meta n is the parts' total side, meta k their shared apex count
+    return factorize_clique_sum(spec), sum(n for _, n in parts), parts[0][0]
 
 
-def _clique_sum_n_k(args: argparse.Namespace) -> tuple[int, int]:
-    parts = _parse_parts(args.parts)
-    return sum(n for _, n in parts), parts[0][0]
-
-
-# family -> (make graph, make factorization, make meta (n, k)).  Without the
+# family -> (make graph, make (factorization, meta n, meta k)).  Without the
 # first, `construct` writes the factorization's base; without the second,
-# `factorize` does not offer the family; without the third, meta is --n, --k.
+# `factorize` does not offer the family.
 _FAMILIES = {
-    "grid": (lambda a: grid(a.n), None, None),
+    "grid": (lambda a: grid(a.n), None),
     "apex-grid": (
         lambda a: apex_grid(a.k, a.n, _parse_apex_edges(a.apex_edges)),
-        lambda a: factorize_apex_grid(a.k, a.n, _parse_apex_edges(a.apex_edges)),
-        None,
+        lambda a: (factorize_apex_grid(a.k, a.n, _parse_apex_edges(a.apex_edges)), a.n, a.k),
     ),
-    "clique-sum": (None, _clique_sum, _clique_sum_n_k),
-    "example3i": (None, lambda a: example3_i(a.n, a.k), None),
-    "example3ii": (None, lambda a: example3_ii(a.n, a.k), None),
+    "clique-sum": (None, _clique_sum),
+    "example3i": (None, lambda a: (example3_i(a.n, a.k), a.n, a.k)),
+    "example3ii": (None, lambda a: (example3_ii(a.n, a.k), a.n, a.k)),
 }
 
 
 def _build_graph(args: argparse.Namespace) -> Graph:
-    graph, factorization, _ = _FAMILIES[args.family]
-    return graph(args) if graph else factorization(args).base
+    graph, factorization = _FAMILIES[args.family]
+    return graph(args) if graph else factorization(args)[0].base
 
 
 def _build_factorization(args: argparse.Namespace) -> tuple[Factorization, dict]:
-    _, factorization, meta = _FAMILIES[args.family]
-    f = factorization(args)
-    n, k = meta(args) if meta else (args.n, args.k)
+    f, n, k = _FAMILIES[args.family][1](args)
     return f, {"family": args.family, "n": n, "k": k}
 
 
@@ -346,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("factorize", help="write a verified factorization envelope")
-    p.add_argument("family", choices=[name for name, (_, fz, _) in _FAMILIES.items() if fz])
+    p.add_argument("family", choices=[name for name, (_, fz) in _FAMILIES.items() if fz])
     _add_family_args(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_factorize)

@@ -202,12 +202,12 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
             x, y, bx, by = report.witness
             detail += f": edge ({x},{y}) spans blocks {bx} and {by}"
         checks.append((f"cover_width[{i + 1}]", ok, detail))
-    if f.widths:
-        top = max(f.widths)
-        detail = "lstar must equal max width"
-        if f.lstar != top:
-            detail = f"declared lstar {f.lstar}, max width {top}"
-        checks.append(("lstar", f.lstar == top, detail))
+    # no covers, no widths: lstar is then 0, as `_make_factorization` writes it
+    top = max(f.widths, default=0)
+    detail = "lstar must equal max width"
+    if f.lstar != top:
+        detail = f"declared lstar {f.lstar}, max width {top}"
+    checks.append(("lstar", f.lstar == top, detail))
     return checks
 
 
@@ -234,7 +234,7 @@ def _make_factorization(
         chordal_cert=cert,
         covers=tuple(covers),
         widths=widths,
-        lstar=max(widths) if widths else 0,
+        lstar=max(widths, default=0),
     )
     check_factorization(f)
     return f
@@ -315,12 +315,27 @@ def apex_grid(
 # -- the two-factor apex-grid factorization ----------------------------------
 
 
+def _joined(masks: Sequence[int], cliques: Iterable[Sequence[int]]) -> list[int]:
+    """A copy of `masks` with each clique, given by its vertex ids (a range
+    or a list: it is walked twice), made complete; no vertex gains its own
+    bit.  Every constructed factor is its base joined with cliques here, so
+    a construction's peak is the masks its graphs keep, not a list of edge
+    tuples (about n^2 k / 2 of them, 20.9 MB, for `example3_i` at n = 800,
+    k = 1)."""
+    joined = list(masks)
+    for clique in cliques:
+        m = mask_of(clique)
+        for v in clique:
+            joined[v] |= m ^ (1 << v)
+    return joined
+
+
 def _apex_grid_factors(
     k: int,
     sizes: Sequence[int],
     apex_edges: set[tuple[int, int]] | None,
     part: int = 0,
-) -> tuple[Graph, Graph, Graph, OrderedCliqueCover]:
+) -> tuple[Graph, list[Graph], list[OrderedCliqueCover]]:
     """One n x n grid per entry n of `sizes`, all joined to one set of k
     apexes with the given apex-apex edges (for one size, the apex grid
     `apex_grid(k, n, apex_edges, part)`; for more, their clique sum at the
@@ -329,13 +344,14 @@ def _apex_grid_factors(
 
     Vertices are part 0's cells row-major, then the apexes, then each later
     part's cells; labels are GridCell(part + i, r, c) and Apex(part, j).
-    Factor 1: cells of one part adjacent iff their rows differ by at most one
-    (every two consecutive rows become one clique), apex set complete and
-    joined to all cells. Factor 2: each grid with every column completed to a
-    clique, apexes joined to all cells, apex-apex edges exactly those of the
-    base. Its cover is part 0's columns in order with the apex singletons
-    spliced in the middle; each later part's columns are then interleaved
-    one-for-one after the running cover's blocks, in their own order.
+    Each factor is the base plus cliques (`_joined`).  Factor 1: rows r and
+    r + 1 of one part plus the apex set, for each r (a one-row part: its row
+    plus the apexes), so cells of one part are adjacent iff their rows differ
+    by at most one and the apex set is complete.  Factor 2: the columns of
+    every part, so its apex-apex edges are exactly the base's.  Its cover is
+    part 0's columns in order with the apex singletons spliced in the
+    middle; each later part's columns are then interleaved one-for-one after
+    the running cover's blocks, in their own order.
     """
     if k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
@@ -346,50 +362,38 @@ def _apex_grid_factors(
         starts.append(total)
         total += n * n
     _check_vertex_count("apex_grid", total)
-    apexes = ((1 << k) - 1) << first
-    everything = (1 << total) - 1
-    base, masks1, masks2 = [0] * total, [0] * total, [0] * total
+    apex_ids = range(first, first + k)
+    apexes = mask_of(apex_ids)
+    base = [0] * total
     labels: list[VertexLabel | None] = [None] * total
-
+    bands: list[list[int]] = []
+    columns: list[range] = []
     cover: list[frozenset[int]] = []
     for i, (n, s) in enumerate(zip(sizes, starts)):
-        col0 = sum(1 << (s + r * n) for r in range(n))
-        rows = [((1 << n) - 1) << (s + r * n) for r in range(n)]
         for r in range(n):
-            band = rows[max(r - 1, 0)] | rows[r] | rows[min(r + 1, n - 1)]
             for c in range(n):
                 v = s + r * n + c
                 bit = 1 << v
-                beside = (bit >> 1 if c > 0 else 0) | (bit << 1 if c + 1 < n else 0)
-                grid_nbrs = beside | (bit >> n if r > 0 else 0) | (bit << n if r + 1 < n else 0)
-                base[v] = grid_nbrs | apexes
-                masks1[v] = (band ^ bit) | apexes
-                masks2[v] = ((col0 << c) ^ bit) | beside | apexes
+                near = (bit >> 1 if c > 0 else 0) | (bit << 1 if c + 1 < n else 0) | apexes
+                base[v] = near | (bit >> n if r > 0 else 0) | (bit << n if r + 1 < n else 0)
                 labels[v] = GridCell(part + i, r + 1, c + 1)
-        columns = [frozenset(range(s + c, s + n * n, n)) for c in range(n)]
+        rows = range(max(n - 1, 1))
+        bands += [[*range(s + r * n, s + min(r + 2, n) * n), *apex_ids] for r in rows]
+        cols = [range(s + c, s + n * n, n) for c in range(n)]
+        columns += cols
+        blocks = [frozenset(col) for col in cols]
         if i == 0:
             mid = (n + 1) // 2
-            apex_blocks = [frozenset({first + j}) for j in range(k)]
-            cover = columns[:mid] + apex_blocks + columns[mid:]
+            cover = blocks[:mid] + [frozenset({j}) for j in apex_ids] + blocks[mid:]
         else:
-            cover = [b for pair in zip_longest(cover, columns) for b in pair if b is not None]
-
-    for j in range(first, first + k):
-        base[j] = everything ^ apexes
-        masks1[j] = everything ^ (1 << j)
-        labels[j] = Apex(part, j - first + 1)
-    for a, b in apex_edges:
-        base[first + a - 1] |= 1 << (first + b - 1)
-        base[first + b - 1] |= 1 << (first + a - 1)
-    masks2[first : first + k] = base[first : first + k]
+            cover = [b for pair in zip_longest(cover, blocks) for b in pair if b is not None]
+    base[first : first + k] = [((1 << total) - 1) ^ apexes] * k
+    labels[first : first + k] = [Apex(part, j) for j in range(1, k + 1)]
+    base = _joined(base, ([first + a - 1, first + b - 1] for a, b in apex_edges))
     g = Graph.from_masks(base, labels)
     # from_masks keeps a tuple as it is, so the factors share the base's labels
-    return (
-        g,
-        Graph.from_masks(masks1, g.labels),
-        Graph.from_masks(masks2, g.labels),
-        OrderedCliqueCover(tuple(cover)),
-    )
+    factors = [Graph.from_masks(_joined(base, cliques), g.labels) for cliques in (bands, columns)]
+    return g, factors, [OrderedCliqueCover(tuple(cover))]
 
 
 def factorize_apex_grid(
@@ -399,8 +403,7 @@ def factorize_apex_grid(
     column-clique factor whose cover width is at most ceil(n/2) + k."""
     if n < 2:
         raise InvalidSize("factorize_apex_grid requires n >= 2")
-    base, g1, g2, cover = _apex_grid_factors(k, [n], apex_edges, part)
-    f = _make_factorization(base, [g1, g2], [cover])
+    f = _make_factorization(*_apex_grid_factors(k, [n], apex_edges, part))
     bound = (n + 1) // 2 + k
     if f.widths[0] > bound:
         raise InvalidFactorization(
@@ -494,8 +497,7 @@ def factorize_clique_sum(spec: CliqueSumSpec) -> Factorization:
         raise InvalidSize("each part requires n >= 2")
     # factor 1 keeps the apex set complete; the removed edges leave the base
     # and factor 2, whose apex-apex edges are the base's
-    base, g1, g2, cover = _apex_grid_factors(k, sizes, complete_apex_edges(k) - removed)
-    f = _make_factorization(base, [g1, g2], [cover])
+    f = _make_factorization(*_apex_grid_factors(k, sizes, complete_apex_edges(k) - removed))
     bound = sum(n + k for _, n in spec.parts)
     if f.widths[0] > bound:
         raise InvalidFactorization(f"merged width {f.widths[0]} exceeds bound {bound}")
@@ -507,59 +509,46 @@ def factorize_clique_sum(spec: CliqueSumSpec) -> Factorization:
 
 def example3_i(n: int, k: int) -> Factorization:
     """Chain of k n-cliques with consecutive blocks joined on a fixed
-    ceil(n/2)-subset; factor 2 is the graph itself with the width-1 block
-    cover, factor 1 completes consecutive blocks into an interval-like graph."""
+    ceil(n/2)-subset, their heads: the base is the k block cliques plus
+    head_i + head_{i+1} as one clique for each i.  Factor 2 is the base
+    itself with the width-1 block cover; factor 1 is the base plus
+    block_i + block_{i+1} as one clique for each i (for k = 1, the one
+    block), an interval-like graph."""
     if n < 1 or k < 1:
         raise InvalidSize("example3_i requires n, k >= 1")
     total = n * k
     _check_vertex_count("example3_i", total)
-    # built from block and head masks, as `_apex_grid_factors` builds its
-    # factors, so the peak is the masks the graphs keep, not a list of about
-    # n^2 k / 2 edge tuples (20.9 MB at n = 800, k = 1)
-    blocks = [((1 << n) - 1) << (i * n) for i in range(k)] + [0]
-    heads = [((1 << (n + 1) // 2) - 1) << (i * n) for i in range(k)] + [0]
-    masks, masks1 = [], []
-    for i in range(k):
-        # blocks[-1] and heads[-1] are 0, so block 0 has no earlier neighbour
-        for v in range(i * n, (i + 1) * n):
-            bit = 1 << v
-            joined = (heads[i - 1] | heads[i + 1]) if bit & heads[i] else 0
-            masks.append((blocks[i] ^ bit) | joined)
-            masks1.append((blocks[i - 1] | blocks[i] | blocks[i + 1]) ^ bit)
-    base = Graph.from_masks(masks)
-    g1 = Graph.from_masks(masks1, base.labels)
-    cover = OrderedCliqueCover(tuple(frozenset(range(i * n, (i + 1) * n)) for i in range(k)))
-    return _make_factorization(base, [g1, base], [cover])
+    blocks = [range(i * n, (i + 1) * n) for i in range(k)]
+    heads = [block[: (n + 1) // 2] for block in blocks]
+    base = _joined([0] * total, blocks + [[*heads[i], *heads[i + 1]] for i in range(k - 1)])
+    g = Graph.from_masks(base)
+    pairs = [range(i * n, min(i + 2, k) * n) for i in range(max(k - 1, 1))]
+    g1 = Graph.from_masks(_joined(base, pairs), g.labels)
+    cover = OrderedCliqueCover(tuple(frozenset(block) for block in blocks))
+    return _make_factorization(g, [g1, g], [cover])
 
 
 def _blow_up(g: Graph, b: int) -> Graph:
-    """g with each vertex v replaced by the clique v*b .. v*b + b - 1 and each
-    edge by a complete join between two such cliques; labels are Plain."""
-    clique = (1 << b) - 1
-    masks = []
-    for v in range(g.n):
-        m = clique << (v * b)
-        for u in g.neighbors(v):
-            m |= clique << (u * b)
-        masks.extend(m ^ (1 << x) for x in range(v * b, v * b + b))
-    return Graph.from_masks(masks)
+    """g with each vertex v replaced by the clique B_v = v*b .. v*b + b - 1
+    and each edge uv by the clique B_u + B_v; labels are Plain."""
+    blocks = [range(v * b, v * b + b) for v in range(g.n)]
+    joins = ([*blocks[u], *blocks[v]] for u, v in g.edges())
+    return Graph.from_masks(_joined([0] * (g.n * b), chain(blocks, joins)))
 
 
 def example3_ii(n: int, k: int) -> Factorization:
-    """Grid blow-up: the apex-free grid factorization (`_apex_grid_factors`
-    with no apexes) through `_blow_up`, so every cell becomes a k-clique and
-    every edge a complete join. Factors are the consecutive-row-band graph and the
-    column-clique graph over the blown-up vertices, the latter with a width-1
-    column cover."""
+    """Grid blow-up: the base and each factor of the apex-free grid
+    factorization (`_apex_grid_factors` with no apexes) through `_blow_up`,
+    so every cell becomes a k-clique and every edge a complete join: the
+    consecutive-row-band graph and the column-clique graph over the
+    blown-up vertices, the latter with a width-1 column cover."""
     if n < 1 or k < 1:
         raise InvalidSize("example3_ii requires n, k >= 1")
     _check_vertex_count("example3_ii", n * n * k)
-    base, g1, g2, cover = _apex_grid_factors(0, [n], None)
+    base, factors, covers = _apex_grid_factors(0, [n], None)
     columns = tuple(
-        frozenset(v * k + x for v in blk for x in range(k)) for blk in cover.cliques
+        frozenset(v * k + x for v in blk for x in range(k)) for blk in covers[0].cliques
     )
     return _make_factorization(
-        _blow_up(base, k),
-        [_blow_up(g1, k), _blow_up(g2, k)],
-        [OrderedCliqueCover(columns)],
+        _blow_up(base, k), [_blow_up(g, k) for g in factors], [OrderedCliqueCover(columns)]
     )

@@ -8,7 +8,7 @@ import math
 from itertools import combinations, permutations
 
 from ccwkit.cliquecover import OrderedCliqueCover, SearchResult, _layout, ccw_upper_greedy
-from ccwkit.graph import Graph, bits
+from ccwkit.graph import Apex, Graph, GridCell, bits
 
 
 def all_clique_partitions(g: Graph):
@@ -236,6 +236,56 @@ def blown_up_grid(n: int, b: int):
         if c == d or (r == s and abs(c - d) == 1):
             g2.append((x, y))
     return tuple(Graph.from_edges(n * n * b, edges) for edges in (base, g1, g2))
+
+
+def apex_grid_factors(k: int, sizes, apex_edges, part: int = 0):
+    """The two factors of `_apex_grid_factors(k, sizes, apex_edges, part)`
+    and factor 2's cover, by its docstring, one vertex pair at a time.
+
+    Vertices are part 0's cells row-major, then apexes 1..k, then each later
+    part's cells.  Factor 1: two cells of one part adjacent iff their rows
+    differ by at most one, every apex adjacent to every other vertex.
+    Factor 2: two cells of one part adjacent iff they share a column or are
+    neighbours in a row, every apex adjacent to every cell, two apexes iff
+    they form one of `apex_edges`.  The cover (as vertex lists) is part 0's
+    columns with the apex singletons after the first ceil(n/2) of them, then
+    each later part's columns interleaved one-for-one after the running
+    cover's blocks."""
+    cells = [(i, r, c) for i, n in enumerate(sizes)
+             for r in range(1, n + 1) for c in range(1, n + 1)]
+    head = sizes[0] ** 2
+    where = cells[:head] + [("apex", j) for j in range(1, k + 1)] + cells[head:]
+    labels = [Apex(part, x[1]) if x[0] == "apex" else GridCell(part + x[0], x[1], x[2])
+              for x in where]
+    joined = {frozenset(e) for e in apex_edges}
+    g1, g2 = [], []
+    for x, y in combinations(range(len(where)), 2):
+        a, b = where[x], where[y]
+        if a[0] == "apex" or b[0] == "apex":
+            g1.append((x, y))
+            if a[0] != b[0] or frozenset((a[1], b[1])) in joined:
+                g2.append((x, y))
+        elif a[0] == b[0]:
+            (_, r, c), (_, s, d) = a, b
+            if abs(r - s) <= 1:
+                g1.append((x, y))
+            if c == d or (r == s and abs(c - d) == 1):
+                g2.append((x, y))
+    cover = []
+    for i, n in enumerate(sizes):
+        columns = [[x for x, w in enumerate(where) if w[0] == i and w[2] == c]
+                   for c in range(1, n + 1)]
+        if i == 0:
+            mid = (n + 1) // 2
+            apexes = [[x] for x, w in enumerate(where) if w[0] == "apex"]
+            cover = columns[:mid] + apexes + columns[mid:]
+        else:
+            merged = []
+            for j in range(max(len(cover), len(columns))):
+                merged += cover[j : j + 1] + columns[j : j + 1]
+            cover = merged
+    n = len(where)
+    return Graph.from_edges(n, g1, labels), Graph.from_edges(n, g2, labels), cover
 
 
 def brute_intersection_witness(factors, base: Graph):

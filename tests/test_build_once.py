@@ -85,8 +85,8 @@ def test_non_chordal_factor_one_is_rejected(monkeypatch, build):
 
     def base_as_factor_one(*args):
         # the base holds the grid's 4-cycles, and base ∩ factor 2 is still the base
-        base, _, g2, cover = real(*args)
-        return base, base, g2, cover
+        base, (_, g2), covers = real(*args)
+        return base, [base, g2], covers
 
     monkeypatch.setattr(ccwkit.constructions, "_apex_grid_factors", base_as_factor_one)
     with pytest.raises(InvalidFactorization, match="^chordal_certificate: "):

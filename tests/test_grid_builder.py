@@ -28,7 +28,7 @@ from ccwkit.cli import _dump, main
 from ccwkit.errors import InvalidApexEdge, InvalidSize, UnequalApexSizes
 from ccwkit.graph import label_to_json
 
-from oracles import blown_up_grid
+from oracles import apex_grid_factors, blown_up_grid
 
 
 def apex_pairs(k):
@@ -77,6 +77,24 @@ class TestAgainstDefinitions:
                 [[] for _ in junctions[1:]] + [dropped],
             )
         assert f.base == expected
+
+    @settings(deadline=None)  # the example count comes from the active profile
+    @given(st.data())
+    def test_factors_and_cover(self, data):
+        k = data.draw(st.integers(0, 3))
+        # a clique sum needs k >= 1, so with k = 0 there is one part
+        sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4 if k else 1))
+        edges = {tuple(sorted(e)) for e in data.draw(apex_edge_sets(k))}
+        part = 0
+        if len(sizes) == 1 and (k == 0 or data.draw(st.booleans())):
+            part = data.draw(st.integers(0, 3))
+            f = factorize_apex_grid(k, sizes[0], edges, part)
+        else:
+            removed = tuple(sorted(complete_apex_edges(k) - edges))
+            f = factorize_clique_sum(CliqueSumSpec(tuple((k, n) for n in sizes), removed))
+        g1, g2, cover = apex_grid_factors(k, sizes, edges, part)
+        assert f.factors == (g1, g2)
+        assert f.covers[0].to_json() == cover
 
     @pytest.mark.parametrize("n, b", [(n, b) for n in range(1, 5) for b in range(1, 4)])
     def test_example3_ii(self, n, b):

@@ -231,3 +231,38 @@ def test_vertex_set_witness_in_the_library():
         "factor 1 labels vertex 0 Apex(part=0, index=1), the base GridCell(part=0, row=1, col=1)"
     )
     assert detail_of(f, "vertex_sets") == "factors share the base vertex set"
+
+
+def one_factor_envelope(tmp_path, lstar):
+    """An envelope whose only factor is its base, a chordal path: no covers,
+    no widths, and the given lstar."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    f = Factorization(base=g, factors=(g,), chordal_cert=ChordalCertificate(peo=(0, 1, 2)),
+                      covers=(), widths=(), lstar=lstar)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(f.to_json()))
+    return path
+
+
+@pytest.mark.parametrize(
+    "lstar, code, last",
+    [(99, 1, "FAIL lstar: declared lstar 99, max width 0"),
+     (0, 0, "PASS lstar: lstar must equal max width")],
+    ids=["false", "zero"],
+)
+def test_lstar_of_an_envelope_without_covers(tmp_path, capsys, lstar, code, last):
+    assert main(["verify", str(one_factor_envelope(tmp_path, lstar))]) == code
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS vertex_sets: factors share the base vertex set",
+        "PASS intersection: intersection of factors edge-equals base",
+        "PASS chordal_certificate: factor 1 PEO verifies",
+        last,
+    ]
+
+
+def test_separate_refuses_a_false_lstar_without_covers(tmp_path, capsys):
+    src = one_factor_envelope(tmp_path, 99)
+    out, rows = tmp_path / "sep.json", tmp_path / "rows.csv"
+    assert main(["separate", str(src), "--out", str(out), "--csv", str(rows)]) == 1
+    assert capsys.readouterr().err == "error: lstar: declared lstar 99, max width 0\n"
+    assert not out.exists() and not rows.exists()
