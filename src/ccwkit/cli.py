@@ -17,7 +17,6 @@ import gc
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import (
     CliqueSumSpec,
@@ -73,17 +72,17 @@ def _write(text: str, out: str | None) -> None:
     An existing file is overwritten in place: opened without O_TRUNC,
     written, then cut to the new length if it was longer (the fstat check
     keeps /dev/null and pipes, which cannot be cut, writable), so it keeps
-    its inode and mode, as with `Path.write_text`.  Truncating a file to 0
-    bytes and writing it again makes ext4 (with its default `auto_da_alloc`)
-    force the file's writeback at close(), its guard against a file left
-    empty by a crash.  Writing in place gives that writeback up, and the
+    its inode and mode, as with a shell's `>`.  Truncating a file to 0 bytes
+    and writing it again makes ext4 (with its default `auto_da_alloc`) force
+    the file's writeback at close(), its guard against a file left empty by
+    a crash.  Writing in place gives that writeback up, and the
     writeback is the whole saving, so it shows only when the file already
     exists (a re-run or a `replay` into the same paths).  On a 2-vCPU Xeon
     VM with an ext4 root (medians of 300 writes, two runs), a rewrite took
     90-140 us truncated against 6-7 us in place for a 130-byte `ccw` result,
     and 180-290 against 10-13 us for a 121 KB envelope.  A new file is not
     written back either way: the 130-byte result took 25 us with
-    `write_text` against 16 us here, the cost of the text layer.  A
+    `Path.write_text` against 16 us here, the cost of the text layer.  A
     temporary file renamed over the old one (96 and 244 us) is no better,
     since ext4 forces writeback on a rename over a file too.
 
@@ -97,8 +96,10 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     data = text.encode()
-    # Path("") is ".", so `--out ""` names the current directory and exits 2
-    fd = os.open(Path(out), os.O_WRONLY | os.O_CREAT, 0o666)
+    # the path is opened as given, as a shell's `>` would: "x.json/" names a
+    # directory and exits 2.  pathlib would drop the slash, and Path(out)
+    # alone costs about 40 us.  `--out ""` opens ".", so it exits 2 too
+    fd = os.open(out or ".", os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         # os.write, not a buffered file object: after a failed flush a
         # BufferedWriter keeps its bytes and writes them again at close(),
@@ -122,10 +123,17 @@ def _dump(obj: dict, out: str | None) -> None:
 
 
 def _read_json(path: str):
+    # One binary read, decoded as UTF-8 whatever the locale: read and
+    # decoded, a 239-byte graph file takes about 90 us against 140 us with
+    # Path.read_text.  A missing file or a directory raises its OSError
+    # here, naming the path.  json.loads gets text, not bytes, which it
+    # would sniff for an encoding and so accept BOM and UTF-16 files.
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
     # past sys.get_int_max_str_digits(); RecursionError, nesting too deep
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(data.decode())
     except (ValueError, RecursionError) as exc:
         raise CcwKitError(f"{path} is not valid JSON: {exc}") from None
 
@@ -267,10 +275,9 @@ def cmd_separate(args: argparse.Namespace) -> int:
     else:
         mu = Measure.uniform(f.base.n)
     result = separate(f, mu)
-    new = args.csv and not Path(args.csv).exists()
     # the CSV is opened before --out is written, so one that cannot be
     # opened leaves no --out file behind
-    with Path(args.csv).open("a", newline="") if args.csv else contextlib.nullcontext() as fh:
+    with open(args.csv, "a", newline="") if args.csv else contextlib.nullcontext() as fh:
         _dump(result.to_json(), args.out)
         if fh is None:
             return 0
@@ -287,7 +294,9 @@ def cmd_separate(args: argparse.Namespace) -> int:
             "mu_b": result.mu_b,
         }
         writer = csv.DictWriter(fh, fieldnames=list(row))
-        if new:
+        # an empty file, new or not, gets the header; a pipe such as
+        # /dev/stdout cannot tell() and gets rows only
+        if fh.seekable() and fh.tell() == 0:
             writer.writeheader()
         writer.writerow(row)
     return 0
@@ -380,6 +389,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # no path can hold a NUL, and open() would raise ValueError on one
+        for arg in argv:
+            if "\0" in arg:
+                raise CcwKitError(f"argument {arg!r} contains a NUL byte")
         _write_manifest(args.manifest, argv, args.seed)
         return args.func(args)
     except (CcwKitError, OSError) as exc:

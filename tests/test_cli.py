@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 
 import pytest
 
@@ -126,6 +127,33 @@ class TestSeparateAudit:
         lines = csvf.read_text().strip().splitlines()
         assert lines[0] == "family,n,k,N,lstar,sep_size,sep_cliques,bound,mu_a,mu_b"
         assert lines[1].startswith("apex-grid,8,1,65,")
+
+    @pytest.mark.parametrize("existing", ["", "family,n\n"], ids=["empty", "non-empty"])
+    def test_csv_header_only_into_an_empty_file(self, tmp_path, existing):
+        # an existing empty file gets the header as a new one does; a file
+        # that holds anything gets the row only
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)])
+        csvf = tmp_path / "rows.csv"
+        csvf.write_text(existing)
+        assert run(["separate", str(f), "--out", str(tmp_path / "sep.json"),
+                    "--csv", str(csvf)]) == 0
+        lines = csvf.read_text().splitlines()
+        header = "family,n,k,N,lstar,sep_size,sep_cliques,bound,mu_a,mu_b"
+        assert lines[:-1] == (existing.splitlines() or [header])
+        assert lines[-1].startswith("apex-grid,3,1,")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_csv_into_a_pipe_gets_rows_only(self, tmp_path):
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)])
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader, os.fdopen(w, "wb") as writer:
+            assert run(["separate", str(f), "--out", str(tmp_path / "sep.json"),
+                        "--csv", f"/dev/fd/{w}"]) == 0
+            writer.close()
+            lines = reader.read().decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("apex-grid,3,1,")
 
     def test_unwritable_csv_writes_nothing(self, tmp_path, capsys):
         f = tmp_path / "f.json"

@@ -82,6 +82,18 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "error: [Errno 21] Is a directory: '.'\n"
 
+    def test_trailing_slash_exits_2(self, tmp_path, files, capsys):
+        # the path is opened as given, as a shell redirect would: a trailing
+        # slash names a directory, so no x.json is written
+        g, _ = files
+        out = f"{tmp_path / 'x.json'}/"
+        capsys.readouterr()
+        assert main(["ccw", str(g), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: {out!r}\n"
+        assert not (tmp_path / "x.json").exists()
+
     def test_failed_write_leaves_the_file_empty(self, tmp_path, files, capsys, monkeypatch):
         g, _ = files
         out = tmp_path / "r.json"
