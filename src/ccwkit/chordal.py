@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidPEO, NotChordal
-from .graph import Graph, _bfs_layers, bits, is_clique, mask_of
+from .graph import Graph, _bfs_layers, bits, mask_of
 from .measure import Measure
 
 
@@ -242,50 +242,6 @@ def clique_tree(g: Graph, peo: Sequence[int]) -> CliqueTree:
         tuple(frozenset(bits(m)) for m in bags),
         tuple((u, i) for i, u in enumerate(up) if u >= 0),
     )
-
-
-def verify_clique_tree(g: Graph, tree: CliqueTree) -> bool:
-    """All three clique-tree invariants, re-derived from the graph."""
-    masks = [mask_of(b) for b in tree.bags]
-    all_mask = 0
-    for m in masks:
-        all_mask |= m
-    if all_mask != g.vertex_mask():
-        return False
-    for b in tree.bags:
-        if not is_clique(g, b):
-            return False
-        # maximality: no vertex adjacent to the whole bag
-        bm = mask_of(b)
-        common = g.vertex_mask() & ~bm
-        for v in b:
-            common &= g.adj_mask(v)
-        if common:
-            return False
-    for u, v in g.edges():
-        if not any((m >> u & 1) and (m >> v & 1) for m in masks):
-            return False
-    # running intersection: bags containing any vertex induce a subtree
-    adj: dict[int, set[int]] = {i: set() for i in range(len(tree.bags))}
-    for i, j in tree.tree_edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    for v in range(g.n):
-        holding = [i for i, m in enumerate(masks) if m >> v & 1]
-        if not holding:
-            return False
-        seen = {holding[0]}
-        stack = [holding[0]]
-        hold_set = set(holding)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in hold_set and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if seen != hold_set:
-            return False
-    return True
 
 
 def balanced_clique_separator(g: Graph, mu: Measure) -> set[int]:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidCover
+from .errors import InvalidCover, VertexOutOfRange
 from .graph import Graph, _grown_clique, _pairs, bits, is_clique, mask_of
 
 
@@ -47,8 +47,9 @@ def verify_cover(g: Graph, c: OrderedCliqueCover) -> tuple[bool, str]:
     """Check disjointness, coverage, and that every block is a clique."""
     seen = 0
     for blk in c.cliques:
-        m = mask_of(blk)
-        if m >> g.n:
+        try:
+            m = g._check_subset(blk)
+        except VertexOutOfRange:
             return False, "block contains a vertex outside V(g)"
         if m & seen:
             return False, "blocks are not pairwise disjoint"

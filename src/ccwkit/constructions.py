@@ -250,24 +250,13 @@ def _check_vertex_count(what: str, n: int) -> None:
         raise InvalidSize(f"{what}: n={n} exceeds the limit of {graph.MAX_VERTICES} vertices")
 
 
-def _grid_labels(n: int, part: int = 0) -> list[VertexLabel]:
-    return [GridCell(part, r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
-
-
 def grid(n: int) -> Graph:
-    """n x n planar grid; cells row-major, edges between orthogonal neighbors."""
+    """n x n planar grid; cells row-major, edges between orthogonal
+    neighbors: the base `_apex_grid_base` builds with no apexes."""
     if n < 1:
         raise InvalidSize("grid requires n >= 1")
     _check_vertex_count("grid", n * n)
-    edges = []
-    for r in range(n):
-        for c in range(n):
-            v = r * n + c
-            if c + 1 < n:
-                edges.append((v, v + 1))
-            if r + 1 < n:
-                edges.append((v, v + n))
-    return Graph.from_edges(n * n, edges, _grid_labels(n))
+    return _apex_grid_base(0, [n], set())[0]
 
 
 def _check_apex_edges(k: int, apex_edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -287,29 +276,46 @@ def apex_grid(
     k: int, n: int, apex_edges: set[tuple[int, int]] | None = None, part: int = 0
 ) -> Graph:
     """n x n grid plus k apex vertices joined to every grid cell, with the
-    given edge set among the apexes."""
+    given edge set among the apexes: the base `_apex_grid_base` builds for
+    one size."""
     if n < 1 or k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
     _check_vertex_count("apex_grid", n * n + k)
-    apex_edges = _check_apex_edges(k, apex_edges or set())
-    base = grid(n)
-    n2 = n * n
-    total = n2 + k
-    grid_mask = (1 << n2) - 1
-    masks = [base.adj_mask(v) for v in range(n2)]
-    apex_all = ((1 << total) - 1) ^ grid_mask
-    for v in range(n2):
-        masks[v] |= apex_all
-    for i in range(k):
-        m = grid_mask
-        for a, b in apex_edges:
-            if a == i + 1:
-                m |= 1 << (n2 + b - 1)
-            if b == i + 1:
-                m |= 1 << (n2 + a - 1)
-        masks.append(m)
-    labels = _grid_labels(n, part) + [Apex(part, i + 1) for i in range(k)]
-    return Graph.from_masks(masks, labels)
+    return _apex_grid_base(k, [n], _check_apex_edges(k, apex_edges or set()), part)[0]
+
+
+def _apex_grid_base(
+    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]], part: int = 0
+) -> tuple[Graph, list[int]]:
+    """One n x n grid per entry n of `sizes`, all joined to one set of k
+    apexes with the given apex-apex edges (checked by `_check_apex_edges`),
+    and each grid's first vertex: the one code that numbers and joins
+    apex-grid vertices.  For one size it is `apex_grid(k, n, apex_edges,
+    part)` (`grid(n)` for k = 0); for more, their clique sum at the apex set.
+
+    Vertices are part 0's cells row-major, then the apexes, then each later
+    part's cells; labels are GridCell(part + i, r, c) and Apex(part, j)."""
+    first = sizes[0] ** 2  # the first apex
+    starts, total = [0], first + k
+    for n in sizes[1:]:
+        starts.append(total)
+        total += n * n
+    _check_vertex_count("apex_grid", total)
+    apexes = mask_of(range(first, first + k))
+    masks = [0] * total
+    labels: list[VertexLabel | None] = [None] * total
+    for i, (n, s) in enumerate(zip(sizes, starts)):
+        for r in range(n):
+            for c in range(n):
+                v = s + r * n + c
+                bit = 1 << v
+                near = (bit >> 1 if c > 0 else 0) | (bit << 1 if c + 1 < n else 0) | apexes
+                masks[v] = near | (bit >> n if r > 0 else 0) | (bit << n if r + 1 < n else 0)
+                labels[v] = GridCell(part + i, r + 1, c + 1)
+    masks[first : first + k] = [((1 << total) - 1) ^ apexes] * k
+    labels[first : first + k] = [Apex(part, j) for j in range(1, k + 1)]
+    masks = _joined(masks, ([first + a - 1, first + b - 1] for a, b in apex_edges))
+    return Graph.from_masks(masks, labels), starts
 
 
 # -- the two-factor apex-grid factorization ----------------------------------
@@ -336,14 +342,10 @@ def _apex_grid_factors(
     apex_edges: set[tuple[int, int]] | None,
     part: int = 0,
 ) -> tuple[Graph, list[Graph], list[OrderedCliqueCover]]:
-    """One n x n grid per entry n of `sizes`, all joined to one set of k
-    apexes with the given apex-apex edges (for one size, the apex grid
-    `apex_grid(k, n, apex_edges, part)`; for more, their clique sum at the
-    apex set), its two factor graphs and the ordered cover of factor 2: the
-    one builder of every grid factorization.
+    """The base `_apex_grid_base(k, sizes, apex_edges, part)`, its two factor
+    graphs and the ordered cover of factor 2: the one builder of every grid
+    factorization.
 
-    Vertices are part 0's cells row-major, then the apexes, then each later
-    part's cells; labels are GridCell(part + i, r, c) and Apex(part, j).
     Each factor is the base plus cliques (`_joined`).  Factor 1: rows r and
     r + 1 of one part plus the apex set, for each r (a one-row part: its row
     plus the apexes), so cells of one part are adjacent iff their rows differ
@@ -355,28 +357,13 @@ def _apex_grid_factors(
     """
     if k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
-    apex_edges = _check_apex_edges(k, apex_edges or set())
-    first = sizes[0] ** 2  # the first apex
-    starts, total = [0], first + k
-    for n in sizes[1:]:
-        starts.append(total)
-        total += n * n
-    _check_vertex_count("apex_grid", total)
+    g, starts = _apex_grid_base(k, sizes, _check_apex_edges(k, apex_edges or set()), part)
+    first = sizes[0] ** 2
     apex_ids = range(first, first + k)
-    apexes = mask_of(apex_ids)
-    base = [0] * total
-    labels: list[VertexLabel | None] = [None] * total
     bands: list[list[int]] = []
     columns: list[range] = []
     cover: list[frozenset[int]] = []
     for i, (n, s) in enumerate(zip(sizes, starts)):
-        for r in range(n):
-            for c in range(n):
-                v = s + r * n + c
-                bit = 1 << v
-                near = (bit >> 1 if c > 0 else 0) | (bit << 1 if c + 1 < n else 0) | apexes
-                base[v] = near | (bit >> n if r > 0 else 0) | (bit << n if r + 1 < n else 0)
-                labels[v] = GridCell(part + i, r + 1, c + 1)
         rows = range(max(n - 1, 1))
         bands += [[*range(s + r * n, s + min(r + 2, n) * n), *apex_ids] for r in rows]
         cols = [range(s + c, s + n * n, n) for c in range(n)]
@@ -387,12 +374,8 @@ def _apex_grid_factors(
             cover = blocks[:mid] + [frozenset({j}) for j in apex_ids] + blocks[mid:]
         else:
             cover = [b for pair in zip_longest(cover, blocks) for b in pair if b is not None]
-    base[first : first + k] = [((1 << total) - 1) ^ apexes] * k
-    labels[first : first + k] = [Apex(part, j) for j in range(1, k + 1)]
-    base = _joined(base, ([first + a - 1, first + b - 1] for a, b in apex_edges))
-    g = Graph.from_masks(base, labels)
     # from_masks keeps a tuple as it is, so the factors share the base's labels
-    factors = [Graph.from_masks(_joined(base, cliques), g.labels) for cliques in (bands, columns)]
+    factors = [Graph.from_masks(_joined(g._adj, cliques), g.labels) for cliques in (bands, columns)]
     return g, factors, [OrderedCliqueCover(tuple(cover))]
 
 

@@ -375,7 +375,10 @@ class Graph:
             raise VertexOutOfRange(f"vertex {v} out of range for n={self.n}")
 
     def _check_subset(self, s: Iterable[int]) -> int:
-        m = mask_of(s)
+        try:
+            m = mask_of(s)
+        except ValueError:  # 1 << v refuses a negative v; -1 fails the test below
+            m = -1
         if m >> self.n:
             raise VertexOutOfRange("vertex set not contained in V(g)")
         return m

@@ -288,6 +288,38 @@ def apex_grid_factors(k: int, sizes, apex_edges, part: int = 0):
     return Graph.from_edges(n, g1, labels), Graph.from_edges(n, g2, labels), cover
 
 
+def verify_clique_tree(g: Graph, tree) -> bool:
+    """The clique-tree invariants of `tree` (its `bags` and `tree_edges`),
+    re-derived from g one vertex pair at a time: the bags cover V(g), each
+    is a maximal clique, each edge lies in a bag, and the bags holding any
+    one vertex induce a subtree (running intersection)."""
+    bags = [set(b) for b in tree.bags]
+    if set().union(*bags) != set(range(g.n)):
+        return False
+    for b in bags:
+        if not all(g.has_edge(u, v) for u, v in combinations(b, 2)):
+            return False
+        if any(all(g.has_edge(u, v) for u in b) for v in range(g.n) if v not in b):
+            return False
+    if not all(any(u in b and v in b for b in bags) for u, v in g.edges()):
+        return False
+    near = {i: set() for i in range(len(bags))}
+    for i, j in tree.tree_edges:
+        near[i].add(j)
+        near[j].add(i)
+    for v in range(g.n):
+        holding = {i for i, b in enumerate(bags) if v in b}
+        start = min(holding)
+        seen, stack = {start}, [start]
+        while stack:
+            for j in near[stack.pop()] & holding - seen:
+                seen.add(j)
+                stack.append(j)
+        if seen != holding:
+            return False
+    return True
+
+
 def brute_intersection_witness(factors, base: Graph):
     """None if the factors' edge intersection is the base, else (u, v, where)
     for the first pair u < v on which they differ: `where` is the 1-based

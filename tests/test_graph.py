@@ -5,16 +5,25 @@ from hypothesis import given, strategies as st
 
 from ccwkit import (
     Graph,
+    OrderedCliqueCover,
     Plain,
     connected_components,
+    cover_width,
     grid,
     apex_grid,
     induced_subgraph,
     intersect_graphs,
     is_clique,
     is_independent,
+    verify_cover,
 )
-from ccwkit.errors import DuplicateLabel, InvalidGraph, MismatchedVertexSets, VertexOutOfRange
+from ccwkit.errors import (
+    DuplicateLabel,
+    InvalidCover,
+    InvalidGraph,
+    MismatchedVertexSets,
+    VertexOutOfRange,
+)
 
 from oracles import brute_components
 
@@ -190,6 +199,37 @@ class TestCliqueIndependent:
     def test_empty_set(self):
         assert is_clique(grid(2), set())
         assert is_independent(grid(2), set())
+
+
+# a block {-1} beside blocks that cover grid(2)
+NEGATIVE_BLOCK = OrderedCliqueCover((frozenset({-1}), frozenset({0, 1}), frozenset({2, 3})))
+OUTSIDE = "block contains a vertex outside V(g)"
+
+# name: (a call on grid(2) with vertex id -1, the error it raises or the value it returns)
+NEGATIVE_IDS = {
+    "is_clique": (lambda g: is_clique(g, [-1, 0]),
+                  VertexOutOfRange("vertex set not contained in V(g)")),
+    "is_independent": (lambda g: is_independent(g, [-1]),
+                       VertexOutOfRange("vertex set not contained in V(g)")),
+    "connected_components": (lambda g: connected_components(g, within=[-1]),
+                             VertexOutOfRange("vertex set not contained in V(g)")),
+    "induced_subgraph": (lambda g: induced_subgraph(g, [-1]),
+                         VertexOutOfRange("vertex set not contained in V(g)")),
+    "has_edge": (lambda g: g.has_edge(-1, 0), VertexOutOfRange("vertex -1 out of range for n=4")),
+    "verify_cover": (lambda g: verify_cover(g, NEGATIVE_BLOCK), (False, OUTSIDE)),
+    "cover_width": (lambda g: cover_width(g, NEGATIVE_BLOCK), InvalidCover(OUTSIDE)),
+}
+
+
+@pytest.mark.parametrize("call, expected", NEGATIVE_IDS.values(), ids=NEGATIVE_IDS.keys())
+def test_negative_vertex_id(call, expected):
+    # a negative id is outside V(g), as one >= n is; 1 << v must not see it
+    if not isinstance(expected, Exception):
+        assert call(grid(2)) == expected
+        return
+    with pytest.raises(type(expected)) as info:
+        call(grid(2))
+    assert str(info.value) == str(expected)
 
 
 class TestSerialization:

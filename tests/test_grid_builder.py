@@ -1,8 +1,10 @@
-"""Every grid factorization comes from one builder.  These tests hold its
-outputs to the independent definitions (`apex_grid`, `clique_sum` and a
-per-edge oracle of the blown-up grid), pin the bytes of a few envelopes per
-family, and pin every bad-parameter error: type, message and which check
-comes first."""
+"""Every grid factorization comes from one builder, and `grid` and
+`apex_grid` return its base.  These tests hold its outputs to the
+independent definitions (the per-pair oracles of both apex-grid factors,
+whose edge intersection is the base, `clique_sum` and a per-pair oracle of
+the blown-up grid), pin the bytes of a few envelopes per family and of
+`construct grid` and `construct apex-grid`, and pin every bad-parameter
+error: type, message and which check comes first."""
 
 import hashlib
 import itertools
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from ccwkit import (
     CliqueSumSpec,
     Factorization,
+    Graph,
     apex_grid,
     clique_sum,
     complete_apex_edges,
@@ -42,15 +45,27 @@ def apex_edge_sets(draw, k):
     return {(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs}
 
 
+def oracle_base(k, n, edges, part):
+    """The apex grid as the edge intersection of the per-pair oracle's two
+    factors, with the oracle's labels."""
+    g1, g2, _ = apex_grid_factors(k, [n], edges, part)
+    return Graph.from_edges(g1.n, set(g1.edges()) & set(g2.edges()), g1.labels)
+
+
 class TestAgainstDefinitions:
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)  # the example count comes from the active profile
     @given(st.data())
     def test_apex_grid_base(self, data):
         k = data.draw(st.integers(0, 3))
-        n = data.draw(st.integers(2, 8))
+        n = data.draw(st.integers(1, 8))
         part = data.draw(st.integers(0, 3))
         edges = data.draw(apex_edge_sets(k))
-        assert factorize_apex_grid(k, n, edges, part).base == apex_grid(k, n, edges, part)
+        expected = oracle_base(k, n, edges, part)
+        assert apex_grid(k, n, edges, part) == expected
+        if n >= 2:
+            assert factorize_apex_grid(k, n, edges, part).base == expected
+        if k == 0:
+            assert grid(n) == oracle_base(0, n, set(), 0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -203,6 +218,39 @@ class TestGolden:
         assert sha256_of(edge_only(out)) == (
             "297c71f041e89198204e109453ef16f552b26fc719ac3fabd81894bac317cae2"
         )
+
+
+def construct_cases(family):
+    """`construct` argvs for n = 1-8 (and k = 0-3 for apex-grid, each k
+    without apex edges, with all of them and, for k = 3, with two)."""
+    if family == "grid":
+        return [["grid", "--n", str(n)] for n in range(1, 9)]
+    edge_sets = {0: [None], 1: [None], 2: [None, "1-2"], 3: [None, "1-2,1-3,2-3", "2-1,3-1"]}
+    return [
+        ["apex-grid", "--k", str(k), "--n", str(n), *(["--apex-edges", e] if e else [])]
+        for n in range(1, 9) for k, sets in edge_sets.items() for e in sets
+    ]
+
+
+# sha256 of the concatenated `construct` outputs of `construct_cases`, taken
+# before `grid` and `apex_grid` became the factorization builder's base
+CONSTRUCT_DIGESTS = {
+    ("grid", "json"): "e40d2ac186f34745afb58db5b86a31f8fd78894c3bb729ba348dd40c85bb4340",
+    ("grid", "dot"): "a190ec7763d8485c76fad196690f67e720eafb888be809742e2dee755f0630f6",
+    ("apex-grid", "json"): "fab60ede5e465ba6328b3f13cf7f66c15d9893c71d83306651e5fbf63a9962dd",
+    ("apex-grid", "dot"): "1557e560c0715f00ccb0c41ecadd93ceca2bb172a95f8492738db7cfc28d7b9f",
+}
+
+
+@pytest.mark.parametrize("family, form", CONSTRUCT_DIGESTS, ids="-".join)
+def test_construct_bytes(tmp_path, family, form):
+    digest = hashlib.sha256()
+    for i, argv in enumerate(construct_cases(family)):
+        out = tmp_path / f"{i}.{form}"
+        dot = ["--dot"] if form == "dot" else []
+        assert main(["construct", *argv, *dot, "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == CONSTRUCT_DIGESTS[family, form]
 
 
 def sum_of(*parts, removed=()):
