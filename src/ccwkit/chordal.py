@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidPEO, NotChordal
-from .graph import Graph, _bfs_layers, bits, mask_of
+from .graph import Graph, _bfs_layers, bits
 from .measure import Measure
 
 
@@ -116,20 +116,19 @@ def verify_peo(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
 
 def verify_hole(g: Graph, hole: Sequence[int]) -> bool:
     """A hole is a chordless cycle of length >= 4: k >= 4 distinct vertices,
-    each adjacent within them to exactly its two cycle neighbours.  Raises
-    `VertexOutOfRange` for an id outside [0, n), negative ones included.
+    each adjacent within them to exactly its two cycle neighbours.  The hole
+    enters as a mask through `Graph._check_subset`, which raises
+    `VertexOutOfRange` ("vertex set not contained in V(g)") for an id
+    outside [0, n), negative or huge ones included, before any is shifted.
     One mask test per vertex: 3.7 us / 64 us / 0.42 ms for a 5-, 100- and
     1 000-cycle on a 2-vCPU Xeon VM, where testing every pair with
     `has_edge` took 6.0 us / 1.1 ms / 116 ms.
     """
-    for v in hole:
-        g._check_vertex(v)
-    k, m = len(hole), mask_of(hole)
+    k, m, adj = len(hole), g._check_subset(hole), g._adj
     if k < 4 or m.bit_count() != k:
         return False
     return all(
-        g.adj_mask(u) & m == 1 << hole[i - 1] | 1 << hole[(i + 1) % k]
-        for i, u in enumerate(hole)
+        adj[u] & m == 1 << hole[i - 1] | 1 << hole[(i + 1) % k] for i, u in enumerate(hole)
     )
 
 

@@ -47,14 +47,12 @@ def _gc_paused():
     cycles, and the collector scans their small lists.  On a 2-vCPU Xeon
     VM that cost about 20 ms per apex-grid envelope at n = 40 written as
     edge lists (1.4 x 10^5 lists), and 1-2 ms written as cliques (1.1 x
-    10^4 lists), in decoding and in encoding alike.  Two A/B sets of 6
-    alternating pairs (`perfbench/run.py --seconds 12`) without the pause:
-    apex-pipeline run_s was unchanged (medians 0.356 -> 0.353 s and 0.353
-    -> 0.352 s), and sum-separate was slower in 6 of 6 pairs (0.273 ->
-    0.281 s) in one set and 4 of 6 (0.266 -> 0.263 s) in the other.  No
-    workload gains from dropping it, so it stays.  Library computation
-    runs with the collector on, since the exact searches make cyclic
-    garbage.
+    10^4 lists), in decoding and in encoding alike.  Without the pause,
+    run_s was higher in 8 of 8 alternating pairs (`perfbench/run.py
+    --seconds 12`, seeds 1-4, same VM): medians 0.1897 -> 0.1993 s on
+    apex-pipeline and 0.1531 -> 0.1580 s on sum-separate.  No workload
+    gains from dropping it, so it stays.  Library computation runs with
+    the collector on, since the exact searches make cyclic garbage.
     """
     was_enabled = gc.isenabled()
     gc.disable()

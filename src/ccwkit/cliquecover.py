@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidCover, VertexOutOfRange
-from .graph import Graph, _grown_clique, _pairs, bits, is_clique, mask_of
+from .errors import InvalidCover
+from .graph import Graph, _grown_clique, _is_clique_mask, _pairs, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,23 @@ class SearchResult:
 
 
 def verify_cover(g: Graph, c: OrderedCliqueCover) -> tuple[bool, str]:
-    """Check disjointness, coverage, and that every block is a clique."""
-    seen = 0
+    """Check that every block is within V(g), disjointness, coverage, and
+    that every block is a clique.  Each block becomes a mask once, through
+    `Graph._subset_mask`, so an id outside [0, n), negative or huge, is
+    refused before it is shifted; the clique tests run on those masks."""
+    masks, seen = [], 0
     for blk in c.cliques:
-        try:
-            m = g._check_subset(blk)
-        except VertexOutOfRange:
+        m = g._subset_mask(blk)
+        if m is None:
             return False, "block contains a vertex outside V(g)"
         if m & seen:
             return False, "blocks are not pairwise disjoint"
         seen |= m
+        masks.append(m)
     if seen != g.vertex_mask():
         return False, "blocks do not cover V(g)"
-    for i, blk in enumerate(c.cliques):
-        if not is_clique(g, blk):
+    for i, m in enumerate(masks):
+        if not _is_clique_mask(g._adj, m):
             return False, f"block {i} is not a clique"
     return True, ""
 

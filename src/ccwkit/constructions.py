@@ -134,10 +134,11 @@ class Factorization:
 def _widened(g: Graph, block: frozenset[int]) -> Iterable[int]:
     """The block plus, in ascending order, each vertex adjacent in g to the
     whole block and to every vertex added before it: a maximal clique of g
-    if the block is a clique.  A block that is empty or not within g is
-    returned as it is."""
-    m = mask_of(block)
-    if not m or m >> g.n:
+    if the block is a clique.  A block that is empty or not within g (an id
+    outside [0, n), which `Graph._subset_mask` refuses before shifting it)
+    is returned as it is."""
+    m = g._subset_mask(block)
+    if not m:  # None or empty
         return block
     return bits(_grown_clique(g._adj, m, g.vertex_mask()))
 

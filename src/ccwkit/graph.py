@@ -272,6 +272,13 @@ def _grown_clique(adj: Sequence[int], start: int, allowed: int) -> int:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
+    """The mask of vertex ids the library made itself, so known to be in
+    range: no id is tested.  Its callers are `_apex_grid_base` (the apex
+    set), `_joined` (the cliques it adds), `clique_sum` (the junction set,
+    once checked), `_width` (the blocks of a cover `verify_cover` passed)
+    and `_assert_separator` (the sides `separate` made).  Ids from a caller
+    enter through `Graph._subset_mask`, which tests each one before it
+    shifts it."""
     m = 0
     for v in vertices:
         m |= 1 << v
@@ -354,9 +361,6 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj_mask(v))
-
     def degree(self, v: int) -> int:
         return self.adj_mask(v).bit_count()
 
@@ -374,12 +378,22 @@ class Graph:
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v} out of range for n={self.n}")
 
+    def _subset_mask(self, s: Iterable[int]) -> int | None:
+        """The mask of the vertex ids in s, or None if one is outside [0, n).
+        The one door from caller ids to a mask: each id is tested before it
+        is shifted, so a negative id never reaches `1 << v` and a huge one
+        allocates nothing, as `_bit_table` guarantees for decoding."""
+        n, m = self.n, 0
+        for v in s:
+            if not 0 <= v < n:
+                return None
+            m |= 1 << v
+        return m
+
     def _check_subset(self, s: Iterable[int]) -> int:
-        try:
-            m = mask_of(s)
-        except ValueError:  # 1 << v refuses a negative v; -1 fails the test below
-            m = -1
-        if m >> self.n:
+        """`_subset_mask(s)`; raises `VertexOutOfRange` where it refuses s."""
+        m = self._subset_mask(s)
+        if m is None:
             raise VertexOutOfRange("vertex set not contained in V(g)")
         return m
 
@@ -404,8 +418,9 @@ class Graph:
         candidate `cliques` (collections of vertex ids) are cliques of g with
         at least two members: those are written, members ascending, in the
         order given, and `edges` holds only the edges they leave uncovered,
-        as [u, v] lists in `edges()` order.  Other candidates are dropped,
-        so `from_json` gives back g whatever the candidates are.
+        as [u, v] lists in `edges()` order.  Other candidates, one holding
+        an id outside [0, n) included, are dropped, so `from_json` gives
+        back g whatever the candidates are.
 
         Costs 0.3-0.5 us per written edge plus one or two big-int
         operations per candidate member.  On a 2-vCPU Xeon VM, collector
@@ -427,8 +442,8 @@ class Graph:
         n, adj = self.n, self._adj
         kept, covered = [], [0] * n
         for clique in cliques:
-            m = mask_of(clique)
-            if m >> n or m.bit_count() < 2 or not _is_clique_mask(adj, m):
+            m = self._subset_mask(clique)
+            if m is None or m.bit_count() < 2 or not _is_clique_mask(adj, m):
                 continue
             members = list(bits(m))
             kept.append(members)
@@ -580,27 +595,6 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
         comps.append(set(bits(comp)))
         rest &= ~comp
     return comps
-
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Distance from source to every vertex; -1 for unreachable."""
-    g._check_vertex(source)
-    dist = [-1] * g.n
-    for d, layer in enumerate(_bfs_layers(g, 1 << source, g.vertex_mask())):
-        for v in bits(layer):
-            dist[v] = d
-    return dist
-
-
-def diameter(g: Graph) -> int:
-    """Largest finite BFS distance; requires a connected nonempty graph."""
-    best = 0
-    for v in range(g.n):
-        dv = bfs_distances(g, v)
-        if min(dv) < 0:
-            raise ValueError("diameter undefined for disconnected graph")
-        best = max(best, max(dv))
-    return best
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

@@ -70,10 +70,12 @@ def product_cell_cover(
 ) -> list[frozenset[int]]:
     """Partition a factor-1 clique into base-graph cliques by grouping on the
     tuple of cover block indices: within one block of every remaining factor
-    and inside s, a group is a clique in every factor, hence in the base."""
+    and inside s, a group is a clique in every factor, hence in the base.
+    s enters through `Graph._check_subset`, so an id outside V(base) raises
+    `VertexOutOfRange`."""
     block_maps = [c.block_of() for c in covers]
     groups: dict[tuple[int, ...], set[int]] = {}
-    for v in s:
+    for v in bits(base._check_subset(s)):
         key = tuple(bm[v] for bm in block_maps)
         groups.setdefault(key, set()).add(v)
     out = []

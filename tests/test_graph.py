@@ -1,21 +1,26 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ccwkit import (
+    Factorization,
     Graph,
     OrderedCliqueCover,
     Plain,
     connected_components,
     cover_width,
+    factorize_apex_grid,
     grid,
     apex_grid,
     induced_subgraph,
     intersect_graphs,
     is_clique,
     is_independent,
+    product_cell_cover,
     verify_cover,
+    verify_factorization,
 )
 from ccwkit.errors import (
     DuplicateLabel,
@@ -201,35 +206,89 @@ class TestCliqueIndependent:
         assert is_independent(grid(2), set())
 
 
-# a block {-1} beside blocks that cover grid(2)
-NEGATIVE_BLOCK = OrderedCliqueCover((frozenset({-1}), frozenset({0, 1}), frozenset({2, 3})))
 OUTSIDE = "block contains a vertex outside V(g)"
+NOT_IN_V = VertexOutOfRange("vertex set not contained in V(g)")
 
-# name: (a call on grid(2) with vertex id -1, the error it raises or the value it returns)
+
+ROWS = (frozenset({0, 1}), frozenset({2, 3}))  # a cover of grid(2)
+
+
+def cover_with(bad):
+    """A block {bad} beside blocks that cover grid(2)."""
+    return OrderedCliqueCover((frozenset({bad}), *ROWS))
+
+
+def envelope_with(bad):
+    """`Factorization.to_json` of grid(2)'s factorization with a block {bad}
+    put in front of its cover, which must not raise; then the error
+    `Factorization.from_json` raises on that envelope and the
+    `cover_validity[1]` check of `verify_factorization`."""
+    f = factorize_apex_grid(0, 2)
+    cover = OrderedCliqueCover((frozenset({bad}), *f.covers[0].cliques))
+    f = dataclasses.replace(f, covers=(cover,))
+    obj = json.loads(json.dumps(f.to_json()))
+    with pytest.raises(InvalidGraph) as info:
+        Factorization.from_json(obj)
+    checks = {name: (ok, detail) for name, ok, detail in verify_factorization(f)}
+    return str(info.value), checks["cover_validity[1]"]
+
+
+# name: (a call on grid(2) with the vertex id `bad` outside V(g), the error it
+# raises or the value it returns); each takes caller ids through one door
+DOOR_USERS = {
+    "is_clique": (lambda g, bad: is_clique(g, [bad, 0]), NOT_IN_V),
+    "is_independent": (lambda g, bad: is_independent(g, [bad]), NOT_IN_V),
+    "connected_components": (lambda g, bad: connected_components(g, within=[bad]), NOT_IN_V),
+    "induced_subgraph": (lambda g, bad: induced_subgraph(g, [bad]), NOT_IN_V),
+    "verify_cover": (lambda g, bad: verify_cover(g, cover_with(bad)), (False, OUTSIDE)),
+    "cover_width": (lambda g, bad: cover_width(g, cover_with(bad)), InvalidCover(OUTSIDE)),
+    "product_cell_cover": (
+        lambda g, bad: product_cell_cover(g, {0, bad}, [OrderedCliqueCover(ROWS)]),
+        NOT_IN_V,
+    ),
+    "Graph.to_json": (lambda g, bad: g.to_json([[bad, 0], [0, bad]]), grid(2).to_json()),
+    "Factorization.to_json": (
+        lambda g, bad: envelope_with(bad),
+        ("certificate and cover entries must be vertex ids in [0, 4)", (False, OUTSIDE)),
+    ),
+}
+
+# each door user with the id -1; 1 << -1 raises ValueError
 NEGATIVE_IDS = {
-    "is_clique": (lambda g: is_clique(g, [-1, 0]),
-                  VertexOutOfRange("vertex set not contained in V(g)")),
-    "is_independent": (lambda g: is_independent(g, [-1]),
-                       VertexOutOfRange("vertex set not contained in V(g)")),
-    "connected_components": (lambda g: connected_components(g, within=[-1]),
-                             VertexOutOfRange("vertex set not contained in V(g)")),
-    "induced_subgraph": (lambda g: induced_subgraph(g, [-1]),
-                         VertexOutOfRange("vertex set not contained in V(g)")),
-    "has_edge": (lambda g: g.has_edge(-1, 0), VertexOutOfRange("vertex -1 out of range for n=4")),
-    "verify_cover": (lambda g: verify_cover(g, NEGATIVE_BLOCK), (False, OUTSIDE)),
-    "cover_width": (lambda g: cover_width(g, NEGATIVE_BLOCK), InvalidCover(OUTSIDE)),
+    name: (lambda g, call=call: call(g, -1), expected) for name, (call, expected) in DOOR_USERS.items()
+}
+NEGATIVE_IDS["has_edge"] = (
+    lambda g: g.has_edge(-1, 0),
+    VertexOutOfRange("vertex -1 out of range for n=4"),
+)
+
+# each door user with n and 2**70; 1 << 2**70 raises OverflowError at once,
+# where an id such as 2**33 would build a 1 GiB int
+OUT_OF_RANGE_IDS = {
+    f"{name}-{suffix}": (lambda g, call=call, bad=bad: call(g, bad), expected)
+    for name, (call, expected) in DOOR_USERS.items()
+    for suffix, bad in {"n": 4, "2**70": 2**70}.items()
 }
 
 
-@pytest.mark.parametrize("call, expected", NEGATIVE_IDS.values(), ids=NEGATIVE_IDS.keys())
-def test_negative_vertex_id(call, expected):
-    # a negative id is outside V(g), as one >= n is; 1 << v must not see it
+def check_refused(call, expected):
+    # an id outside [0, n), negative or huge, is refused before 1 << v sees it
     if not isinstance(expected, Exception):
         assert call(grid(2)) == expected
         return
     with pytest.raises(type(expected)) as info:
         call(grid(2))
     assert str(info.value) == str(expected)
+
+
+@pytest.mark.parametrize("call, expected", NEGATIVE_IDS.values(), ids=NEGATIVE_IDS.keys())
+def test_negative_vertex_id(call, expected):
+    check_refused(call, expected)
+
+
+@pytest.mark.parametrize("call, expected", OUT_OF_RANGE_IDS.values(), ids=OUT_OF_RANGE_IDS.keys())
+def test_out_of_range_vertex_id(call, expected):
+    check_refused(call, expected)
 
 
 class TestSerialization:
