@@ -19,7 +19,6 @@ import os
 import sys
 
 from . import (
-    CliqueSumSpec,
     Factorization,
     Graph,
     Measure,
@@ -166,10 +165,10 @@ def _write_manifest(path: str | None, argv: list[str], seed: int) -> None:
 
 
 def _clique_sum(args: argparse.Namespace) -> tuple[Factorization, int, int]:
-    parts = tuple(_parse_parts(args.parts))
-    spec = CliqueSumSpec(parts, tuple(_parse_apex_edges(args.removed_edges)))
+    parts = _parse_parts(args.parts)
+    f = factorize_clique_sum(parts, _parse_apex_edges(args.removed_edges))
     # meta n is the parts' total side, meta k their shared apex count
-    return factorize_clique_sum(spec), sum(n for _, n in parts), parts[0][0]
+    return f, sum(n for _, n in parts), parts[0][0]
 
 
 # family -> (make graph, make (factorization, meta n, meta k)).  Without the

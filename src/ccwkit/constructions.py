@@ -219,13 +219,15 @@ def check_factorization(f: Factorization) -> None:
 
 
 def _make_factorization(
-    base: Graph, factors: Sequence[Graph], covers: Sequence[OrderedCliqueCover]
+    base: Graph, factors: Sequence[Graph], covers: Sequence[OrderedCliqueCover], bound: int
 ) -> Factorization:
     """Assemble, then certify once through `check_factorization`, the checker
-    `verify` uses.  The candidate PEO of factor 1 is its reversed Lex-BFS
-    order, which is a PEO iff factor 1 is chordal; it is not checked here,
-    since the checker's `chordal_certificate` test verifies it, so a
-    non-chordal factor 1 raises `InvalidFactorization` from there."""
+    `verify` uses, and hold the certified cover width to the construction's
+    bound: the one last step of every factorizing constructor.  The
+    candidate PEO of factor 1 is its reversed Lex-BFS order, which is a PEO
+    iff factor 1 is chordal; it is not checked here, since the checker's
+    `chordal_certificate` test verifies it, so a non-chordal factor 1 raises
+    `InvalidFactorization` from there.  So does an lstar above `bound`."""
     cert = ChordalCertificate(peo=tuple(lex_bfs(factors[0])[::-1]))
     # declared unchecked; check_factorization below certifies each cover and width
     widths = tuple(_width(factors[i + 1], covers[i]).width for i in range(len(covers)))
@@ -238,6 +240,8 @@ def _make_factorization(
         lstar=max(widths, default=0),
     )
     check_factorization(f)
+    if f.lstar > bound:
+        raise InvalidFactorization(f"cover width {f.lstar} exceeds bound {bound}")
     return f
 
 
@@ -260,7 +264,7 @@ def grid(n: int) -> Graph:
     return _apex_grid_base(0, [n], set())[0]
 
 
-def _check_apex_edges(k: int, apex_edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
+def _check_apex_edges(k: int, apex_edges: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     norm = set()
     for a, b in apex_edges:
         if a == b or not (1 <= a <= k and 1 <= b <= k):
@@ -338,13 +342,10 @@ def _joined(masks: Sequence[int], cliques: Iterable[Sequence[int]]) -> list[int]
 
 
 def _apex_grid_factors(
-    k: int,
-    sizes: Sequence[int],
-    apex_edges: set[tuple[int, int]] | None,
-    part: int = 0,
+    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]] | None
 ) -> tuple[Graph, list[Graph], list[OrderedCliqueCover]]:
-    """The base `_apex_grid_base(k, sizes, apex_edges, part)`, its two factor
-    graphs and the ordered cover of factor 2: the one builder of every grid
+    """The base `_apex_grid_base(k, sizes, apex_edges)`, its two factor graphs
+    and the ordered cover of factor 2: the one builder of every grid
     factorization.
 
     Each factor is the base plus cliques (`_joined`).  Factor 1: rows r and
@@ -358,7 +359,7 @@ def _apex_grid_factors(
     """
     if k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
-    g, starts = _apex_grid_base(k, sizes, _check_apex_edges(k, apex_edges or set()), part)
+    g, starts = _apex_grid_base(k, sizes, _check_apex_edges(k, apex_edges or set()))
     first = sizes[0] ** 2
     apex_ids = range(first, first + k)
     bands: list[list[int]] = []
@@ -381,19 +382,13 @@ def _apex_grid_factors(
 
 
 def factorize_apex_grid(
-    k: int, n: int, apex_edges: set[tuple[int, int]] | None = None, part: int = 0
+    k: int, n: int, apex_edges: set[tuple[int, int]] | None = None
 ) -> Factorization:
     """Two-factor decomposition of an apex grid: chordal factor 1 plus a
     column-clique factor whose cover width is at most ceil(n/2) + k."""
     if n < 2:
         raise InvalidSize("factorize_apex_grid requires n >= 2")
-    f = _make_factorization(*_apex_grid_factors(k, [n], apex_edges, part))
-    bound = (n + 1) // 2 + k
-    if f.widths[0] > bound:
-        raise InvalidFactorization(
-            f"cover width {f.widths[0]} exceeds bound {bound}"
-        )
-    return f
+    return _make_factorization(*_apex_grid_factors(k, [n], apex_edges), (n + 1) // 2 + k)
 
 
 # -- clique sums -------------------------------------------------------------
@@ -410,9 +405,9 @@ def clique_sum(
     clique on both sides. removed_edges[i], in global indices, is deleted from
     the junction clique after that sum."""
     if not parts:
-        raise ValueError("need at least one part")
+        raise InvalidSize("need at least one part")
     if len(junctions) != len(parts) - 1:
-        raise ValueError("need one junction per consecutive pair")
+        raise InvalidSize("need one junction per consecutive pair")
     if removed_edges is None:
         removed_edges = [[] for _ in junctions]
 
@@ -451,41 +446,30 @@ def clique_sum(
     return Graph.from_masks(masks, labels)
 
 
-@dataclass(frozen=True)
-class CliqueSumSpec:
-    """Clique sum of apex grids joined at their (complete) apex sets.
-
-    parts: (k_i, n_i) per summand; all k_i must be equal. removed_edges:
-    apex-index pairs deleted from the shared apex clique of the base graph.
-    """
-
-    parts: tuple[tuple[int, int], ...]
-    removed_edges: tuple[tuple[int, int], ...] = ()
-
-
-def factorize_clique_sum(spec: CliqueSumSpec) -> Factorization:
-    """Chordal + low-width factorization of a clique sum of apex grids, the
-    merged cover interleaving each part's column blocks into the running cover.
-    Merged width is at most sum(n_i + k_i)."""
-    if not spec.parts:
+def factorize_clique_sum(
+    parts: Sequence[tuple[int, int]], removed_edges: Iterable[tuple[int, int]] = ()
+) -> Factorization:
+    """Chordal + low-width factorization of the clique sum of apex grids at
+    their apex sets: parts holds (k_i, n_i) per summand, all k_i equal, and
+    removed_edges the apex-index pairs deleted from the shared apex clique of
+    the base.  The cover interleaves each part's column blocks into the
+    running cover; its width is at most sum(n_i + k_i)."""
+    if not parts:
         raise InvalidSize("clique sum needs at least one part")
-    ks = {k for k, _ in spec.parts}
+    ks = {k for k, _ in parts}
     if len(ks) != 1:
         raise UnequalApexSizes(f"all parts must share one apex size, got {sorted(ks)}")
     k = ks.pop()
     if k < 1:
         raise InvalidSize("clique sum at apex sets requires k >= 1")
-    removed = _check_apex_edges(k, set(spec.removed_edges))
-    sizes = [n for _, n in spec.parts]
+    removed = _check_apex_edges(k, removed_edges)
+    sizes = [n for _, n in parts]
     if min(sizes) < 2:
         raise InvalidSize("each part requires n >= 2")
     # factor 1 keeps the apex set complete; the removed edges leave the base
     # and factor 2, whose apex-apex edges are the base's
-    f = _make_factorization(*_apex_grid_factors(k, sizes, complete_apex_edges(k) - removed))
-    bound = sum(n + k for _, n in spec.parts)
-    if f.widths[0] > bound:
-        raise InvalidFactorization(f"merged width {f.widths[0]} exceeds bound {bound}")
-    return f
+    factors = _apex_grid_factors(k, sizes, complete_apex_edges(k) - removed)
+    return _make_factorization(*factors, sum(n + k for n in sizes))
 
 
 # -- the two unit-width example families -------------------------------------
@@ -509,7 +493,7 @@ def example3_i(n: int, k: int) -> Factorization:
     pairs = [range(i * n, min(i + 2, k) * n) for i in range(max(k - 1, 1))]
     g1 = Graph.from_masks(_joined(base, pairs), g.labels)
     cover = OrderedCliqueCover(tuple(frozenset(block) for block in blocks))
-    return _make_factorization(g, [g1, g], [cover])
+    return _make_factorization(g, [g1, g], [cover], 1)
 
 
 def _blow_up(g: Graph, b: int) -> Graph:
@@ -534,5 +518,5 @@ def example3_ii(n: int, k: int) -> Factorization:
         frozenset(v * k + x for v in blk for x in range(k)) for blk in covers[0].cliques
     )
     return _make_factorization(
-        _blow_up(base, k), [_blow_up(g, k) for g in factors], [OrderedCliqueCover(columns)]
+        _blow_up(base, k), [_blow_up(g, k) for g in factors], [OrderedCliqueCover(columns)], 1
     )

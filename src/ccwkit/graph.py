@@ -541,7 +541,7 @@ class Graph:
 def intersect_graphs(factors: Sequence[Graph]) -> Graph:
     """Edge intersection of graphs on the same labeled vertex set."""
     if not factors:
-        raise ValueError("need at least one factor")
+        raise InvalidGraph("need at least one factor")
     first = factors[0]
     for g in factors[1:]:
         if g.n != first.n or g.labels != first.labels:

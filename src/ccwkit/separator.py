@@ -141,8 +141,14 @@ def _assert_separator(base: Graph, mu: Measure, r: SeparatorResult) -> None:
     crossing = (m & (b if a >> u & 1 else a if b >> u & 1 else 0) for u, m in enumerate(base._adj))
     if edge := next(_pairs(crossing), None):
         raise InvalidFactorization(f"edge ({edge[0]},{edge[1]}) crosses the separator")
-    if r.mu_a > 2 * total / 3 + 1e-9 or r.mu_b > 2 * total / 3 + 1e-9:
+    # the sides are weighed here: a stored measure is checked, not trusted
+    wa, wb = mu.of(r.side_a), mu.of(r.side_b)
+    if max(wa, wb) > 2 * total / 3 + 1e-9:
         raise InvalidFactorization("side measure exceeds 2mu(G)/3")
+    tol = 1e-9 * max(1.0, total)
+    # not `>`, so a NaN stored measure is refused too
+    if not (abs(wa - r.mu_a) <= tol and abs(wb - r.mu_b) <= tol):
+        raise InvalidFactorization(f"sides weigh {wa}, {wb}, not the stored {r.mu_a}, {r.mu_b}")
     covered: set[int] = set()
     for c in r.separator_cliques:
         if not is_clique(base, c):

@@ -12,7 +12,6 @@ import networkx as nx
 import pytest
 
 from ccwkit import (
-    CliqueSumSpec,
     Graph,
     apex_grid,
     bandwidth_exact,
@@ -68,7 +67,7 @@ def test_criterion_2_theorem_5_sweep():
     for t in (2, 3):
         for k in (1, 2):
             for ns in itertools.combinations_with_replacement(range(3, 9), t):
-                f = factorize_clique_sum(CliqueSumSpec(parts=tuple((k, n) for n in ns)))
+                f = factorize_clique_sum([(k, n) for n in ns])
                 assert f.widths[0] <= sum(n + k for n in ns)
                 assert intersect_graphs(list(f.factors)).edge_equal(f.base)
                 ok, _ = is_chordal(f.factors[0])

@@ -11,7 +11,6 @@ import ccwkit.cliquecover
 import ccwkit.constructions
 import ccwkit.separator
 from ccwkit import (
-    CliqueSumSpec,
     example3_i,
     example3_ii,
     factorize_apex_grid,
@@ -41,9 +40,7 @@ def count_calls(monkeypatch, module, name):
 
 CONSTRUCTIONS = {
     "apex-grid": lambda: factorize_apex_grid(2, 6),
-    "clique-sum": lambda: factorize_clique_sum(
-        CliqueSumSpec(parts=((2, 3), (2, 4), (2, 3)), removed_edges=((1, 2),))
-    ),
+    "clique-sum": lambda: factorize_clique_sum([(2, 3), (2, 4), (2, 3)], [(1, 2)]),
 }
 
 

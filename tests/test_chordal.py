@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccwkit import (
+    ChordalCertificate,
     Graph,
     Measure,
     balanced_clique_separator,
@@ -148,6 +149,20 @@ class TestCliqueTree:
         if not ok:
             return
         assert verify_clique_tree(g, clique_tree(g, cert.peo))
+
+
+@pytest.mark.parametrize("build", [maximal_cliques_chordal, clique_tree])
+@pytest.mark.parametrize("g, order", [(path(3), [1, 0, 2]), (cycle(4), [0, 1, 2, 3])],
+                         ids=["p3-middle-first", "c4"])
+def test_an_order_of_every_vertex_that_is_no_peo_is_refused(build, g, order):
+    # verify_peo accepts the order as a permutation and returns a witness
+    with pytest.raises(InvalidPEO, match="^not a perfect elimination ordering$"):
+        build(g, order)
+
+
+def test_an_empty_certificate_verifies_nothing():
+    assert verify_certificate(path(3), ChordalCertificate()) is False
+    assert verify_certificate(cycle(4), ChordalCertificate()) is False
 
 
 class TestBalancedCliqueSeparator:

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from ccwkit import Factorization, verify_factorization
-from ccwkit.cli import main
+from ccwkit import Apex, Factorization, Graph, GridCell, OrderedCliqueCover, verify_factorization
+from ccwkit.cli import _dump, main
+from ccwkit.constructions import _make_factorization
 from ccwkit.graph import label_to_json
 
 
@@ -200,6 +201,22 @@ class TestSeparateAudit:
             assert run(["audit", str(env), "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_audit_refuses_a_grid_clique_that_is_no_bipartite_graph(self, tmp_path, capsys):
+        # K4 as both factors, one block covering it: a valid envelope whose
+        # three grid-labelled vertices form a triangle, so the larger class
+        # of its 2-colouring holds an edge
+        labels = [GridCell(0, 1, c) for c in (1, 2, 3)] + [Apex(0, 1)]
+        k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)], labels)
+        f = _make_factorization(k4, [k4, k4], [OrderedCliqueCover((frozenset(range(4)),))], 0)
+        env = tmp_path / "k4.json"
+        _dump(f.to_json(), str(env))
+        assert run(["verify", str(env)]) == 0
+        capsys.readouterr()
+        assert run(["audit", str(env), "--out", str(tmp_path / "a.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: bipartition class is not independent in the base\n"
+        )
 
 
 class TestManifestReplay:

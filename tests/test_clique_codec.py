@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ccwkit import (
     ChordalCertificate,
-    CliqueSumSpec,
     Factorization,
     Graph,
     OrderedCliqueCover,
@@ -190,7 +189,7 @@ class TestEnvelopeRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_any_order_as_the_peo(self, data):
-        f = factorize_clique_sum(CliqueSumSpec(((2, 2), (2, 3)), ((1, 2),)))
+        f = factorize_clique_sum([(2, 2), (2, 3)], [(1, 2)])
         n = f.base.n
         order = data.draw(
             st.permutations(range(n))

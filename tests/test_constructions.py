@@ -8,7 +8,6 @@ import pytest
 
 from ccwkit import (
     Apex,
-    CliqueSumSpec,
     Graph,
     GridCell,
     apex_grid,
@@ -25,8 +24,11 @@ from ccwkit import (
     is_chordal,
     verify_factorization,
 )
+from ccwkit import constructions
+from ccwkit.constructions import _apex_grid_factors, _make_factorization
 from ccwkit.errors import (
     InvalidApexEdge,
+    InvalidFactorization,
     InvalidSize,
     JunctionNotClique,
     BadRemovedEdge,
@@ -119,6 +121,36 @@ class TestFactorizeApexGrid:
         assert f.widths[0] <= (n + 1) // 2 + k
 
 
+# name: (a factorizing constructor, the width bound it certifies against)
+BOUNDS = {
+    "apex grid": (lambda: factorize_apex_grid(2, 5, {(1, 2)}), 3 + 2),
+    "clique sum": (lambda: factorize_clique_sum([(2, 3), (2, 4)], [(1, 2)]), 5 + 6),
+    "example3_i": (lambda: example3_i(3, 4), 1),
+    "example3_ii": (lambda: example3_ii(3, 2), 1),
+}
+
+
+class TestWidthBound:
+    @pytest.mark.parametrize("build, bound", BOUNDS.values(), ids=BOUNDS.keys())
+    def test_each_constructor_certifies_against_its_bound(self, monkeypatch, build, bound):
+        bounds = []
+
+        def spy(*args):
+            bounds.append(args[-1])
+            return _make_factorization(*args)
+
+        monkeypatch.setattr(constructions, "_make_factorization", spy)
+        f = build()
+        assert bounds == [bound]
+        assert f.lstar <= bound
+
+    def test_a_width_above_the_bound_is_refused(self):
+        # the apex grid k = 2, n = 6 has cover width 4
+        with pytest.raises(InvalidFactorization, match="^cover width 4 exceeds bound 1$"):
+            _make_factorization(*_apex_grid_factors(2, [6], None), 1)
+        assert _make_factorization(*_apex_grid_factors(2, [6], None), 4).lstar == 4
+
+
 class TestCliqueSum:
     def test_two_triangles_shared_edge(self):
         a = complete(3)
@@ -165,36 +197,34 @@ class TestCliqueSum:
 
 class TestFactorizeCliqueSum:
     def test_single_part_reduces(self):
-        f = factorize_clique_sum(CliqueSumSpec(parts=((1, 4),)))
+        f = factorize_clique_sum([(1, 4)])
         single = factorize_apex_grid(1, 4, complete_apex_edges(1))
         assert f.base.edge_equal(single.base)
         assert f.widths[0] <= 4 + 1
 
     def test_two_parts_bound(self):
-        f = factorize_clique_sum(CliqueSumSpec(parts=((2, 4), (2, 6))))
+        f = factorize_clique_sum([(2, 4), (2, 6)])
         assert f.widths[0] <= (4 + 2) + (6 + 2)
         assert all(ok for _, ok, _ in verify_factorization(f))
 
     def test_three_parts_intersection_exact(self):
-        f = factorize_clique_sum(CliqueSumSpec(parts=((1, 3), (1, 3), (1, 3))))
+        f = factorize_clique_sum([(1, 3), (1, 3), (1, 3)])
         assert f.base.n == 3 * 9 + 1 == 28
         assert intersect_graphs(list(f.factors)).edge_equal(f.base)
 
     def test_removed_apex_edges(self):
-        f = factorize_clique_sum(
-            CliqueSumSpec(parts=((3, 3), (3, 4)), removed_edges=((1, 2),))
-        )
+        f = factorize_clique_sum([(3, 3), (3, 4)], [(1, 2)])
         n2 = 9
         assert not f.base.has_edge(n2, n2 + 1)
         check_factorization(f)
 
     def test_unequal_apex_sizes_rejected(self):
         with pytest.raises(UnequalApexSizes):
-            factorize_clique_sum(CliqueSumSpec(parts=((1, 3), (2, 3))))
+            factorize_clique_sum([(1, 3), (2, 3)])
 
     def test_empty_parts_rejected(self):
         with pytest.raises(InvalidSize):
-            factorize_clique_sum(CliqueSumSpec(parts=()))
+            factorize_clique_sum([])
 
 
 class TestExample3i:
@@ -298,3 +328,23 @@ class TestJunctionMessages:
             JunctionNotClique, match="^identified set is not a clique in the new part$"
         ):
             clique_sum([a, b], [[(0, 0), (1, 2)]])
+
+    @pytest.mark.parametrize(
+        "parts, junctions, error, message",
+        [
+            (0, [], InvalidSize, "need at least one part"),
+            (2, [], InvalidSize, "need one junction per consecutive pair"),
+            (2, [[(0, 0)], [(0, 0)]], InvalidSize, "need one junction per consecutive pair"),
+            (2, [[(0, 0), (3, 1)]], JunctionNotClique, "global vertex 3 does not exist"),
+            (2, [[(-1, 0)]], JunctionNotClique, "global vertex -1 does not exist"),
+            (2, [[(0, 0), (0, 1)]], JunctionNotClique, "identification is not injective"),
+        ],
+        ids=["no parts", "no junction", "a junction too many", "past the sum",
+             "negative", "not injective"],
+    )
+    def test_malformed_sum_refused(self, parts, junctions, error, message):
+        # each part a triangle with labels of its own
+        graphs = [complete(3, [GridCell(i, 1, c) for c in range(1, 4)]) for i in range(parts)]
+        with pytest.raises(error) as info:
+            clique_sum(graphs, junctions)
+        assert str(info.value) == message

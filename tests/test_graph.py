@@ -70,6 +70,25 @@ class TestBasics:
         g = Graph.from_edges(4, [(2, 3), (0, 3), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: Graph.from_masks([0b01, 0b00]), InvalidGraph("self-loop at vertex 0")),
+            (lambda: Graph.from_masks([0b10, 0b11]), InvalidGraph("self-loop at vertex 1")),
+            (lambda: Graph.from_masks([0b100, 0]), VertexOutOfRange("adjacency of 0 exceeds n=2")),
+            (lambda: Graph.from_masks([0b10, 0b1, 0b1000]),
+             VertexOutOfRange("adjacency of 2 exceeds n=3")),
+            (lambda: Graph.from_edges(2.0, []), InvalidGraph("n must be an integer, got 2.0")),
+            (lambda: Graph.from_edges("2", []), InvalidGraph("n must be an integer, got '2'")),
+        ],
+        ids=["masks-loop-0", "masks-loop-1", "masks-past-n", "masks-past-n-last",
+             "edges-float-n", "edges-string-n"],
+    )
+    def test_malformed_input_refused(self, build, expected):
+        with pytest.raises(type(expected)) as info:
+            build()
+        assert str(info.value) == str(expected)
+
 
 class TestLabelChecks:
     @pytest.mark.parametrize(
@@ -110,6 +129,10 @@ class TestIntersect:
     def test_mismatched_counts(self):
         with pytest.raises(MismatchedVertexSets):
             intersect_graphs([complete(3), complete(4)])
+
+    def test_no_factors(self):
+        with pytest.raises(InvalidGraph, match="^need at least one factor$"):
+            intersect_graphs([])
 
     def test_mismatched_labels(self):
         a = Graph.from_edges(2, [], labels=[Plain(0), Plain(1)])

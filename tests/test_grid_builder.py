@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwkit import (
-    CliqueSumSpec,
     Factorization,
     Graph,
     apex_grid,
@@ -60,10 +59,9 @@ class TestAgainstDefinitions:
         n = data.draw(st.integers(1, 8))
         part = data.draw(st.integers(0, 3))
         edges = data.draw(apex_edge_sets(k))
-        expected = oracle_base(k, n, edges, part)
-        assert apex_grid(k, n, edges, part) == expected
+        assert apex_grid(k, n, edges, part) == oracle_base(k, n, edges, part)
         if n >= 2:
-            assert factorize_apex_grid(k, n, edges, part).base == expected
+            assert factorize_apex_grid(k, n, edges).base == oracle_base(k, n, edges, 0)
         if k == 0:
             assert grid(n) == oracle_base(0, n, set(), 0)
 
@@ -73,9 +71,7 @@ class TestAgainstDefinitions:
         k = data.draw(st.integers(1, 3))
         sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
         removed = data.draw(apex_edge_sets(k))
-        f = factorize_clique_sum(
-            CliqueSumSpec(tuple((k, n) for n in sizes), tuple(sorted(removed)))
-        )
+        f = factorize_clique_sum([(k, n) for n in sizes], sorted(removed))
 
         full = complete_apex_edges(k)
         if len(sizes) == 1:
@@ -100,14 +96,11 @@ class TestAgainstDefinitions:
         # a clique sum needs k >= 1, so with k = 0 there is one part
         sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4 if k else 1))
         edges = {tuple(sorted(e)) for e in data.draw(apex_edge_sets(k))}
-        part = 0
         if len(sizes) == 1 and (k == 0 or data.draw(st.booleans())):
-            part = data.draw(st.integers(0, 3))
-            f = factorize_apex_grid(k, sizes[0], edges, part)
+            f = factorize_apex_grid(k, sizes[0], edges)
         else:
-            removed = tuple(sorted(complete_apex_edges(k) - edges))
-            f = factorize_clique_sum(CliqueSumSpec(tuple((k, n) for n in sizes), removed))
-        g1, g2, cover = apex_grid_factors(k, sizes, edges, part)
+            f = factorize_clique_sum([(k, n) for n in sizes], complete_apex_edges(k) - edges)
+        g1, g2, cover = apex_grid_factors(k, sizes, edges, 0)
         assert f.factors == (g1, g2)
         assert f.covers[0].to_json() == cover
 
@@ -147,8 +140,8 @@ GOLDEN = {
 # sha256 of the same envelopes with each factor written as its cliques (the
 # cover blocks of factor 2 widened to maximal cliques) plus the edges they
 # leave uncovered, without the labels it shares with the base, and the base's
-# grid and apex labels written as runs; "part 2" is
-# factorize_apex_grid(2, 4, {(1, 2)}, part=2)
+# grid and apex labels written as runs (the clique sums' later parts pin the
+# runs of labels with part > 0)
 CLIQUE_ENCODED = {
     ("apex-grid", "--k", "0", "--n", "2"):
         "7247eee8f926417958ce9146029d42d700ed987412f29c701f4f3f67c5436365",
@@ -170,7 +163,6 @@ CLIQUE_ENCODED = {
         "ce1b1b33805307162bbd33e21b79029f5ae3d3dddd056793f995021a88d00eee",
     ("example3ii", "--n", "4", "--k", "3"):
         "299ba51996a90b1dddb4483fb960fbb0043c6da18525d52f6c195b56089e0e5d",
-    "part 2": "2d0cbb245b755aa16060e1a2e14c92c6f46bc65c42e4834df93406886c23c291",
 }
 
 
@@ -211,14 +203,6 @@ class TestGolden:
         assert sha256_of(out) == CLIQUE_ENCODED[argv]
         assert sha256_of(edge_only(out)) == GOLDEN[argv]
 
-    def test_apex_grid_of_a_later_part(self, tmp_path):
-        out = tmp_path / "f.json"
-        _dump(factorize_apex_grid(2, 4, {(1, 2)}, part=2).to_json(), str(out))
-        assert sha256_of(out) == CLIQUE_ENCODED["part 2"]
-        assert sha256_of(edge_only(out)) == (
-            "297c71f041e89198204e109453ef16f552b26fc719ac3fabd81894bac317cae2"
-        )
-
 
 def construct_cases(family):
     """`construct` argvs for n = 1-8 (and k = 0-3 for apex-grid, each k
@@ -254,7 +238,7 @@ def test_construct_bytes(tmp_path, family, form):
 
 
 def sum_of(*parts, removed=()):
-    return lambda: factorize_clique_sum(CliqueSumSpec(parts, removed))
+    return lambda: factorize_clique_sum(parts, removed)
 
 
 BAD_PARAMETERS = {

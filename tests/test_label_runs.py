@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwkit import (
-    CliqueSumSpec,
     Graph,
     example3_i,
     example3_ii,
@@ -22,7 +21,7 @@ from ccwkit import (
 )
 from ccwkit.cli import main
 from ccwkit.errors import InvalidGraph
-from ccwkit.graph import Apex, GridCell, Plain, labels_to_json
+from ccwkit.graph import Apex, GridCell, Plain, labels_from_json, labels_to_json
 
 SUM_SIZES = [3, 4, 5, 6, 7, 8] * 10 + [4, 5]
 
@@ -103,8 +102,7 @@ def test_entry_counts():
         {"kind": "apex", "part": 0, "count": 2},
     ]
     # 62 grid runs and the shared apex run
-    spec = CliqueSumSpec(tuple((3, s) for s in SUM_SIZES), ((1, 2),))
-    f = factorize_clique_sum(spec)
+    f = factorize_clique_sum([(3, s) for s in SUM_SIZES], [(1, 2)])
     labels = f.to_json()["base"]["labels"]
     assert len(labels) == 63
     assert labels[1] == {"kind": "apex", "part": 0, "count": 3}
@@ -118,6 +116,14 @@ def test_one_dict_per_label_still_loads():
         {"kind": "grid", "part": 0, "row": r, "col": c} for r in range(1, 4) for c in range(1, 4)
     ] + [{"kind": "apex", "part": 0, "apex_index": 1}]
     assert Graph.from_json(obj) == g
+
+
+def test_a_run_field_on_another_kind_is_ignored():
+    # as any extra field of a single label is: no run of plain labels exists
+    assert labels_from_json([{"kind": "plain", "id": 0, "count": 3}], 1) == [Plain(0)]
+    assert labels_from_json([{"kind": "apex", "part": 0, "apex_index": 2, "rows": 3}], 1) == [
+        Apex(0, 2)
+    ]
 
 
 def test_a_huge_run_allocates_nothing():
@@ -188,7 +194,7 @@ def test_malformed_runs_exit_2(tmp_path, capsys, cmd, labels, message):
 FACTORIZATIONS = {
     "apex grid k=2": lambda: factorize_apex_grid(2, 5),
     "apex grid k=3, one apex edge": lambda: factorize_apex_grid(3, 4, {(1, 3)}),
-    "clique sum": lambda: factorize_clique_sum(CliqueSumSpec(((3, 3), (3, 4)), ((1, 2),))),
+    "clique sum": lambda: factorize_clique_sum([(3, 3), (3, 4)], [(1, 2)]),
     "example3_i": lambda: example3_i(3, 4),
     "example3_ii": lambda: example3_ii(3, 2),
 }

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from ccwkit import CliqueSumSpec, Factorization, Graph, factorize_apex_grid, factorize_clique_sum
+from ccwkit import Factorization, Graph, factorize_apex_grid, factorize_clique_sum
 from ccwkit.cli import main
 
 from test_grid_builder import GOLDEN
@@ -41,7 +41,7 @@ def test_factors_are_written_without_labels(tmp_path, argv):
 def test_built_factors_share_the_base_labels():
     for f in [
         factorize_apex_grid(2, 4, {(1, 2)}),
-        factorize_clique_sum(CliqueSumSpec(((2, 2), (2, 3)), ((1, 2),))),
+        factorize_clique_sum([(2, 2), (2, 3)], [(1, 2)]),
     ]:
         assert all(g.labels is f.base.labels for g in f.factors)
 

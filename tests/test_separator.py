@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,7 +209,9 @@ class TestAudit:
         def cut(g):
             return Graph.from_edges(g.n, [e for e in g.edges() if e not in gone], g.labels)
 
-        g = _make_factorization(cut(f.base), [f.factors[0], cut(f.factors[1])], f.covers)
+        # a width bound of n cannot bind, so only the audit refuses g
+        factors = [f.factors[0], cut(f.factors[1])]
+        g = _make_factorization(cut(f.base), factors, f.covers, f.base.n)
         with pytest.raises(InvalidFactorization) as info:
             audit_lower_bound(g)
         assert str(info.value) == (
@@ -219,6 +222,66 @@ class TestAudit:
         for n in (5, 9):
             rep = audit_lower_bound(factorize_apex_grid(1, n))
             assert rep.restricted_cover_sizes[0] == n + 1 >= n
+
+
+# name: (a fault put into the separator of the apex grid k = 1, n = 6 and its
+# measure, the refusal of `_assert_separator`); the crossing edge is checked
+# by the test below
+FAULTS = {
+    "a vertex in no block": (
+        lambda mu, r: (mu, replace(r, side_a=r.side_a - {min(r.side_a)})),
+        "separator result does not partition V",
+    ),
+    "a vertex in two blocks": (
+        lambda mu, r: (mu, replace(r, side_a=r.side_a | {min(r.separator)})),
+        "separator result blocks overlap",
+    ),
+    "an unbalanced side": (
+        lambda mu, r: (Measure.from_list([float(v in r.side_a) for v in range(37)]), r),
+        "side measure exceeds 2mu(G)/3",
+    ),
+    "a stored mu_a of 0": (
+        lambda mu, r: (mu, replace(r, mu_a=0.0)),
+        "sides weigh 12.0, 12.0, not the stored 0.0, 12.0",
+    ),
+    "a stored mu_b off by 1e-6": (
+        lambda mu, r: (mu, replace(r, mu_b=r.mu_b + 1e-6)),
+        "sides weigh 12.0, 12.0, not the stored 12.0, 12.000001",
+    ),
+    "a stored mu_b of NaN": (
+        lambda mu, r: (mu, replace(r, mu_b=math.nan)),
+        "sides weigh 12.0, 12.0, not the stored 12.0, nan",
+    ),
+    "two columns as one separator clique": (
+        lambda mu, r: (mu, replace(r, separator_cliques=(
+            r.separator_cliques[0] | r.separator_cliques[1], *r.separator_cliques[2:]
+        ))),
+        "separator clique fails in base graph",
+    ),
+    "a separator clique twice": (
+        lambda mu, r: (mu, replace(r, separator_cliques=(*r.separator_cliques,
+                                                         r.separator_cliques[0]))),
+        "separator cliques overlap",
+    ),
+    "a separator clique missing": (
+        lambda mu, r: (mu, replace(r, separator_cliques=r.separator_cliques[1:])),
+        "separator cliques do not cover the separator",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault, message", FAULTS.values(), ids=FAULTS.keys())
+def test_assert_separator_refuses_each_fault(fault, message):
+    f = factorize_apex_grid(1, 6)
+    r = separate(f)
+    # side A weighs 12 of the 37 vertices, side B 12, and the separator is
+    # rows 3 and 4 as column pairs in cover order, the apex in the middle
+    assert (r.mu_a, r.mu_b, len(r.separator)) == (12.0, 12.0, 13)
+    assert [len(c) for c in r.separator_cliques] == [2, 2, 2, 1, 2, 2, 2]
+    _assert_separator(f.base, Measure.uniform(37), r)
+    with pytest.raises(InvalidFactorization) as info:
+        _assert_separator(f.base, *fault(Measure.uniform(37), r))
+    assert str(info.value) == message
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,9 +299,12 @@ def test_crossing_edge_matches_a_scan_of_every_edge(data):
                         frozenset(a), frozenset(b), 0.0, 0.0, 0, 0.0)
     first = next(((u, v) for u, v in sorted(g.edges())
                   if {place[u], place[v]} == {1, 2}), None)
+    # weight 0 everywhere makes the stored measures 0.0 true and any split
+    # balanced, so only a crossing edge can be refused
+    zero = Measure((0.0,) * n)
     if first is None:
-        _assert_separator(g, Measure.uniform(n), r)
+        _assert_separator(g, zero, r)
     else:
         with pytest.raises(InvalidFactorization) as info:
-            _assert_separator(g, Measure.uniform(n), r)
+            _assert_separator(g, zero, r)
         assert str(info.value) == f"edge ({first[0]},{first[1]}) crosses the separator"

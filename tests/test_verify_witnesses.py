@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ccwkit import (
     ChordalCertificate,
-    CliqueSumSpec,
     Factorization,
     Graph,
     OrderedCliqueCover,
@@ -31,7 +30,7 @@ from oracles import brute_cover_width, brute_intersection_witness, brute_peo_wit
 FACTORIZATIONS = [
     factorize_apex_grid(1, 3),
     factorize_apex_grid(2, 4, {(1, 2)}),
-    factorize_clique_sum(CliqueSumSpec(((2, 2), (2, 3)), ((1, 2),))),
+    factorize_clique_sum([(2, 2), (2, 3)], [(1, 2)]),
 ]
 
 

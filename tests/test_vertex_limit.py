@@ -12,7 +12,6 @@ import tracemalloc
 import pytest
 
 from ccwkit import (
-    CliqueSumSpec,
     Graph,
     apex_grid,
     example3_i,
@@ -95,7 +94,7 @@ def test_construction_over_the_limit_exits_2(tmp_path, capsys, argv, refused):
 
 
 def sum_of(*parts):
-    return lambda: factorize_clique_sum(CliqueSumSpec(parts=parts))
+    return lambda: factorize_clique_sum(parts)
 
 
 # name: (a build of 16 vertices, a larger build, the refusal naming its count)
