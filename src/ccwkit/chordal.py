@@ -106,7 +106,15 @@ def verify_peo(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
     """
     if sorted(order) != list(range(g.n)):
         raise InvalidPEO("ordering is not a permutation of V(g)")
-    succ, parent = _elimination(g, order)
+    return _peo_witness(g, order, *_elimination(g, order))
+
+
+def _peo_witness(
+    g: Graph, order: Sequence[int], succ: list[int], parent: list[int]
+) -> tuple[int, int, int] | None:
+    """`verify_peo` of a permutation `order` of V(g) whose `_elimination`
+    is (succ, parent), for a caller that also builds the clique forest
+    from them (`Factorization.to_json`)."""
     for v in order:
         p = parent[v]
         if p >= 0 and (missing := succ[v] & ~g._adj[p] & ~(1 << p)):
@@ -198,10 +206,13 @@ def maximal_cliques_chordal(g: Graph, peo: Sequence[int]) -> list[frozenset[int]
     return [frozenset(bits(bags[i])) for i in dict.fromkeys(home[v] for v in peo)]
 
 
-def _clique_forest(g: Graph, peo: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+def _clique_forest(
+    g: Graph, peo: Sequence[int], elimination: tuple[list[int], list[int]] | None = None
+) -> tuple[list[int], list[int], list[int]]:
     """Clique forest of g from an already verified PEO: bag masks, `up[i]`
     the parent of bag i (-1 at a root), and `home[v]` the bag nearest the
-    root that holds v (-1 for a vertex not in `peo`).
+    root that holds v (-1 for a vertex not in `peo`).  `elimination` is
+    `_elimination(g, peo)` if the caller has it already.
 
     Built top-down from the PEO parents (Blair & Peyton 1993): walking `peo`
     backwards, with C(v) = {v} + later neighbours of v and p v's parent, v
@@ -210,7 +221,7 @@ def _clique_forest(g: Graph, peo: Sequence[int]) -> tuple[list[int], list[int], 
     parent.  `peo` may also be a PEO of an induced subgraph, listing only its
     vertices: the forest is then that subgraph's, in g's indices.
     """
-    succ, parent = _elimination(g, peo)
+    succ, parent = elimination or _elimination(g, peo)
     bags: list[int] = []
     up: list[int] = []
     front: dict[int, int] = {}  # the vertex that last joined or opened each bag

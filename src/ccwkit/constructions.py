@@ -9,7 +9,8 @@ from itertools import chain, repeat, zip_longest
 from typing import Iterable, Sequence
 
 from . import graph
-from .chordal import ChordalCertificate, _clique_forest, _peo_failure, lex_bfs
+from .chordal import ChordalCertificate, _clique_forest, _elimination, _peo_failure
+from .chordal import _peo_witness, lex_bfs
 from .cliquecover import OrderedCliqueCover, _width, cover_width
 from .errors import (
     BadRemovedEdge,
@@ -21,8 +22,8 @@ from .errors import (
     JunctionNotClique,
     UnequalApexSizes,
 )
-from .graph import Apex, Graph, GridCell, VertexLabel, bits, intersect_graphs, is_clique, mask_of
-from .graph import _grown_clique, _is_clique_mask, _pairs
+from .graph import Apex, Graph, GridCell, VertexLabel, intersect_graphs, is_clique, labels_to_json
+from .graph import _closed_meet, _grown_clique, _is_clique_mask, _pairs, mask_of
 
 
 @dataclass(frozen=True)
@@ -43,33 +44,45 @@ class Factorization:
         written as the bags of its clique forest from the certificate's
         PEO, and each factor i >= 2 as the blocks of its cover, each widened
         to a maximal clique of that factor (`_widened`: a column takes its
-        apexes), each plus the edges they leave uncovered (see
-        `Graph.to_json`, which drops any candidate that is not a clique).  A
-        factor whose labels equal the base's, as `verify_factorization`
-        requires, is written without them; one whose labels differ keeps its
-        own, so an unchecked factorization round-trips too.
+        apexes), each plus the edges they leave uncovered.  No clique is
+        tested twice: one `_elimination` serves the PEO test and the forest,
+        and when the test passes every bag, some C(v) of a PEO, is a clique
+        (Rose, Tarjan & Lueker 1976) and goes to `Graph._unlabeled_json` as
+        a mask; when it fails, as it may in an unchecked factorization, each
+        bag is tested and a bag that is no clique dropped, as `_widened`
+        drops a block that is none.  A factor whose labels equal the base's,
+        as `verify_factorization` requires, is written without them; one
+        whose labels differ keeps its own, so an unchecked factorization
+        round-trips too.
 
         At n = 40 (k = 2, apexes adjacent) that writes 0.12 MB (121 374
         bytes), where one dict per label and the blocks as they are took
         0.23 MB and labels in every graph 0.36 MB.  Widening costs about
-        what it saves in factor 2's edge list (4.3-5.2 ms for the dict
-        either way, 1 559 edges left against 4 761, on a 2-vCPU Xeon VM);
-        the gain is in the C encoder, 5.0 ms against 8.3 ms, and in
-        decoding."""
+        what it saves in factor 2's edge list (1 559 edges left against
+        4 761); the gain is in the C encoder, 5.0 ms against 8.3 ms, and in
+        decoding.  On a 2-vCPU Xeon VM, collector paused as in the CLI, the
+        dict takes 1.7-2.5/8.9-13 ms at n = 20/40, where testing every bag
+        and block again, member by member, took 2.7-3.8/12-14 ms; at n = 40
+        the factors take 2.2-2.4 ms each in `_unlabeled_json`, the widening
+        0.7-0.8 ms and the base 2.6-3.0 ms."""
         base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
         bags = []
         if peo is not None and sorted(peo) == list(range(g1.n)):
-            bags = [bits(m) for m in _clique_forest(g1, peo)[0]]
+            elimination = _elimination(g1, peo)
+            bags = _clique_forest(g1, peo, elimination)[0]
+            if _peo_witness(g1, peo, *elimination) is not None:
+                bags = [m for m in bags if _is_clique_mask(g1._adj, m)]
         widened = (
             [_widened(g, b) for b in c.cliques] for g, c in zip(self.factors[1:], self.covers)
         )
-        candidates = chain([bags], widened, repeat(()))
+        factors = []
+        for g, cliques in zip(self.factors, chain([bags], widened, repeat(()))):
+            factors.append(g._unlabeled_json(cliques))
+            if g.labels != base.labels:
+                factors[-1]["labels"] = labels_to_json(g.labels)
         return {
             "base": base.to_json(),
-            "factors": [
-                g._unlabeled_json(c) if g.labels == base.labels else g.to_json(c)
-                for g, c in zip(self.factors, candidates)
-            ],
+            "factors": factors,
             "chordal_cert": self.chordal_cert.to_json(),
             "covers": [c.to_json() for c in self.covers],
             "widths": list(self.widths),
@@ -80,14 +93,21 @@ class Factorization:
     def from_json(cls, obj: dict) -> "Factorization":
         """Decode an envelope; raises `InvalidGraph` for a missing key, a
         malformed graph, no factors, a certificate without a `peo` or `hole`
-        list, a cover or certificate entry that is not a vertex id, or
-        non-integer widths or lstar: O(V) per cover.  Whether they are right
-        is left to `verify_factorization`.
+        list, a cover or certificate entry that is not a vertex id, a cover
+        block that repeats one (named by its index and its cover's), or
+        non-integer widths or lstar.  Whether they are right is left to
+        `verify_factorization`.  Each id list is tested by one C-level scan
+        of its types, then its `min` and `max`, and each block by a set.
 
-        A factor without `labels` takes the base's label tuple, so its labels
-        are not decoded again; its n must then be the base's.  A factor with
-        `labels` (as in envelopes of earlier releases) is decoded in full.
-        Either way `vertex_sets` compares the labels with the base's."""
+        A factor without `labels` takes the base's checked label tuple, so
+        its labels are not decoded or checked again; its n must then be the
+        base's.  A factor with `labels` (as in envelopes of earlier
+        releases) is decoded in full.  Either way `vertex_sets` compares the
+        labels with the base's.  The graphs share one `_bit_table`.  On a
+        2-vCPU Xeon VM, collector paused, the apex grid k = 2 decodes in
+        0.92-0.97/4.3-4.8 ms at n = 20/40, against 1.3-1.4/5.2-7.5 ms with a
+        label check and a bit table per graph and a generator step per id;
+        its factors take 0.8-1.1 and 1.0-1.3 ms of that at n = 40."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -106,9 +126,15 @@ class Factorization:
             raise InvalidGraph("'covers' must be a list of covers, each a list of blocks")
         # booleans are not ids, and no later 1 << v may see an unchecked v
         n = base.n
-        for ids in [cert.get("peo", cert.get("hole")), *(blk for c in covers for blk in c)]:
-            if not isinstance(ids, list) or not all(type(v) is int and 0 <= v < n for v in ids):
+        for ids in [cert.get("peo", cert.get("hole")), *chain.from_iterable(covers)]:
+            if not isinstance(ids, list) or ids and (
+                set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= n
+            ):
                 raise InvalidGraph(f"certificate and cover entries must be vertex ids in [0, {n})")
+        for i, cover in enumerate(covers, 1):
+            for j, blk in enumerate(cover):
+                if len(set(blk)) != len(blk):
+                    raise InvalidGraph(f"block {j} of cover {i} repeats a member")
         if not isinstance(widths, list) or not all(type(w) is int for w in (*widths, lstar)):
             raise InvalidGraph("'widths' must be a list of integers and 'lstar' an integer")
         graphs = []
@@ -131,16 +157,19 @@ class Factorization:
         )
 
 
-def _widened(g: Graph, block: frozenset[int]) -> Iterable[int]:
-    """The block plus, in ascending order, each vertex adjacent in g to the
-    whole block and to every vertex added before it: a maximal clique of g
-    if the block is a clique.  A block that is empty or not within g (an id
-    outside [0, n), which `Graph._subset_mask` refuses before shifting it)
-    is returned as it is."""
+def _widened(g: Graph, block: frozenset[int]) -> int:
+    """The mask of the block plus, in ascending order, each vertex adjacent
+    in g to the whole block and to every vertex added before it: a maximal
+    clique of g.  0, which `Graph._unlabeled_json` skips, for a block that
+    is empty, not within g (an id outside [0, n), which `Graph._subset_mask`
+    refuses before shifting it) or not a clique: the AND of its closed
+    neighbourhoods (`_closed_meet`) tests it and gives the vertices it may
+    grow by.  The 22/42 blocks of the apex-grid cover (k=2, n=20/40) widen
+    in 0.10/0.75 ms on a 2-vCPU Xeon VM."""
     m = g._subset_mask(block)
-    if not m:  # None or empty
-        return block
-    return bits(_grown_clique(g._adj, m, g.vertex_mask()))
+    if not m or m & ~(common := _closed_meet(g._adj, block, g.vertex_mask())):
+        return 0  # None, empty or not a clique
+    return m | _grown_clique(g._adj, common ^ m)
 
 
 def _vertex_set_failure(f: Factorization) -> str | None:
@@ -255,9 +284,18 @@ def _check_vertex_count(what: str, n: int) -> None:
         raise InvalidSize(f"{what}: n={n} exceeds the limit of {graph.MAX_VERTICES} vertices")
 
 
+def _check_integers(what: str, **values: object) -> None:
+    """Refuse a construction parameter that is not an int, such as a float
+    or a bool, which `range` and `<<` would refuse or read as 0 or 1."""
+    for name, x in values.items():
+        if type(x) is not int:
+            raise InvalidSize(f"{what}: {name} must be an integer, not {x!r}")
+
+
 def grid(n: int) -> Graph:
     """n x n planar grid; cells row-major, edges between orthogonal
     neighbors: the base `_apex_grid_base` builds with no apexes."""
+    _check_integers("grid", n=n)
     if n < 1:
         raise InvalidSize("grid requires n >= 1")
     _check_vertex_count("grid", n * n)
@@ -267,7 +305,7 @@ def grid(n: int) -> Graph:
 def _check_apex_edges(k: int, apex_edges: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     norm = set()
     for a, b in apex_edges:
-        if a == b or not (1 <= a <= k and 1 <= b <= k):
+        if type(a) is not int or type(b) is not int or a == b or not (1 <= a <= k and 1 <= b <= k):
             raise InvalidApexEdge(f"apex edge ({a},{b}) invalid for k={k}")
         norm.add((min(a, b), max(a, b)))
     return norm
@@ -283,6 +321,7 @@ def apex_grid(
     """n x n grid plus k apex vertices joined to every grid cell, with the
     given edge set among the apexes: the base `_apex_grid_base` builds for
     one size."""
+    _check_integers("apex_grid", k=k, n=n, part=part)
     if n < 1 or k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
     _check_vertex_count("apex_grid", n * n + k)
@@ -386,6 +425,7 @@ def factorize_apex_grid(
 ) -> Factorization:
     """Two-factor decomposition of an apex grid: chordal factor 1 plus a
     column-clique factor whose cover width is at most ceil(n/2) + k."""
+    _check_integers("factorize_apex_grid", k=k, n=n)
     if n < 2:
         raise InvalidSize("factorize_apex_grid requires n >= 2")
     return _make_factorization(*_apex_grid_factors(k, [n], apex_edges), (n + 1) // 2 + k)
@@ -456,6 +496,8 @@ def factorize_clique_sum(
     running cover; its width is at most sum(n_i + k_i)."""
     if not parts:
         raise InvalidSize("clique sum needs at least one part")
+    for k, n in parts:
+        _check_integers("factorize_clique_sum", k=k, n=n)
     ks = {k for k, _ in parts}
     if len(ks) != 1:
         raise UnequalApexSizes(f"all parts must share one apex size, got {sorted(ks)}")
@@ -482,6 +524,7 @@ def example3_i(n: int, k: int) -> Factorization:
     itself with the width-1 block cover; factor 1 is the base plus
     block_i + block_{i+1} as one clique for each i (for k = 1, the one
     block), an interval-like graph."""
+    _check_integers("example3_i", n=n, k=k)
     if n < 1 or k < 1:
         raise InvalidSize("example3_i requires n, k >= 1")
     total = n * k
@@ -510,6 +553,7 @@ def example3_ii(n: int, k: int) -> Factorization:
     so every cell becomes a k-clique and every edge a complete join: the
     consecutive-row-band graph and the column-clique graph over the
     blown-up vertices, the latter with a width-1 column cover."""
+    _check_integers("example3_ii", n=n, k=k)
     if n < 1 or k < 1:
         raise InvalidSize("example3_ii requires n, k >= 1")
     _check_vertex_count("example3_ii", n * n * k)

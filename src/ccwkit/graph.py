@@ -7,7 +7,9 @@ components) at the target scales of a few thousand vertices.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
+from operator import and_, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -167,8 +169,8 @@ def label_from_json(obj: dict) -> VertexLabel:
 
 
 def _edge_error(edge, n: int) -> CcwKitError:
-    """The error for the edge that stopped the loop in `from_edges` (None if
-    the edges were not iterable)."""
+    """The error for the edge that stopped the loop in `_edge_masks` (None
+    if the edges were not iterable)."""
     if isinstance(edge, (list, tuple)) and len(edge) == 2 and all(
         isinstance(x, int) for x in edge
     ):
@@ -208,14 +210,43 @@ def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[Verte
 MAX_VERTICES = 32_768
 
 
-def _bit_table(n: int) -> list[int | None]:
+@lru_cache(maxsize=1)
+def _bit_table(n: int) -> tuple[int | None, ...]:
     """bit[v] == 1 << v for v in [0, n), then n Nones.  An id in [n, 2n) or
     [-n, 0) gives None, which fails in `|=` or `sum`; one in [-2n, -n)
     fails as an index into the n masks it is ORed into; any other one out
     of range raises IndexError here.  So a decoding loop needs no range
     test, and never computes 1 << v for an unchecked v (a huge v would
-    allocate a huge int before any IndexError)."""
-    return [1 << v for v in range(n)] + [None] * n
+    allocate a huge int before any IndexError).
+
+    The last table built is kept, a tuple, so no caller can change it:
+    the graphs of one envelope, which share n, share one table, where
+    decoding an apex-grid envelope built five, 0.10-0.14 ms each at
+    n = 1 602 on a 2-vCPU Xeon VM.  The kept table holds about n^2/16 bytes
+    until one of another n is built: 0.16 MB at n = 1 602, 67 MB at
+    `MAX_VERTICES`."""
+    return (*[1 << v for v in range(n)], *[None] * n)
+
+
+def _edge_masks(n: int, edges, bit: Sequence[int | None]) -> list[int]:
+    """The adjacency masks of n vertices joined by `edges`, with `bit` the
+    `_bit_table(n)`: an edge that is not a pair of ids in [0, n) raises the
+    error `_edge_error` names, and then a self-loop `InvalidGraph`, found by
+    one C-level scan of the masks, which names the vertex only when it
+    fires."""
+    adj = [0] * n
+    edge = None
+    try:
+        for edge in edges:
+            u, v = edge
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
+    except (IndexError, TypeError, ValueError):
+        raise _edge_error(edge, n) from None
+    if any(map(and_, adj, bit)):
+        v = next(v for v, m in enumerate(adj) if m >> v & 1)
+        raise InvalidGraph(f"self-loop at vertex {v}")
+    return adj
 
 
 def _clique_error(clique, n: int) -> InvalidGraph:
@@ -257,18 +288,27 @@ def _is_clique_mask(adj: Sequence[int], m: int) -> bool:
     return all(m & ~adj[v] == 1 << v for v in bits(m))
 
 
-def _grown_clique(adj: Sequence[int], start: int, allowed: int) -> int:
-    """`start` plus, in ascending order, each vertex of `allowed` adjacent
-    to every vertex of `start` and to every vertex added before it: a
-    maximal clique within `start | allowed` if `start` is a clique."""
-    common = allowed
-    for v in bits(start):
-        common &= adj[v]
+def _grown_clique(adj: Sequence[int], common: int) -> int:
+    """The clique taken from `common` in ascending order, each vertex
+    joining iff it is adjacent to every vertex taken before it.  With
+    `common` the vertices of some allowed set adjacent to every vertex of a
+    clique m, m plus it is a maximal clique within m and that set."""
+    clique = 0
     while common:
         low = common & -common
-        start |= low
+        clique |= low
         common &= adj[low.bit_length() - 1]
-    return start
+    return clique
+
+
+def _closed_meet(adj: Sequence[int], ids: Iterable[int], m: int) -> int:
+    """m AND the closed neighbourhood adj[v] | 1 << v of each of the ids,
+    all below len(adj): the vertices of m equal or adjacent to every id.
+    For the ids of a mask m it is m iff they form a clique: one AND per id,
+    where `_is_clique_mask` walks the bits of m."""
+    for v in ids:
+        m &= adj[v] | 1 << v
+    return m
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -310,30 +350,18 @@ class Graph:
         `InvalidGraph`, and so does a self-loop, a label count other than n,
         or a non-integer n.  The first edge that fails the loop is reported
         before any self-loop, wherever the self-loop stands in the list,
-        because self-loops are found by one O(V) scan of the masks after it.
-        The loop only ORs masks, about 0.2 us an edge on a 2-vCPU Xeon VM:
-        1.3 ms of the 2.6-3.2 ms `from_json` takes on the base of the apex
-        grid k=2, n=40 (6 321 edges; decoding its 1 602 labels takes
-        0.6-0.8 ms, and checking them here 0.07 ms), and 10-17 us is a whole
-        17-edge, 8-vertex `ccw` graph file.
+        because self-loops are found by one O(V) scan of the masks after it
+        (`_edge_masks`).  The loop only ORs masks, about 0.14 us an edge on
+        a 2-vCPU Xeon VM: 0.85-0.92 ms of the 2.2-2.6 ms `from_json` takes
+        on the base of the apex grid k=2, n=40 (6 321 edges; decoding its
+        1 602 labels takes 0.5 ms, checking them here 0.1 ms and the
+        self-loop scan 0.1 ms), and 10-17 us is a whole 17-edge, 8-vertex
+        `ccw` graph file.
         """
         if not isinstance(n, int):
             raise InvalidGraph(f"n must be an integer, got {n!r}")
         labels = _checked_labels(n, labels)
-        bit = _bit_table(n)
-        adj = [0] * n
-        edge = None
-        try:
-            for edge in edges:
-                u, v = edge
-                adj[u] |= bit[v]
-                adj[v] |= bit[u]
-        except (IndexError, TypeError, ValueError):
-            raise _edge_error(edge, n) from None
-        for v in range(n):
-            if adj[v] >> v & 1:
-                raise InvalidGraph(f"self-loop at vertex {v}")
-        return cls(n, tuple(adj), labels)
+        return cls(n, tuple(_edge_masks(n, edges, _bit_table(n))), labels)
 
     @classmethod
     def from_masks(
@@ -422,28 +450,35 @@ class Graph:
         an id outside [0, n) included, are dropped, so `from_json` gives
         back g whatever the candidates are.
 
-        Costs 0.3-0.5 us per written edge plus one or two big-int
-        operations per candidate member.  On a 2-vCPU Xeon VM, collector
+        Costs 0.3-0.5 us per written edge plus a few big-int operations
+        per candidate member: each candidate becomes a mask through
+        `_subset_mask` and is tested by `_is_clique_mask`, then
+        `_unlabeled_json` lists it once.  On a 2-vCPU Xeon VM, collector
         paused as in the CLI, the apex grid k=2 at n=20/40 writes factor 1
-        (12 201/96 801 edges) as its 19/39 clique-forest bags in 0.5/2.5 ms,
-        against 3.0/30 ms for its edge list, and factor 2 (4 981/35 961
-        edges) as its cover blocks in 0.6/3.5 ms, against 1.4/11 ms.
-        Labels are written by `labels_to_json`, grid and apex blocks as
-        runs: the base of that apex grid writes in 0.8-0.9/3.6-4.0 ms, its
-        labels as 2 entries (81 bytes) in 0.15/0.55 ms of it.
+        (12 201/96 801 edges) with its 19/39 clique-forest bags as
+        candidates in 0.8/4.7-5.4 ms, against 3.0/30 ms for its edge list,
+        and factor 2 (4 981/35 961 edges) with its cover blocks in
+        0.8/4.2-6.5 ms, against 1.4/11 ms.  Labels are written by
+        `labels_to_json`, grid and apex blocks as runs: the base of that
+        apex grid writes in 0.5-0.6/2.6-3.0 ms, its labels as 2 entries
+        (81 bytes) in 0.15/0.55 ms of it.
         """
-        obj = self._unlabeled_json(cliques)
+        adj, masks = self._adj, map(self._subset_mask, cliques)
+        obj = self._unlabeled_json(m for m in masks if m is not None and _is_clique_mask(adj, m))
         obj["labels"] = labels_to_json(self.labels)
         return obj
 
-    def _unlabeled_json(self, cliques: Iterable[Iterable[int]]) -> dict:
-        """`to_json(cliques)` without `labels`, for a graph that shares the
-        labels of another one written next to it (see `_from_json`)."""
+    def _unlabeled_json(self, cliques: Iterable[int]) -> dict:
+        """`to_json` without `labels`, for a graph that shares the labels of
+        another one written next to it (see `_from_json`), of `cliques`
+        given as masks that are known to be cliques of g: each of at least
+        two members is listed by `bits` once and written, none is tested.
+        The envelope's factors of the apex grid k=2 take 0.25-0.3 ms each at
+        n=20 and 2.2-2.4 ms at n=40 here on a 2-vCPU Xeon VM."""
         n, adj = self.n, self._adj
         kept, covered = [], [0] * n
-        for clique in cliques:
-            m = self._subset_mask(clique)
-            if m is None or m.bit_count() < 2 or not _is_clique_mask(adj, m):
+        for m in cliques:
+            if m.bit_count() < 2:
                 continue
             members = list(bits(m))
             kept.append(members)
@@ -467,27 +502,26 @@ class Graph:
 
         Each clique costs one C-level sum of its members' bits, which also
         finds a repeated member (a carry lowers the bit count), and one mask
-        OR per member.  On a 2-vCPU Xeon VM, collector paused, the two
-        clique-encoded factors of the apex grid k=2 decode in 0.25-0.4 and
-        0.36 ms at n=20 and 1.1-1.2 and 1.3-1.7 ms at n=40.  Labels are
-        decoded by `labels_from_json`, which expands each run after checking
-        it: the base of that apex grid parses and decodes from its 2 label
-        entries in 1.2-1.4/3.6-4.4 ms.  An envelope's factors share the
-        base's labels and decode none (see `_from_json`).  `n` must be an
-        int, at most `MAX_VERTICES`, before any run is expanded.  Booleans are found by one C-level
-        scan of all ids for `bool`, about 50 ns an id: 2-4 us of the 14-23
-        us a 25-edge graph file takes.
+        OR per member; the members' own bits are then cleared by two C-level
+        maps.  On a 2-vCPU Xeon VM, collector paused, the two clique-encoded
+        factors of the apex grid k=2 decode in 0.16-0.17 and 0.19-0.21 ms at
+        n=20 and 0.8-1.1 and 1.0-1.3 ms at n=40.  Labels are decoded by
+        `labels_from_json`, which expands each run after checking it: the
+        base of that apex grid parses and decodes from its 2 label entries
+        in 3.5-4.1 ms at n=40.  An envelope's factors share the base's
+        labels and decode none (see `_from_json`).  `n` must be an int, at
+        most `MAX_VERTICES`, before any run is expanded.  Booleans are found
+        by one C-level scan of all ids for `bool`, about 50 ns an id: 2-4 us
+        of the 14-23 us a 25-edge graph file takes.
         """
         return cls._from_json(obj, None)
 
     @classmethod
     def _from_json(cls, obj: dict, shared: tuple[VertexLabel, ...] | None) -> "Graph":
         """`from_json(obj)`, or, with `shared` given, the graph of an `obj`
-        without labels of its own on the label tuple `shared`: no label is
-        decoded, and `from_edges` keeps the tuple, so the graph shares it.
-        It does hash them once more to check them, 0.07 ms for the 1 602
-        labels of the apex grid k=2, n=40.  The caller has checked that
-        obj's n is len(shared)."""
+        without labels of its own on the label tuple `shared`.  The caller
+        has checked that tuple, and that obj's n is its length, so no label
+        is decoded or checked again, and the graph shares the tuple."""
         try:
             n, edges = obj["n"], obj["edges"]
             labels = obj["labels"] if shared is None else shared
@@ -501,18 +535,18 @@ class Graph:
                 raise InvalidGraph(f"n must be an integer, got {n!r}")
             if n > MAX_VERTICES:
                 raise InvalidGraph(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
-            labels = labels_from_json(labels, n)
-        g = cls.from_edges(n, edges, labels)
+            labels = _checked_labels(n, labels_from_json(labels, n))
+        bit = _bit_table(n)
+        adj = _edge_masks(n, edges, bit)
         if bool in map(type, chain.from_iterable(edges)):
             raise InvalidGraph("edge endpoints must be integer vertex ids, not booleans")
         if "cliques" not in obj:
-            return g
+            return cls(n, tuple(adj), labels)
         cliques = obj["cliques"]
         if not isinstance(cliques, list) or not all(type(c) is list for c in cliques):
             raise InvalidGraph("'cliques' must be a list of lists of vertex ids")
         if bool in map(type, chain.from_iterable(cliques)):
             raise InvalidGraph("clique members must be integer vertex ids, not booleans")
-        bit, adj = _bit_table(n), list(g._adj)
         try:
             for clique in cliques:
                 m = sum(map(bit.__getitem__, clique))
@@ -522,7 +556,7 @@ class Graph:
                     adj[v] |= m
         except (IndexError, TypeError):
             raise _clique_error(clique, n) from None
-        return cls(n, tuple(a & ~b for a, b in zip(adj, bit)), g.labels)
+        return cls(n, tuple(map(xor, adj, map(and_, adj, bit))), labels)  # a & ~b
 
     def to_dot(self) -> str:
         lines = ["graph G {"]

@@ -394,14 +394,20 @@ class TestMalformedGraphFile:
         assert run([cmd, str(f)]) == 2
         assert capsys.readouterr().err.startswith("error: an envelope needs keys")
 
-    def test_self_loop_in_a_factor_exits_2(self, tmp_path, capsys):
-        f = tmp_path / "f.json"
+    @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
+    @pytest.mark.parametrize("factor", [1, 2], ids=["factor-1", "factor-2"])
+    def test_self_loop_in_a_factor_exits_2(self, tmp_path, capsys, factor, cmd):
+        # factor 1 is written as its clique-forest bags, factor 2 as widened blocks
+        f, out = tmp_path / "f.json", tmp_path / "out.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
         obj = json.loads(f.read_text())
-        obj["factors"][1]["edges"].append([3, 3])
+        assert obj["factors"][factor - 1]["cliques"]
+        obj["factors"][factor - 1]["edges"].append([3, 3])
         f.write_text(json.dumps(obj))
-        assert run(["verify", str(f)]) == 2
+        argv = [cmd, str(f)] if cmd == "verify" else [cmd, str(f), "--out", str(out)]
+        assert run(argv) == 2
         assert capsys.readouterr().err == "error: self-loop at vertex 3\n"
+        assert not out.exists()
 
 
 class TestMalformedEnvelope:
@@ -422,11 +428,13 @@ class TestMalformedEnvelope:
             ("covers", [[["a", 0]]], "certificate and cover entries must be vertex ids"),
             ("covers", [[[-1]]], "certificate and cover entries must be vertex ids"),
             ("covers", [[[10**15]]], "certificate and cover entries must be vertex ids"),
+            ("covers", [[[0, 3, 6, 0], [1, 4, 7], [9], [2, 5, 8]]],
+             "block 0 of cover 1 repeats a member"),
             ("widths", 5, "'widths' must be a list of integers"),
             ("lstar", "1", "'widths' must be a list of integers and 'lstar' an integer"),
         ],
         ids=["no-factors", "empty-cert", "peo-not-a-list", "cover-not-a-list",
-             "non-integer-block-id", "negative-block-id", "huge-block-id",
+             "non-integer-block-id", "negative-block-id", "huge-block-id", "repeated-block-id",
              "widths-not-a-list", "lstar-not-an-integer"],
     )
     def test_exits_2(self, tmp_path, capsys, envelope, cmd, key, value, message):

@@ -1,0 +1,86 @@
+"""`Factorization.to_json` against `oracles.reference_envelope`, the encoder
+that checks every candidate clique pair by pair and trusts none: the same
+bytes on unchecked factorizations, whose certificate may be a PEO, a
+permutation that is no PEO, no permutation or a hole, whose covers may hold
+blocks that are not cliques, empty blocks or ids outside the factor, and
+whose factor 1 may have another size, and so its own labels."""
+
+import dataclasses
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccwkit import (
+    ChordalCertificate,
+    OrderedCliqueCover,
+    example3_i,
+    factorize_apex_grid,
+    factorize_clique_sum,
+)
+
+from oracles import reference_envelope
+
+BUILT = [
+    factorize_apex_grid(1, 3),
+    factorize_apex_grid(2, 3),
+    factorize_apex_grid(2, 4, {(1, 2)}),
+    factorize_clique_sum([(2, 2), (2, 3)], [(1, 2)]),
+    example3_i(3, 3),
+]
+
+
+@st.composite
+def certificates(draw, f, g1):
+    """The PEO of f (valid when g1 is f's factor 1), that PEO with two
+    entries swapped, any order of g1's vertices, a list of ids that is
+    mostly no permutation, or a hole."""
+    n, peo = g1.n, list(f.chordal_cert.peo)
+    kind = draw(st.sampled_from(["own", "swapped", "permutation", "list", "hole"]))
+    if kind == "hole":
+        return ChordalCertificate(hole=(0, 1, 2, 3))
+    if kind == "swapped":
+        i, j = draw(st.integers(0, len(peo) - 1)), draw(st.integers(0, len(peo) - 1))
+        peo[i], peo[j] = peo[j], peo[i]
+    elif kind == "permutation":
+        peo = draw(st.permutations(range(n)))
+    elif kind == "list":
+        peo = draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    return ChordalCertificate(peo=tuple(peo))
+
+
+@st.composite
+def blocks(draw, f):
+    """A block of f's cover, a random vertex set (mostly no clique), an
+    empty block, or one holding an id outside [0, n)."""
+    n = f.base.n
+    kind = draw(st.sampled_from(["cover", "subset", "empty", "outside"]))
+    if kind == "cover":
+        return draw(st.sampled_from(f.covers[0].cliques))
+    if kind == "empty":
+        return frozenset()
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    if kind == "outside":
+        ids.append(draw(st.sampled_from([-1, n, n + 7])))
+    return frozenset(ids)
+
+
+@st.composite
+def unchecked_factorizations(draw):
+    f = draw(st.sampled_from(BUILT))
+    factors = f.factors
+    if draw(st.booleans()):  # a factor 1 of another size, with its own labels
+        other = draw(st.sampled_from([h for h in BUILT if h.base.n != f.base.n]))
+        factors = (other.factors[0], *factors[1:])
+    covers = f.covers
+    if draw(st.booleans()):
+        cover_lists = st.lists(blocks(f), max_size=8).map(lambda b: OrderedCliqueCover(tuple(b)))
+        covers = tuple(draw(st.lists(cover_lists, max_size=3)))
+    cert = draw(certificates(f, factors[0]))
+    return dataclasses.replace(f, factors=factors, covers=covers, chordal_cert=cert)
+
+
+@settings(deadline=None)
+@given(unchecked_factorizations())
+def test_same_bytes_as_the_checking_encoder(f):
+    assert json.dumps(f.to_json()) == json.dumps(reference_envelope(f))

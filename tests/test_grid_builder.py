@@ -269,6 +269,26 @@ BAD_PARAMETERS = {
     "apex_grid bad apex edge": (lambda: apex_grid(1, 2, {(1, 2)}),
                                 InvalidApexEdge, "apex edge (1,2) invalid for k=1"),
     "grid n < 1": (lambda: grid(0), InvalidSize, "grid requires n >= 1"),
+    # ints only: a float fails in `range` or `<<`, and a bool reads as 0 or 1
+    "apex_grid float apex": (lambda: apex_grid(2, 3, {(1.0, 2)}),
+                             InvalidApexEdge, "apex edge (1.0,2) invalid for k=2"),
+    "apex_grid float part": (lambda: apex_grid(2, 3, part=0.5),
+                             InvalidSize, "apex_grid: part must be an integer, not 0.5"),
+    "apex-grid float k": (lambda: factorize_apex_grid(2.0, 3),
+                          InvalidSize, "factorize_apex_grid: k must be an integer, not 2.0"),
+    "apex-grid bool n": (lambda: factorize_apex_grid(2, True),
+                         InvalidSize, "factorize_apex_grid: n must be an integer, not True"),
+    "sum bool apex": (sum_of((2, 3), removed=((True, 2),)),
+                      InvalidApexEdge, "apex edge (True,2) invalid for k=2"),
+    "sum bool k": (sum_of((1, 3), (True, 3)),
+                   InvalidSize, "factorize_clique_sum: k must be an integer, not True"),
+    "sum string n": (sum_of((1, "3")),
+                     InvalidSize, "factorize_clique_sum: n must be an integer, not '3'"),
+    "grid float n": (lambda: grid(2.0), InvalidSize, "grid: n must be an integer, not 2.0"),
+    "example3_i bool k": (lambda: example3_i(2, True),
+                          InvalidSize, "example3_i: k must be an integer, not True"),
+    "example3_ii float n": (lambda: example3_ii(2.5, 1),
+                            InvalidSize, "example3_ii: n must be an integer, not 2.5"),
 }
 
 

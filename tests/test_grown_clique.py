@@ -1,7 +1,7 @@
 """`_grown_clique`, the one greedy clique grower behind `ccw_upper_greedy`
-and the widened cover blocks of an envelope, against its definition: a
-vertex of `allowed` joins, in ascending order, iff it is adjacent to every
-vertex of the clique so far."""
+and the widened cover blocks of an envelope, against its definition: given
+the vertices of `allowed` adjacent to a start vertex, each joins, in
+ascending order, iff it is adjacent to every vertex of the clique so far."""
 
 import random
 
@@ -31,8 +31,9 @@ def random_graphs(seed, count=300, most=12):
 def test_matches_the_definition(seed):
     for rng, g in random_graphs(seed):
         allowed = rng.getrandbits(g.n)
-        start = 1 << rng.randrange(g.n)
-        grown = _grown_clique(g._adj, start, allowed)
+        v = rng.randrange(g.n)
+        start = 1 << v
+        grown = start | _grown_clique(g._adj, allowed & g._adj[v])
         assert grown == grown_by_definition(g, start, allowed)
         # a clique, maximal among the vertices of `allowed`
         members = list(bits(grown))
