@@ -1,11 +1,12 @@
 """Graph families and factorizations: planar grids, apex grids, the
-chordal + low-width two-factor decompositions, clique sums with interleaved
-covers, and the two unit-width example families."""
+chordal + low-width two-factor decompositions of an apex grid and of a
+clique sum of apex grids, both with one line cover of factor 2, and the two
+unit-width example families."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat, zip_longest
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from . import graph
@@ -23,7 +24,7 @@ from .errors import (
     UnequalApexSizes,
 )
 from .graph import Apex, Graph, GridCell, VertexLabel, intersect_graphs, is_clique, labels_to_json
-from .graph import _closed_meet, _grown_clique, _is_clique_mask, _pairs, mask_of
+from .graph import _closed_meet, _grown_clique, _is_clique_mask, _pairs, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,11 @@ class Factorization:
         whose labels differ keeps its own, so an unchecked factorization
         round-trips too.
 
-        At n = 40 (k = 2, apexes adjacent) that writes 0.12 MB (121 374
+        At n = 40 (k = 2, apexes adjacent) that writes 0.12 MB (121 344
         bytes), where one dict per label and the blocks as they are took
         0.23 MB and labels in every graph 0.36 MB.  Widening costs about
-        what it saves in factor 2's edge list (1 559 edges left against
-        4 761); the gain is in the C encoder, 5.0 ms against 8.3 ms, and in
+        what it saves in factor 2's edge list (1 560 edges left against
+        4 680); the gain is in the C encoder, 5.0 ms against 8.3 ms, and in
         decoding.  On a 2-vCPU Xeon VM, collector paused as in the CLI, the
         dict takes 1.7-2.5/8.9-13 ms at n = 20/40, where testing every bag
         and block again, member by member, took 2.7-3.8/12-14 ms; at n = 40
@@ -164,8 +165,8 @@ def _widened(g: Graph, block: frozenset[int]) -> int:
     is empty, not within g (an id outside [0, n), which `Graph._subset_mask`
     refuses before shifting it) or not a clique: the AND of its closed
     neighbourhoods (`_closed_meet`) tests it and gives the vertices it may
-    grow by.  The 22/42 blocks of the apex-grid cover (k=2, n=20/40) widen
-    in 0.10/0.75 ms on a 2-vCPU Xeon VM."""
+    grow by.  The 20/40 blocks of the apex-grid cover (k=2, n=20/40) widen
+    in 0.18/0.78 ms on a 2-vCPU Xeon VM."""
     m = g._subset_mask(block)
     if not m or m & ~(common := _closed_meet(g._adj, block, g.vertex_mask())):
         return 0  # None, empty or not a clique
@@ -392,9 +393,17 @@ def _apex_grid_factors(
     plus the apexes), so cells of one part are adjacent iff their rows differ
     by at most one and the apex set is complete.  Factor 2: the columns of
     every part, so its apex-apex edges are exactly the base's.  Its cover is
-    part 0's columns in order with the apex singletons spliced in the
-    middle; each later part's columns are then interleaved one-for-one after
-    the running cover's blocks, in their own order.
+    one line: the N columns of all parts, in part order, then column order.
+    The apexes split into cliques of factor 2, grown lowest first as
+    `ccw_upper_greedy` grows its blocks (a complete apex set is one), and
+    the j-th joins the column at offset 0, +1, -1, +2, ... from the middle
+    column (N - 1) // 2; any left once every column holds one follow the
+    middle column as blocks of their own.  Every apex is adjacent to every
+    cell, so for k >= 1 the width is the largest distance from an apex's
+    block to an end of the line: ceil((N - 1) / 2) for a complete apex set.
+    That is optimal: the N diagonal cells are independent in factor 2 and
+    all adjacent to apex 1, so every ordered clique cover puts them in N
+    blocks within its width of apex 1's.
     """
     if k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
@@ -403,18 +412,19 @@ def _apex_grid_factors(
     apex_ids = range(first, first + k)
     bands: list[list[int]] = []
     columns: list[range] = []
-    cover: list[frozenset[int]] = []
-    for i, (n, s) in enumerate(zip(sizes, starts)):
+    for n, s in zip(sizes, starts):
         rows = range(max(n - 1, 1))
         bands += [[*range(s + r * n, s + min(r + 2, n) * n), *apex_ids] for r in rows]
-        cols = [range(s + c, s + n * n, n) for c in range(n)]
-        columns += cols
-        blocks = [frozenset(col) for col in cols]
-        if i == 0:
-            mid = (n + 1) // 2
-            cover = blocks[:mid] + [frozenset({j}) for j in apex_ids] + blocks[mid:]
-        else:
-            cover = [b for pair in zip_longest(cover, blocks) for b in pair if b is not None]
+        columns += [range(s + c, s + n * n, n) for c in range(n)]
+    classes, rest = [], mask_of(apex_ids)
+    while rest:
+        classes.append(clique := _grown_clique(g._adj, rest))
+        rest ^= clique
+    mid = (len(columns) - 1) // 2
+    cover = [frozenset(col) for col in columns]
+    for j, clique in enumerate(classes[: len(cover)]):
+        cover[mid + (j + 1) // 2 if j % 2 else mid - j // 2] |= frozenset(bits(clique))
+    cover[mid + 1 : mid + 1] = [frozenset(bits(clique)) for clique in classes[len(cover) :]]
     # from_masks keeps a tuple as it is, so the factors share the base's labels
     factors = [Graph.from_masks(_joined(g._adj, cliques), g.labels) for cliques in (bands, columns)]
     return g, factors, [OrderedCliqueCover(tuple(cover))]
@@ -424,7 +434,9 @@ def factorize_apex_grid(
     k: int, n: int, apex_edges: set[tuple[int, int]] | None = None
 ) -> Factorization:
     """Two-factor decomposition of an apex grid: chordal factor 1 plus a
-    column-clique factor whose cover width is at most ceil(n/2) + k."""
+    column-clique factor whose one-line cover (`_apex_grid_factors`) has
+    width at most ceil(n/2) + k, the paper's bound, and ceil((n - 1)/2), the
+    optimum, when k >= 1 and the apex set is complete."""
     _check_integers("factorize_apex_grid", k=k, n=n)
     if n < 2:
         raise InvalidSize("factorize_apex_grid requires n >= 2")
@@ -492,8 +504,10 @@ def factorize_clique_sum(
     """Chordal + low-width factorization of the clique sum of apex grids at
     their apex sets: parts holds (k_i, n_i) per summand, all k_i equal, and
     removed_edges the apex-index pairs deleted from the shared apex clique of
-    the base.  The cover interleaves each part's column blocks into the
-    running cover; its width is at most sum(n_i + k_i)."""
+    the base.  The cover lays the N = sum(n_i) columns of all parts in one
+    line with the apex cliques at its middle (`_apex_grid_factors`); its
+    width is at most sum(n_i + k_i), the paper's bound, and ceil((N - 1)/2),
+    the optimum, when no apex edge is removed."""
     if not parts:
         raise InvalidSize("clique sum needs at least one part")
     for k, n in parts:

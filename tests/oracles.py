@@ -248,10 +248,13 @@ def apex_grid_factors(k: int, sizes, apex_edges, part: int = 0):
     differ by at most one, every apex adjacent to every other vertex.
     Factor 2: two cells of one part adjacent iff they share a column or are
     neighbours in a row, every apex adjacent to every cell, two apexes iff
-    they form one of `apex_edges`.  The cover (as vertex lists) is part 0's
-    columns with the apex singletons after the first ceil(n/2) of them, then
-    each later part's columns interleaved one-for-one after the running
-    cover's blocks."""
+    they form one of `apex_edges`.  The cover (as vertex lists) is every
+    part's columns in one line, part by part.  The apexes 1..k are split into
+    classes: each class takes, in ascending order, every apex left that is
+    joined to all it has taken.  Class j joins the column at the j-th of the
+    positions ordered by distance from the middle column (N - 1) // 2, the
+    one after it before the one before it; classes beyond the N columns are
+    blocks of their own right after the middle column."""
     cells = [(i, r, c) for i, n in enumerate(sizes)
              for r in range(1, n + 1) for c in range(1, n + 1)]
     head = sizes[0] ** 2
@@ -272,19 +275,21 @@ def apex_grid_factors(k: int, sizes, apex_edges, part: int = 0):
                 g1.append((x, y))
             if c == d or (r == s and abs(c - d) == 1):
                 g2.append((x, y))
-    cover = []
-    for i, n in enumerate(sizes):
-        columns = [[x for x, w in enumerate(where) if w[0] == i and w[2] == c]
-                   for c in range(1, n + 1)]
-        if i == 0:
-            mid = (n + 1) // 2
-            apexes = [[x] for x, w in enumerate(where) if w[0] == "apex"]
-            cover = columns[:mid] + apexes + columns[mid:]
-        else:
-            merged = []
-            for j in range(max(len(cover), len(columns))):
-                merged += cover[j : j + 1] + columns[j : j + 1]
-            cover = merged
+    cover = [[x for x, w in enumerate(where) if w[0] == i and w[2] == c]
+             for i, n in enumerate(sizes) for c in range(1, n + 1)]
+    classes, left = [], list(range(1, k + 1))
+    while left:
+        taken = []
+        for a in left:
+            if all(frozenset((a, b)) in joined for b in taken):
+                taken.append(a)
+        classes.append([where.index(("apex", a)) for a in taken])
+        left = [a for a in left if a not in taken]
+    mid = (len(cover) - 1) // 2
+    positions = sorted(range(len(cover)), key=lambda p: (abs(p - mid), p < mid))
+    for p, members in zip(positions, classes):
+        cover[p] = sorted(cover[p] + members)
+    cover[mid + 1 : mid + 1] = classes[len(cover):]
     n = len(where)
     return Graph.from_edges(n, g1, labels), Graph.from_edges(n, g2, labels), cover
 

@@ -140,7 +140,7 @@ def test_criterion_4_separator_contract():
 
 def test_criterion_5_lower_bound_audit():
     """Audit reports: grid clique of two full rows, independent half, and
-    |B_2| = n + 1 cover blocks; small cases cross-checked by brute force."""
+    |B_2| = n cover blocks; small cases cross-checked by brute force."""
     from ccwkit import audit_lower_bound, induced_subgraph
 
     for n in range(4, 13):
@@ -148,7 +148,7 @@ def test_criterion_5_lower_bound_audit():
         rep = audit_lower_bound(f)
         assert rep.grid_clique_size == 2 * n
         assert rep.indep_size >= n
-        assert rep.restricted_cover_sizes == (n + 1,)
+        assert rep.restricted_cover_sizes == (n,)
         assert rep.restricted_cover_sizes[0] >= n  # d=2 instantiation
         if n <= 5:
             sub, _ = induced_subgraph(f.factors[0], range(n * n))

@@ -172,7 +172,7 @@ class TestSeparateAudit:
         assert run(["audit", str(f), "--apex", "1", "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         assert obj["grid_clique_size"] == 12
-        assert obj["restricted_cover_sizes"] == [7]
+        assert obj["restricted_cover_sizes"] == [6]
 
     @pytest.mark.parametrize("copies", [False, True], ids=["labels-once", "labels-in-every-graph"])
     def test_audit_reads_the_bipartition_from_the_graph(self, tmp_path, copies):

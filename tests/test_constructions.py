@@ -145,10 +145,10 @@ class TestWidthBound:
         assert f.lstar <= bound
 
     def test_a_width_above_the_bound_is_refused(self):
-        # the apex grid k = 2, n = 6 has cover width 4
-        with pytest.raises(InvalidFactorization, match="^cover width 4 exceeds bound 1$"):
+        # the apex grid k = 2, n = 6 has cover width 3
+        with pytest.raises(InvalidFactorization, match="^cover width 3 exceeds bound 1$"):
             _make_factorization(*_apex_grid_factors(2, [6], None), 1)
-        assert _make_factorization(*_apex_grid_factors(2, [6], None), 4).lstar == 4
+        assert _make_factorization(*_apex_grid_factors(2, [6], None), 3).lstar == 3
 
 
 class TestCliqueSum:

@@ -2,22 +2,28 @@
 `apex_grid` return its base.  These tests hold its outputs to the
 independent definitions (the per-pair oracles of both apex-grid factors,
 whose edge intersection is the base, `clique_sum` and a per-pair oracle of
-the blown-up grid), pin the bytes of a few envelopes per family and of
-`construct grid` and `construct apex-grid`, and pin every bad-parameter
+the blown-up grid), hold factor 2's cover to the optimum (the exact
+search on small apex grids, and the floor of a complete apex set, with its
+witness, on clique sums), pin the bytes of a few envelopes per family and
+of `construct grid` and `construct apex-grid`, and pin every bad-parameter
 error: type, message and which check comes first."""
 
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwkit import (
+    Apex,
     Factorization,
     Graph,
+    GridCell,
     apex_grid,
+    ccw_exact,
     clique_sum,
     complete_apex_edges,
     example3_i,
@@ -25,6 +31,7 @@ from ccwkit import (
     factorize_apex_grid,
     factorize_clique_sum,
     grid,
+    is_independent,
 )
 from ccwkit.cli import _dump, main
 from ccwkit.errors import InvalidApexEdge, InvalidSize, UnequalApexSizes
@@ -112,23 +119,53 @@ class TestAgainstDefinitions:
         assert f.covers[0].to_json() == columns
 
 
+class TestOptimalCover:
+    """Factor 2's cover puts the N columns of all parts in one line with the
+    apex cliques at its middle.  With a complete apex set its width is
+    ceil((N - 1) / 2), which no ordered clique cover of factor 2 beats: the
+    N diagonal cells are independent there and all adjacent to apex 1, so
+    they take N blocks within the width of apex 1's."""
+
+    @pytest.mark.parametrize("apexes", ["none", "complete"])
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_small_apex_grids_meet_the_exact_width(self, n, k, apexes):
+        f = factorize_apex_grid(k, n, complete_apex_edges(k) if apexes == "complete" else set())
+        result, _ = ccw_exact(f.factors[1])
+        assert result.exact and f.lstar == result.value
+
+    @settings(deadline=None)  # the example count comes from the active profile
+    @given(st.integers(1, 4), st.lists(st.integers(2, 6), min_size=1, max_size=5))
+    def test_complete_apex_sets_meet_the_floor(self, k, sizes):
+        f = factorize_clique_sum([(k, n) for n in sizes])
+        g2, labels = f.factors[1], f.base.labels
+        diagonal = [v for v, lbl in enumerate(labels)
+                    if isinstance(lbl, GridCell) and lbl.row == lbl.col]
+        near_apex = g2.adj_mask(labels.index(Apex(0, 1)))
+        assert len(diagonal) == sum(sizes) and is_independent(g2, diagonal)
+        assert all(near_apex >> v & 1 for v in diagonal)
+        assert f.lstar == math.ceil((len(diagonal) - 1) / 2)
+
+
 # sha256 of each envelope as `cli._dump` wrote it with every graph as a plain
-# edge list, taken before the grid factorizations shared one builder
+# edge list, taken before the grid factorizations shared one builder; the
+# apex-grid entries with k >= 1 and the clique sums were taken again when
+# factor 2's cover became one line with the apex cliques at its middle
 GOLDEN = {
     ("apex-grid", "--k", "0", "--n", "2"):
         "eb60cf1a47d1e434b23782ea1aa49b80542704ac3001a84b14aefde9faa5a1fd",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "9e32c4bbcbadac36bcb72eb853fb3239ea88ce5fe5ccd86f10acd48afc01cace",
+        "531179b9ab1beacab5f2b4dc3f1bb95518d9226ecda5e016677640a797556003",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "bb71e9c004e26d072b4349dcb9cf503dd740d58b1977a10b8c0b45afbae7acd6",
+        "079f653a63bb1259374603331177839af7546cbcb2861fabe9807c8ffd2efbb9",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "27abcf541dd63b77b2529251362fb9f07aa7d8b40d066d1510511413d6a76fe5",
+        "586727e84cf95d37e821faea0e6803bae24086943fcdd0e832ef8d2a7230a04b",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "b27a09faa51526211d020c0d216954b3826a2dc23877beea4284480c01e8002b",
+        "ecbad780083630f91e283e73f76a1025246c77057552affdb8d4fcf453e8ec3b",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "a69affe631b7db69380aea4c78605bfd971030c5047a04e8fd2e883f7349fe05",
+        "83e6263f16ef2c2b9a0b39d43467f81299525b2c8c362ef5fb208c8d48a56174",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "a4136415935090d4771b369f272d920f140f4608c10726a79cc235bd6170d597",
+        "9048855c34db24b2b321d046df50bf16fb106e5379da411c45988042b959f1cd",
     ("example3ii", "--n", "1", "--k", "3"):
         "41c08de06cbf3f930f3faf46b1243c02343d5123c5cf9c9921db5a41d6392eb0",
     ("example3ii", "--n", "3", "--k", "2"):
@@ -146,17 +183,17 @@ CLIQUE_ENCODED = {
     ("apex-grid", "--k", "0", "--n", "2"):
         "7247eee8f926417958ce9146029d42d700ed987412f29c701f4f3f67c5436365",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "05cf6ffb39ff64a9e0e72e97123158ec29e93cd5e83747f81761e004b87a8048",
+        "95bb4dc6a898f04d78daf32a990b41f54010adff3c002c98a8d6ee8dce0a1a85",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "38f5038742ab7ee5a25274a9789381807ec64abcd7f71a21a6931534783c3dbe",
+        "2cc3373b26be3b140f6d818c87073f97c38d8f79648202f41a2d254785781841",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "8c062dfbe415411300a8bc0f0e6642c454de169edcf62248f3620d85455acd96",
+        "9d47d039368be465c8366f554e443e2f4329a68fbf4e485b470b8f295cd2b4b1",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "cb4896f028e41a0407715b931a2b71067c87726ac934ac8187d9e381e8da6cac",
+        "9acae1d4e90efcd9fe6f728c8a7ae961d8119726e119598dfa456ef91ec68b3e",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "c096513a233584e91d0769399414477016b25fbc51781c52de3cd14f091af7f0",
+        "4ee99d27a45fee3f86abd23549ff33d684eafebfa18ce868c2eb60632dec68ee",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "cd3e7aec8101d5d7303a222a5712fcaeb9c133d41af722be1291a79e178523e7",
+        "456b1702e80ac658154bbbf6f0074eaa1d73b6a07c09ec81e51d2d61d6a8330c",
     ("example3ii", "--n", "1", "--k", "3"):
         "cd7ced05a442d35393304fe9f2de01454584edcba6db0420df527b3ae9c730aa",
     ("example3ii", "--n", "3", "--k", "2"):
@@ -202,6 +239,14 @@ class TestGolden:
         assert main(["factorize", *argv, "--out", str(out)]) == 0
         assert sha256_of(out) == CLIQUE_ENCODED[argv]
         assert sha256_of(edge_only(out)) == GOLDEN[argv]
+
+    @pytest.mark.parametrize("argv", GOLDEN, ids=" ".join)
+    def test_no_clique_written_twice(self, tmp_path, argv):
+        out = tmp_path / "f.json"
+        assert main(["factorize", *argv, "--out", str(out)]) == 0
+        for g in json.loads(out.read_text())["factors"]:
+            cliques = [tuple(c) for c in g.get("cliques", [])]
+            assert len(set(cliques)) == len(cliques)
 
 
 def construct_cases(family):

@@ -85,7 +85,7 @@ class TestProductCellCover:
         f = factorize_apex_grid(1, 6)
         s = {v for v in range(36) if f.base.labels[v].row in (3, 4)} | {36}
         cells = product_cell_cover(f.base, s, list(f.covers))
-        assert len(cells) <= 7  # 6 columns + 1 apex singleton
+        assert len(cells) <= 7  # 6 columns, the apex in one of their blocks
         for cell in cells:
             assert is_clique(f.base, cell)
 
@@ -176,7 +176,7 @@ class TestAudit:
         rep = audit_lower_bound(f)
         assert rep.grid_clique_size == 12
         assert rep.indep_size >= 6
-        assert rep.restricted_cover_sizes == (7,)
+        assert rep.restricted_cover_sizes == (6,)
 
     def test_small_cross_checked_brute_force(self):
         from oracles import brute_maximal_cliques
@@ -202,9 +202,11 @@ class TestAudit:
 
     def test_apex_not_joined_to_the_grid_clique(self):
         # the grid clique is rows 3 and 4 (vertices 8..15); apex 1, vertex
-        # 16, loses its edges to 9 and 12 in the base and in factor 2
+        # 16, shares a cover block with column 2 (vertices 1, 5, 9, 13), so
+        # it loses its edges to 10 and 12, outside that block, in the base
+        # and in factor 2
         f = factorize_apex_grid(1, 4)
-        gone = {(9, 16), (12, 16)}
+        gone = {(10, 16), (12, 16)}
 
         def cut(g):
             return Graph.from_edges(g.n, [e for e in g.edges() if e not in gone], g.labels)
@@ -215,13 +217,13 @@ class TestAudit:
         with pytest.raises(InvalidFactorization) as info:
             audit_lower_bound(g)
         assert str(info.value) == (
-            "apex 1 (vertex 16) is not adjacent in the base to vertex 9 of the grid clique"
+            "apex 1 (vertex 16) is not adjacent in the base to vertex 10 of the grid clique"
         )
 
     def test_lower_bound_consistency_d2(self):
         for n in (5, 9):
             rep = audit_lower_bound(factorize_apex_grid(1, n))
-            assert rep.restricted_cover_sizes[0] == n + 1 >= n
+            assert rep.restricted_cover_sizes[0] == n >= n
 
 
 # name: (a fault put into the separator of the apex grid k = 1, n = 6 and its
@@ -275,9 +277,9 @@ def test_assert_separator_refuses_each_fault(fault, message):
     f = factorize_apex_grid(1, 6)
     r = separate(f)
     # side A weighs 12 of the 37 vertices, side B 12, and the separator is
-    # rows 3 and 4 as column pairs in cover order, the apex in the middle
+    # rows 3 and 4 as column pairs in cover order, the apex with the third
     assert (r.mu_a, r.mu_b, len(r.separator)) == (12.0, 12.0, 13)
-    assert [len(c) for c in r.separator_cliques] == [2, 2, 2, 1, 2, 2, 2]
+    assert [len(c) for c in r.separator_cliques] == [2, 2, 3, 2, 2, 2]
     _assert_separator(f.base, Measure.uniform(37), r)
     with pytest.raises(InvalidFactorization) as info:
         _assert_separator(f.base, *fault(Measure.uniform(37), r))

@@ -154,7 +154,7 @@ def test_verify_prints_the_width_witness(tmp_path, capsys):
         "PASS intersection: intersection of factors edge-equals base",
         "PASS chordal_certificate: factor 1 PEO verifies",
         "PASS cover_validity[1]: cover verifies",
-        "FAIL cover_width[1]: recomputed width 6, declared 3: edge (0,10) spans blocks 0 and 6",
+        "FAIL cover_width[1]: recomputed width 5, declared 2: edge (0,25) spans blocks 0 and 5",
         "PASS lstar: lstar must equal max width",
     ]
     assert err == "verification failed: cover_width[1]\n"
@@ -209,8 +209,8 @@ def shrink_factor_1(obj):
             "PASS intersection: intersection of factors edge-equals base",
             "PASS chordal_certificate: factor 1 PEO verifies",
             "PASS cover_validity[1]: cover verifies",
-            "PASS cover_width[1]: recomputed width 2, declared 2",
-            "FAIL lstar: declared lstar 7, max width 2",
+            "PASS cover_width[1]: recomputed width 1, declared 1",
+            "FAIL lstar: declared lstar 7, max width 1",
         ]),
     ],
     ids=["vertex_sets-label", "vertex_sets-n", "cover_count", "lstar"],
