@@ -24,7 +24,7 @@ from .errors import (
     UnequalApexSizes,
 )
 from .graph import Apex, Graph, GridCell, VertexLabel, intersect_graphs, is_clique, labels_to_json
-from .graph import _closed_meet, _grown_clique, _is_clique_mask, _pairs, bits, mask_of
+from .graph import _closed_meet, _grown_clique, _pairs, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class Factorization:
             elimination = _elimination(g1, peo)
             bags = _clique_forest(g1, peo, elimination)[0]
             if _peo_witness(g1, peo, *elimination) is not None:
-                bags = [m for m in bags if _is_clique_mask(g1._adj, m)]
+                bags = [m for m in bags if _closed_meet(g1._adj, bits(m), m) == m]
         widened = (
             [_widened(g, b) for b in c.cliques] for g, c in zip(self.factors[1:], self.covers)
         )
@@ -316,30 +316,28 @@ def complete_apex_edges(k: int) -> set[tuple[int, int]]:
     return {(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)}
 
 
-def apex_grid(
-    k: int, n: int, apex_edges: set[tuple[int, int]] | None = None, part: int = 0
-) -> Graph:
+def apex_grid(k: int, n: int, apex_edges: set[tuple[int, int]] | None = None) -> Graph:
     """n x n grid plus k apex vertices joined to every grid cell, with the
     given edge set among the apexes: the base `_apex_grid_base` builds for
-    one size."""
-    _check_integers("apex_grid", k=k, n=n, part=part)
+    one size, labeled GridCell(0, r, c) and Apex(0, j)."""
+    _check_integers("apex_grid", k=k, n=n)
     if n < 1 or k < 0:
         raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
     _check_vertex_count("apex_grid", n * n + k)
-    return _apex_grid_base(k, [n], _check_apex_edges(k, apex_edges or set()), part)[0]
+    return _apex_grid_base(k, [n], _check_apex_edges(k, apex_edges or set()))[0]
 
 
 def _apex_grid_base(
-    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]], part: int = 0
+    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]]
 ) -> tuple[Graph, list[int]]:
     """One n x n grid per entry n of `sizes`, all joined to one set of k
     apexes with the given apex-apex edges (checked by `_check_apex_edges`),
     and each grid's first vertex: the one code that numbers and joins
-    apex-grid vertices.  For one size it is `apex_grid(k, n, apex_edges,
-    part)` (`grid(n)` for k = 0); for more, their clique sum at the apex set.
+    apex-grid vertices.  For one size it is `apex_grid(k, n, apex_edges)`
+    (`grid(n)` for k = 0); for more, their clique sum at the apex set.
 
     Vertices are part 0's cells row-major, then the apexes, then each later
-    part's cells; labels are GridCell(part + i, r, c) and Apex(part, j)."""
+    part's cells; labels are GridCell(i, r, c) for part i and Apex(0, j)."""
     first = sizes[0] ** 2  # the first apex
     starts, total = [0], first + k
     for n in sizes[1:]:
@@ -356,9 +354,9 @@ def _apex_grid_base(
                 bit = 1 << v
                 near = (bit >> 1 if c > 0 else 0) | (bit << 1 if c + 1 < n else 0) | apexes
                 masks[v] = near | (bit >> n if r > 0 else 0) | (bit << n if r + 1 < n else 0)
-                labels[v] = GridCell(part + i, r + 1, c + 1)
+                labels[v] = GridCell(i, r + 1, c + 1)
     masks[first : first + k] = [((1 << total) - 1) ^ apexes] * k
-    labels[first : first + k] = [Apex(part, j) for j in range(1, k + 1)]
+    labels[first : first + k] = [Apex(0, j) for j in range(1, k + 1)]
     masks = _joined(masks, ([first + a - 1, first + b - 1] for a, b in apex_edges))
     return Graph.from_masks(masks, labels), starts
 
@@ -382,11 +380,11 @@ def _joined(masks: Sequence[int], cliques: Iterable[Sequence[int]]) -> list[int]
 
 
 def _apex_grid_factors(
-    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]] | None
+    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]]
 ) -> tuple[Graph, list[Graph], list[OrderedCliqueCover]]:
     """The base `_apex_grid_base(k, sizes, apex_edges)`, its two factor graphs
     and the ordered cover of factor 2: the one builder of every grid
-    factorization.
+    factorization.  Its callers have checked k >= 0 and the apex edges.
 
     Each factor is the base plus cliques (`_joined`).  Factor 1: rows r and
     r + 1 of one part plus the apex set, for each r (a one-row part: its row
@@ -400,14 +398,13 @@ def _apex_grid_factors(
     column (N - 1) // 2; any left once every column holds one follow the
     middle column as blocks of their own.  Every apex is adjacent to every
     cell, so for k >= 1 the width is the largest distance from an apex's
-    block to an end of the line: ceil((N - 1) / 2) for a complete apex set.
-    That is optimal: the N diagonal cells are independent in factor 2 and
-    all adjacent to apex 1, so every ordered clique cover puts them in N
-    blocks within its width of apex 1's.
+    block to an end of the line: with c <= N classes and m = (N - 1) // 2,
+    max(m + c // 2, N - 1 - m + (c - 1) // 2), which is ceil((N - 1) / 2)
+    for a complete apex set (c = 1).  That is optimal: the N diagonal cells
+    are independent in factor 2 and all adjacent to apex 1, so every
+    ordered clique cover puts them in N blocks within its width of apex 1's.
     """
-    if k < 0:
-        raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
-    g, starts = _apex_grid_base(k, sizes, _check_apex_edges(k, apex_edges or set()))
+    g, starts = _apex_grid_base(k, sizes, apex_edges)
     first = sizes[0] ** 2
     apex_ids = range(first, first + k)
     bands: list[list[int]] = []
@@ -440,7 +437,10 @@ def factorize_apex_grid(
     _check_integers("factorize_apex_grid", k=k, n=n)
     if n < 2:
         raise InvalidSize("factorize_apex_grid requires n >= 2")
-    return _make_factorization(*_apex_grid_factors(k, [n], apex_edges), (n + 1) // 2 + k)
+    if k < 0:
+        raise InvalidSize("factorize_apex_grid requires k >= 0")
+    factors = _apex_grid_factors(k, [n], _check_apex_edges(k, apex_edges or set()))
+    return _make_factorization(*factors, (n + 1) // 2 + k)
 
 
 # -- clique sums -------------------------------------------------------------
@@ -476,7 +476,7 @@ def clique_sum(
         glob_set = set(ident.values())
         if len(glob_set) != len(ident):
             raise JunctionNotClique("identification is not injective")
-        if not _is_clique_mask(masks, mask_of(glob_set)):
+        if _closed_meet(masks, glob_set, m := mask_of(glob_set)) != m:
             raise JunctionNotClique("identified set is not a clique in the sum")
         if not is_clique(part, ident.keys()):
             raise JunctionNotClique("identified set is not a clique in the new part")
@@ -571,7 +571,7 @@ def example3_ii(n: int, k: int) -> Factorization:
     if n < 1 or k < 1:
         raise InvalidSize("example3_ii requires n, k >= 1")
     _check_vertex_count("example3_ii", n * n * k)
-    base, factors, covers = _apex_grid_factors(0, [n], None)
+    base, factors, covers = _apex_grid_factors(0, [n], set())
     columns = tuple(
         frozenset(v * k + x for v in blk for x in range(k)) for blk in covers[0].cliques
     )

@@ -282,12 +282,6 @@ def _pairs(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
             m ^= low
 
 
-def _is_clique_mask(adj: Sequence[int], m: int) -> bool:
-    """Whether the vertices of mask m, all below len(adj), are pairwise
-    adjacent in the graph with adjacency masks adj."""
-    return all(m & ~adj[v] == 1 << v for v in bits(m))
-
-
 def _grown_clique(adj: Sequence[int], common: int) -> int:
     """The clique taken from `common` in ascending order, each vertex
     joining iff it is adjacent to every vertex taken before it.  With
@@ -304,8 +298,10 @@ def _grown_clique(adj: Sequence[int], common: int) -> int:
 def _closed_meet(adj: Sequence[int], ids: Iterable[int], m: int) -> int:
     """m AND the closed neighbourhood adj[v] | 1 << v of each of the ids,
     all below len(adj): the vertices of m equal or adjacent to every id.
-    For the ids of a mask m it is m iff they form a clique: one AND per id,
-    where `_is_clique_mask` walks the bits of m."""
+    For the ids of a mask m it is m iff they form a clique, one AND per id:
+    the one loop that tests a clique, for `is_clique`, `verify_cover`,
+    `_widened`, `clique_sum` and the bags `Factorization.to_json` could not
+    trust."""
     for v in ids:
         m &= adj[v] | 1 << v
     return m
@@ -389,9 +385,6 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return self.adj_mask(v).bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographic order."""
         return _pairs(self._adj)
@@ -425,9 +418,6 @@ class Graph:
             raise VertexOutOfRange("vertex set not contained in V(g)")
         return m
 
-    def edge_equal(self, other: "Graph") -> bool:
-        return self.n == other.n and self._adj == other._adj
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -441,40 +431,35 @@ class Graph:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self, cliques: Iterable[Iterable[int]] = ()) -> dict:
-        """`{"n", "edges", "labels"}`, plus `"cliques"` when some of the
-        candidate `cliques` (collections of vertex ids) are cliques of g with
-        at least two members: those are written, members ascending, in the
-        order given, and `edges` holds only the edges they leave uncovered,
-        as [u, v] lists in `edges()` order.  Other candidates, one holding
-        an id outside [0, n) included, are dropped, so `from_json` gives
-        back g whatever the candidates are.
+    def to_json(self) -> dict:
+        """`{"n", "edges", "labels"}`: every edge as a [u, v] list in
+        `edges()` order (`_unlabeled_json` with no cliques), and the labels
+        by `labels_to_json`, grid and apex blocks as runs.  Only envelope
+        factors are written with `cliques` (`Factorization.to_json`);
+        `from_json` reads them in any graph.
 
-        Costs 0.3-0.5 us per written edge plus a few big-int operations
-        per candidate member: each candidate becomes a mask through
-        `_subset_mask` and is tested by `_is_clique_mask`, then
-        `_unlabeled_json` lists it once.  On a 2-vCPU Xeon VM, collector
-        paused as in the CLI, the apex grid k=2 at n=20/40 writes factor 1
-        (12 201/96 801 edges) with its 19/39 clique-forest bags as
-        candidates in 0.8/4.7-5.4 ms, against 3.0/30 ms for its edge list,
-        and factor 2 (4 981/35 961 edges) with its cover blocks in
-        0.8/4.2-6.5 ms, against 1.4/11 ms.  Labels are written by
-        `labels_to_json`, grid and apex blocks as runs: the base of that
-        apex grid writes in 0.5-0.6/2.6-3.0 ms, its labels as 2 entries
-        (81 bytes) in 0.15/0.55 ms of it.
+        About 0.3-0.5 us per edge: on a 2-vCPU Xeon VM, collector paused as
+        in the CLI, the base of the apex grid k=2 at n=20/40 writes in
+        0.5-0.6/2.6-3.0 ms, its labels as 2 entries (81 bytes) in
+        0.15/0.55 ms of it.
         """
-        adj, masks = self._adj, map(self._subset_mask, cliques)
-        obj = self._unlabeled_json(m for m in masks if m is not None and _is_clique_mask(adj, m))
+        obj = self._unlabeled_json(())
         obj["labels"] = labels_to_json(self.labels)
         return obj
 
     def _unlabeled_json(self, cliques: Iterable[int]) -> dict:
         """`to_json` without `labels`, for a graph that shares the labels of
-        another one written next to it (see `_from_json`), of `cliques`
-        given as masks that are known to be cliques of g: each of at least
-        two members is listed by `bits` once and written, none is tested.
-        The envelope's factors of the apex grid k=2 take 0.25-0.3 ms each at
-        n=20 and 2.2-2.4 ms at n=40 here on a 2-vCPU Xeon VM."""
+        another one written next to it (see `_from_json`), plus `"cliques"`
+        when some of `cliques`, masks the caller knows to be cliques of g,
+        have at least two members: each is listed by `bits` once, members
+        ascending, in the order given, none is tested, and `edges` holds
+        only the edges they leave uncovered.  The one clique encoder:
+        `Factorization.to_json` feeds it the bags and widened blocks it has
+        already certified.  The envelope's factors of the apex grid k=2,
+        written with their 19/39 bags and 20/40 widened blocks, take
+        0.25-0.3 ms each at n=20 and 2.2-2.4 ms at n=40 on a 2-vCPU Xeon
+        VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor 2) for
+        their edge lists at n=20/40."""
         n, adj = self.n, self._adj
         kept, covered = [], [0] * n
         for m in cliques:
@@ -632,7 +617,7 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
-    return _is_clique_mask(g._adj, g._check_subset(s))
+    return _closed_meet(g._adj, bits(m := g._check_subset(s)), m) == m
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

@@ -239,8 +239,8 @@ def blown_up_grid(n: int, b: int):
     return tuple(Graph.from_edges(n * n * b, edges) for edges in (base, g1, g2))
 
 
-def apex_grid_factors(k: int, sizes, apex_edges, part: int = 0):
-    """The two factors of `_apex_grid_factors(k, sizes, apex_edges, part)`
+def apex_grid_factors(k: int, sizes, apex_edges):
+    """The two factors of `_apex_grid_factors(k, sizes, apex_edges)`
     and factor 2's cover, by its docstring, one vertex pair at a time.
 
     Vertices are part 0's cells row-major, then apexes 1..k, then each later
@@ -259,8 +259,7 @@ def apex_grid_factors(k: int, sizes, apex_edges, part: int = 0):
              for r in range(1, n + 1) for c in range(1, n + 1)]
     head = sizes[0] ** 2
     where = cells[:head] + [("apex", j) for j in range(1, k + 1)] + cells[head:]
-    labels = [Apex(part, x[1]) if x[0] == "apex" else GridCell(part + x[0], x[1], x[2])
-              for x in where]
+    labels = [Apex(0, x[1]) if x[0] == "apex" else GridCell(*x) for x in where]
     joined = {frozenset(e) for e in apex_edges}
     g1, g2 = [], []
     for x, y in combinations(range(len(where)), 2):
@@ -292,6 +291,12 @@ def apex_grid_factors(k: int, sizes, apex_edges, part: int = 0):
     cover[mid + 1 : mid + 1] = classes[len(cover):]
     n = len(where)
     return Graph.from_edges(n, g1, labels), Graph.from_edges(n, g2, labels), cover
+
+
+def relabeled(g: Graph, part: int) -> Graph:
+    """g with every label moved to `part`, as a clique sum's later parts
+    need distinct labels."""
+    return Graph.from_edges(g.n, g.edges(), [lbl._replace(part=part) for lbl in g.labels])
 
 
 def verify_clique_tree(g: Graph, tree) -> bool:
@@ -682,10 +687,11 @@ def reference_ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, 
 
 
 def reference_graph_json(g: Graph, candidates) -> dict:
-    """`Graph.to_json(candidates)` by its docstring, each candidate checked
-    pair by pair: written, members ascending, iff it has at least two
-    members, all in [0, n) and pairwise adjacent; `edges` holds the edges
-    no written candidate covers."""
+    """g written as candidate cliques plus leftover edges, the form of an
+    envelope's factors, each candidate checked pair by pair: written,
+    members ascending, iff it has at least two members, all in [0, n) and
+    pairwise adjacent; `edges` holds the edges no written candidate covers,
+    and `labels` follows as `Graph.to_json` writes it."""
     kept, covered = [], set()
     for c in candidates:
         members = sorted(set(c))

@@ -1,6 +1,7 @@
-"""Graphs written as cliques plus leftover edges: `Graph.to_json(cliques)`,
-the `cliques` key of `Graph.from_json`, and factorization envelopes, whose
-factors are written that way while older edge-only envelopes still load
+"""Graphs written as cliques plus leftover edges: the `cliques` key of
+`Graph.from_json`, on graphs the reference encoder writes with candidate
+cliques, and factorization envelopes, whose factors are written that way
+(only envelopes write `cliques`) while older edge-only envelopes still load
 and give the same outputs."""
 
 import dataclasses
@@ -24,6 +25,7 @@ from ccwkit import (
 from ccwkit.cli import _dump, main
 from ccwkit.errors import InvalidGraph
 
+from oracles import reference_graph_json
 from test_codec import graphs
 
 DATA = Path(__file__).parent / "data"
@@ -64,39 +66,13 @@ def candidates(draw, g):
     return [form(c) for c in out]
 
 
-def is_clique_of(g, members):
-    return all(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
-
-
 class TestGraphRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_decodes_to_the_graph(self, data):
         g = data.draw(graphs(max_n=40))
-        cands = data.draw(candidates(g))
-        obj = g.to_json(cands)
+        obj = reference_graph_json(g, data.draw(candidates(g)))
         assert Graph.from_json(round_trip(obj)) == g
-
-        written = obj.get("cliques", [])
-        assert "cliques" not in obj or written
-        assert all(len(c) >= 2 and c == sorted(set(c)) and is_clique_of(g, c) for c in written)
-        # the surviving candidates, in the order given
-        survivors = [sorted(set(c)) for c in cands]
-        survivors = [c for c in survivors if len(c) >= 2 and is_clique_of(g, c)]
-        assert written == survivors
-        # leftover edges: exactly those no written clique covers, in edges() order
-        covered = {(u, v) for c in written for i, u in enumerate(c) for v in c[i + 1:]}
-        assert obj["edges"] == [[u, v] for u, v in g.edges() if (u, v) not in covered]
-
-    def test_no_surviving_candidate_writes_the_plain_form(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert g.to_json([[0], [0, 2], [], [1, 2, 3], [5, 6]]) == g.to_json()
-        assert "cliques" not in g.to_json()
-
-    def test_triangle_as_one_clique(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        obj = g.to_json([{2, 1, 0}])
-        assert obj["cliques"] == [[0, 1, 2]] and obj["edges"] == [[2, 3]]
 
     def test_singleton_and_empty_cliques_add_nothing(self):
         obj = {**Graph.from_edges(3, [(0, 1)]).to_json(), "cliques": [[2], [], [0, 1]]}

@@ -115,16 +115,16 @@ class TestLabelChecks:
 class TestIntersect:
     def test_identity(self):
         k3 = complete(3)
-        assert intersect_graphs([k3, k3]).edge_equal(k3)
+        assert intersect_graphs([k3, k3]) == k3
 
     def test_absorbing_empty(self):
-        assert intersect_graphs([complete(3), empty(3)]).edge_equal(empty(3))
+        assert intersect_graphs([complete(3), empty(3)]) == empty(3)
 
     def test_factorization_recovers_apex_grid(self):
         from ccwkit import factorize_apex_grid
 
         f = factorize_apex_grid(1, 4)
-        assert intersect_graphs(list(f.factors)).edge_equal(apex_grid(1, 4))
+        assert intersect_graphs(list(f.factors)) == apex_grid(1, 4)
 
     def test_mismatched_counts(self):
         with pytest.raises(MismatchedVertexSets):
@@ -147,10 +147,10 @@ class TestIntersect:
         ab = intersect_graphs([a, b])
         assert set(ab.edges()) <= set(a.edges())
         assert set(ab.edges()) <= set(b.edges())
-        assert ab.edge_equal(intersect_graphs([b, a]))
-        assert intersect_graphs([a, a]).edge_equal(a)
+        assert ab == intersect_graphs([b, a])
+        assert intersect_graphs([a, a]) == a
         # associativity
-        assert intersect_graphs([ab, b]).edge_equal(intersect_graphs([a, intersect_graphs([b, b])]))
+        assert intersect_graphs([ab, b]) == intersect_graphs([a, intersect_graphs([b, b])])
 
 
 class TestInducedSubgraph:
@@ -165,12 +165,12 @@ class TestInducedSubgraph:
         column = [v for v, lbl in enumerate(g.labels) if lbl.col == 2]
         sub, _ = induced_subgraph(g, column)
         assert sub.n == 3 and sub.num_edges() == 2
-        assert sorted(sub.degree(v) for v in range(3)) == [1, 1, 2]
+        assert sorted(sub.adj_mask(v).bit_count() for v in range(3)) == [1, 1, 2]
 
     def test_apex_removal_restores_grid(self):
         ag = apex_grid(1, 3)
         sub, _ = induced_subgraph(ag, range(9))
-        assert sub.edge_equal(grid(3))
+        assert sub == grid(3)
 
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
@@ -179,7 +179,7 @@ class TestInducedSubgraph:
     @given(small_graphs())
     def test_full_induced_is_identity(self, g):
         sub, back = induced_subgraph(g, range(g.n))
-        assert sub.edge_equal(g)
+        assert sub == g
         assert back == list(range(g.n))
 
 
@@ -269,7 +269,6 @@ DOOR_USERS = {
         lambda g, bad: product_cell_cover(g, {0, bad}, [OrderedCliqueCover(ROWS)]),
         NOT_IN_V,
     ),
-    "Graph.to_json": (lambda g, bad: g.to_json([[bad, 0], [0, bad]]), grid(2).to_json()),
     "Factorization.to_json": (
         lambda g, bad: envelope_with(bad),
         ("certificate and cover entries must be vertex ids in [0, 4)", (False, OUTSIDE)),

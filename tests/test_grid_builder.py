@@ -37,7 +37,7 @@ from ccwkit.cli import _dump, main
 from ccwkit.errors import InvalidApexEdge, InvalidSize, UnequalApexSizes
 from ccwkit.graph import label_to_json
 
-from oracles import apex_grid_factors, blown_up_grid
+from oracles import apex_grid_factors, blown_up_grid, relabeled
 
 
 def apex_pairs(k):
@@ -51,10 +51,10 @@ def apex_edge_sets(draw, k):
     return {(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs}
 
 
-def oracle_base(k, n, edges, part):
+def oracle_base(k, n, edges):
     """The apex grid as the edge intersection of the per-pair oracle's two
     factors, with the oracle's labels."""
-    g1, g2, _ = apex_grid_factors(k, [n], edges, part)
+    g1, g2, _ = apex_grid_factors(k, [n], edges)
     return Graph.from_edges(g1.n, set(g1.edges()) & set(g2.edges()), g1.labels)
 
 
@@ -64,13 +64,12 @@ class TestAgainstDefinitions:
     def test_apex_grid_base(self, data):
         k = data.draw(st.integers(0, 3))
         n = data.draw(st.integers(1, 8))
-        part = data.draw(st.integers(0, 3))
         edges = data.draw(apex_edge_sets(k))
-        assert apex_grid(k, n, edges, part) == oracle_base(k, n, edges, part)
+        assert apex_grid(k, n, edges) == oracle_base(k, n, edges)
         if n >= 2:
-            assert factorize_apex_grid(k, n, edges).base == oracle_base(k, n, edges, 0)
+            assert factorize_apex_grid(k, n, edges).base == oracle_base(k, n, edges)
         if k == 0:
-            assert grid(n) == oracle_base(0, n, set(), 0)
+            assert grid(n) == oracle_base(0, n, set())
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -90,7 +89,7 @@ class TestAgainstDefinitions:
             junctions = [[(a0 + j, n * n + j) for j in range(k)] for n in sizes[1:]]
             dropped = [(a0 + a - 1, a0 + b - 1) for a, b in removed]
             expected = clique_sum(
-                [apex_grid(k, n, full, part=i) for i, n in enumerate(sizes)],
+                [relabeled(apex_grid(k, n, full), i) for i, n in enumerate(sizes)],
                 junctions,
                 [[] for _ in junctions[1:]] + [dropped],
             )
@@ -107,7 +106,7 @@ class TestAgainstDefinitions:
             f = factorize_apex_grid(k, sizes[0], edges)
         else:
             f = factorize_clique_sum([(k, n) for n in sizes], complete_apex_edges(k) - edges)
-        g1, g2, cover = apex_grid_factors(k, sizes, edges, 0)
+        g1, g2, cover = apex_grid_factors(k, sizes, edges)
         assert f.factors == (g1, g2)
         assert f.covers[0].to_json() == cover
 
@@ -124,7 +123,8 @@ class TestOptimalCover:
     apex cliques at its middle.  With a complete apex set its width is
     ceil((N - 1) / 2), which no ordered clique cover of factor 2 beats: the
     N diagonal cells are independent there and all adjacent to apex 1, so
-    they take N blocks within the width of apex 1's."""
+    they take N blocks within the width of apex 1's.  With any apex set the
+    width is the farther end of the line from the outermost apex class."""
 
     @pytest.mark.parametrize("apexes", ["none", "complete"])
     @pytest.mark.parametrize("k", range(4))
@@ -145,6 +145,31 @@ class TestOptimalCover:
         assert len(diagonal) == sum(sizes) and is_independent(g2, diagonal)
         assert all(near_apex >> v & 1 for v in diagonal)
         assert f.lstar == math.ceil((len(diagonal) - 1) / 2)
+
+    @settings(deadline=None)  # the example count comes from the active profile
+    @given(st.data())
+    def test_width_for_any_apex_set(self, data):
+        k = data.draw(st.integers(1, 7))
+        sizes = data.draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))
+        edges = {tuple(sorted(e)) for e in data.draw(apex_edge_sets(k))}
+        if len(sizes) == 1 and data.draw(st.booleans()):
+            f = factorize_apex_grid(k, sizes[0], edges)
+        else:
+            f = factorize_clique_sum([(k, n) for n in sizes], complete_apex_edges(k) - edges)
+        # greedy apex classes: the lowest apex left, then each later one
+        # adjacent to every apex already taken
+        c, left = 0, list(range(1, k + 1))
+        while left:
+            taken = []
+            for a in left:
+                if all((b, a) in edges for b in taken):
+                    taken.append(a)
+            left = [a for a in left if a not in taken]
+            c += 1
+        big_n = sum(sizes)
+        m = (big_n - 1) // 2
+        if c <= big_n:
+            assert f.lstar == max(m + c // 2, big_n - 1 - m + (c - 1) // 2)
 
 
 # sha256 of each envelope as `cli._dump` wrote it with every graph as a plain
@@ -291,7 +316,7 @@ BAD_PARAMETERS = {
     "apex-grid n < 2": (lambda: factorize_apex_grid(-1, 1, {(0, 1)}),
                         InvalidSize, "factorize_apex_grid requires n >= 2"),
     "apex-grid k < 0": (lambda: factorize_apex_grid(-1, 3, {(0, 1)}),
-                        InvalidSize, "apex_grid requires n >= 1 and k >= 0"),
+                        InvalidSize, "factorize_apex_grid requires k >= 0"),
     "apex-grid apex out of range": (lambda: factorize_apex_grid(1, 3, {(1, 2)}),
                                     InvalidApexEdge, "apex edge (1,2) invalid for k=1"),
     "apex-grid apex loop": (lambda: factorize_apex_grid(2, 3, {(2, 2)}),
@@ -317,8 +342,6 @@ BAD_PARAMETERS = {
     # ints only: a float fails in `range` or `<<`, and a bool reads as 0 or 1
     "apex_grid float apex": (lambda: apex_grid(2, 3, {(1.0, 2)}),
                              InvalidApexEdge, "apex edge (1.0,2) invalid for k=2"),
-    "apex_grid float part": (lambda: apex_grid(2, 3, part=0.5),
-                             InvalidSize, "apex_grid: part must be an integer, not 0.5"),
     "apex-grid float k": (lambda: factorize_apex_grid(2.0, 3),
                           InvalidSize, "factorize_apex_grid: k must be an integer, not 2.0"),
     "apex-grid bool n": (lambda: factorize_apex_grid(2, True),
