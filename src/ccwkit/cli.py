@@ -267,10 +267,7 @@ def cmd_ccw(args: argparse.Namespace) -> int:
 
 def cmd_separate(args: argparse.Namespace) -> int:
     f, meta = _load_factorization(args.file)
-    if args.weights:
-        mu = Measure.from_list(_read_json(args.weights))
-    else:
-        mu = Measure.uniform(f.base.n)
+    mu = Measure.from_list(_read_json(args.weights)) if args.weights else None
     result = separate(f, mu)
     # the CSV is opened before --out is written, so one that cannot be
     # opened leaves no --out file behind

@@ -293,48 +293,67 @@ def _check_integers(what: str, **values: object) -> None:
             raise InvalidSize(f"{what}: {name} must be an integer, not {x!r}")
 
 
+# pairs of 1-based apex indices
+_ApexPairs = Iterable[tuple[int, int]]
+
+
+def _grid_args(
+    what: str, parts: Sequence[tuple[int, int]], apex_edges: _ApexPairs, min_n: int, min_k: int
+) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """The one door of the apex-grid entries (`grid`, `apex_grid`,
+    `factorize_apex_grid`, `factorize_clique_sum`, each named by `what`):
+    the shared k, the sizes n and the apex pairs, checked in this order, so
+    the first failing check wins: at least one (k, n) part, each k and n an
+    int, one k, every n >= min_n, k >= min_k, at most `graph.MAX_VERTICES`
+    vertices (sum of n^2, plus k), then each apex pair two distinct ints in
+    1..k.  Nothing beyond the input is allocated before the refusal."""
+    if not parts:
+        raise InvalidSize(f"{what} needs at least one part")
+    for k, n in parts:
+        _check_integers(what, k=k, n=n)
+    ks = {k for k, _ in parts}
+    if len(ks) != 1:
+        raise UnequalApexSizes(f"all parts must share one apex size, got {sorted(ks)}")
+    k = ks.pop()
+    sizes = [n for _, n in parts]
+    if min(sizes) < min_n:
+        raise InvalidSize(f"{what} requires n >= {min_n}")
+    if k < min_k:
+        raise InvalidSize(f"{what} requires k >= {min_k}")
+    _check_vertex_count(what, sum(n * n for n in sizes) + k)
+    pairs = list(apex_edges)
+    for a, b in pairs:
+        if type(a) is not int or type(b) is not int or a == b or not (1 <= a <= k and 1 <= b <= k):
+            raise InvalidApexEdge(f"apex edge ({a},{b}) invalid for k={k}")
+    return k, sizes, pairs
+
+
 def grid(n: int) -> Graph:
     """n x n planar grid; cells row-major, edges between orthogonal
     neighbors: the base `_apex_grid_base` builds with no apexes."""
-    _check_integers("grid", n=n)
-    if n < 1:
-        raise InvalidSize("grid requires n >= 1")
-    _check_vertex_count("grid", n * n)
-    return _apex_grid_base(0, [n], set())[0]
-
-
-def _check_apex_edges(k: int, apex_edges: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    norm = set()
-    for a, b in apex_edges:
-        if type(a) is not int or type(b) is not int or a == b or not (1 <= a <= k and 1 <= b <= k):
-            raise InvalidApexEdge(f"apex edge ({a},{b}) invalid for k={k}")
-        norm.add((min(a, b), max(a, b)))
-    return norm
-
-
-def complete_apex_edges(k: int) -> set[tuple[int, int]]:
-    return {(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)}
+    return _apex_grid_base(*_grid_args("grid", [(0, n)], (), 1, 0))[0]
 
 
 def apex_grid(k: int, n: int, apex_edges: set[tuple[int, int]] | None = None) -> Graph:
     """n x n grid plus k apex vertices joined to every grid cell, with the
     given edge set among the apexes: the base `_apex_grid_base` builds for
     one size, labeled GridCell(0, r, c) and Apex(0, j)."""
-    _check_integers("apex_grid", k=k, n=n)
-    if n < 1 or k < 0:
-        raise InvalidSize("apex_grid requires n >= 1 and k >= 0")
-    _check_vertex_count("apex_grid", n * n + k)
-    return _apex_grid_base(k, [n], _check_apex_edges(k, apex_edges or set()))[0]
+    return _apex_grid_base(*_grid_args("apex_grid", [(k, n)], apex_edges or (), 1, 0))[0]
 
 
 def _apex_grid_base(
-    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]]
+    k: int, sizes: Sequence[int], apex_cliques: Iterable[Sequence[int]], cut: _ApexPairs = ()
 ) -> tuple[Graph, list[int]]:
     """One n x n grid per entry n of `sizes`, all joined to one set of k
-    apexes with the given apex-apex edges (checked by `_check_apex_edges`),
-    and each grid's first vertex: the one code that numbers and joins
-    apex-grid vertices.  For one size it is `apex_grid(k, n, apex_edges)`
-    (`grid(n)` for k = 0); for more, their clique sum at the apex set.
+    apexes, and each grid's first vertex: the one code that numbers and
+    joins apex-grid vertices.  Its arguments come through `_grid_args`.  The
+    apex-apex edges are each clique of `apex_cliques`, given by its 1-based
+    apex indices (an apex edge is a 2-clique), joined on the masks
+    (`_joined`), then each pair of `cut` cleared, so a pair listed twice or
+    in either order is cut once.  No list of apex pairs is built: a clique
+    sum passes its apex set as one clique and its removed edges as `cut`.
+    For one size it is `apex_grid(k, n, apex_edges)` (`grid(n)` for
+    k = 0); for more, their clique sum at the apex set.
 
     Vertices are part 0's cells row-major, then the apexes, then each later
     part's cells; labels are GridCell(i, r, c) for part i and Apex(0, j)."""
@@ -343,7 +362,6 @@ def _apex_grid_base(
     for n in sizes[1:]:
         starts.append(total)
         total += n * n
-    _check_vertex_count("apex_grid", total)
     apexes = mask_of(range(first, first + k))
     masks = [0] * total
     labels: list[VertexLabel | None] = [None] * total
@@ -357,7 +375,10 @@ def _apex_grid_base(
                 labels[v] = GridCell(i, r + 1, c + 1)
     masks[first : first + k] = [((1 << total) - 1) ^ apexes] * k
     labels[first : first + k] = [Apex(0, j) for j in range(1, k + 1)]
-    masks = _joined(masks, ([first + a - 1, first + b - 1] for a, b in apex_edges))
+    masks = _joined(masks, ([first + a - 1 for a in clique] for clique in apex_cliques))
+    for a, b in cut:
+        masks[first + a - 1] &= ~(1 << first + b - 1)
+        masks[first + b - 1] &= ~(1 << first + a - 1)
     return Graph.from_masks(masks, labels), starts
 
 
@@ -380,11 +401,11 @@ def _joined(masks: Sequence[int], cliques: Iterable[Sequence[int]]) -> list[int]
 
 
 def _apex_grid_factors(
-    k: int, sizes: Sequence[int], apex_edges: set[tuple[int, int]]
+    k: int, sizes: Sequence[int], apex_cliques: Iterable[Sequence[int]], cut: _ApexPairs = ()
 ) -> tuple[Graph, list[Graph], list[OrderedCliqueCover]]:
-    """The base `_apex_grid_base(k, sizes, apex_edges)`, its two factor graphs
-    and the ordered cover of factor 2: the one builder of every grid
-    factorization.  Its callers have checked k >= 0 and the apex edges.
+    """The base `_apex_grid_base(k, sizes, apex_cliques, cut)`, its two
+    factor graphs and the ordered cover of factor 2: the one builder of
+    every grid factorization.  Its arguments come through `_grid_args`.
 
     Each factor is the base plus cliques (`_joined`).  Factor 1: rows r and
     r + 1 of one part plus the apex set, for each r (a one-row part: its row
@@ -404,7 +425,7 @@ def _apex_grid_factors(
     are independent in factor 2 and all adjacent to apex 1, so every
     ordered clique cover puts them in N blocks within its width of apex 1's.
     """
-    g, starts = _apex_grid_base(k, sizes, apex_edges)
+    g, starts = _apex_grid_base(k, sizes, apex_cliques, cut)
     first = sizes[0] ** 2
     apex_ids = range(first, first + k)
     bands: list[list[int]] = []
@@ -434,13 +455,8 @@ def factorize_apex_grid(
     column-clique factor whose one-line cover (`_apex_grid_factors`) has
     width at most ceil(n/2) + k, the paper's bound, and ceil((n - 1)/2), the
     optimum, when k >= 1 and the apex set is complete."""
-    _check_integers("factorize_apex_grid", k=k, n=n)
-    if n < 2:
-        raise InvalidSize("factorize_apex_grid requires n >= 2")
-    if k < 0:
-        raise InvalidSize("factorize_apex_grid requires k >= 0")
-    factors = _apex_grid_factors(k, [n], _check_apex_edges(k, apex_edges or set()))
-    return _make_factorization(*factors, (n + 1) // 2 + k)
+    args = _grid_args("factorize_apex_grid", [(k, n)], apex_edges or (), 2, 0)
+    return _make_factorization(*_apex_grid_factors(*args), (n + 1) // 2 + k)
 
 
 # -- clique sums -------------------------------------------------------------
@@ -508,23 +524,11 @@ def factorize_clique_sum(
     line with the apex cliques at its middle (`_apex_grid_factors`); its
     width is at most sum(n_i + k_i), the paper's bound, and ceil((N - 1)/2),
     the optimum, when no apex edge is removed."""
-    if not parts:
-        raise InvalidSize("clique sum needs at least one part")
-    for k, n in parts:
-        _check_integers("factorize_clique_sum", k=k, n=n)
-    ks = {k for k, _ in parts}
-    if len(ks) != 1:
-        raise UnequalApexSizes(f"all parts must share one apex size, got {sorted(ks)}")
-    k = ks.pop()
-    if k < 1:
-        raise InvalidSize("clique sum at apex sets requires k >= 1")
-    removed = _check_apex_edges(k, removed_edges)
-    sizes = [n for _, n in parts]
-    if min(sizes) < 2:
-        raise InvalidSize("each part requires n >= 2")
-    # factor 1 keeps the apex set complete; the removed edges leave the base
-    # and factor 2, whose apex-apex edges are the base's
-    factors = _apex_grid_factors(k, sizes, complete_apex_edges(k) - removed)
+    k, sizes, removed = _grid_args("factorize_clique_sum", parts, removed_edges, 2, 1)
+    # the apex set joined as one clique, then the removed edges cut: factor 1
+    # keeps the apex set complete; they leave the base and factor 2, whose
+    # apex-apex edges are the base's
+    factors = _apex_grid_factors(k, sizes, [range(1, k + 1)], removed)
     return _make_factorization(*factors, sum(n + k for n in sizes))
 
 
@@ -571,7 +575,7 @@ def example3_ii(n: int, k: int) -> Factorization:
     if n < 1 or k < 1:
         raise InvalidSize("example3_ii requires n, k >= 1")
     _check_vertex_count("example3_ii", n * n * k)
-    base, factors, covers = _apex_grid_factors(0, [n], set())
+    base, factors, covers = _apex_grid_factors(0, [n], ())
     columns = tuple(
         frozenset(v * k + x for v in blk for x in range(k)) for blk in covers[0].cliques
     )

@@ -70,3 +70,7 @@ class NotCliqueInFactorOne(CcwKitError):
 
 class NoApex(CcwKitError):
     """The audited graph has no apex vertex."""
+
+
+class NoGridCell(CcwKitError):
+    """The audited graph has no grid cell."""

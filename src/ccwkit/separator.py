@@ -6,10 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chordal import _balanced_bag, _clique_forest
+from .chordal import _balanced_bag, _elimination
 from .cliquecover import OrderedCliqueCover
 from .constructions import Factorization, check_factorization
-from .errors import InvalidFactorization, NoApex, NotCliqueInFactorOne
+from .errors import InvalidFactorization, NoApex, NoGridCell, NotCliqueInFactorOne
 from .graph import (
     Apex,
     Graph,
@@ -164,7 +164,8 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     """Walk the lower-bound argument on a factorized apex grid: the largest
     grid-restricted clique of the chordal factor, an independent half inside
     it, the covers restricted to that clique plus apex x, and the number of
-    product cells needed to cover the independent set."""
+    product cells needed to cover the independent set.  Raises `NoApex` for
+    a base without apex x and `NoGridCell` for one without grid cells."""
     check_factorization(f)
     base = f.base
     apex_vs = {
@@ -177,9 +178,14 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     # the verified PEO of factor 1, restricted to the grid, is a PEO of the
     # grid-induced subgraph
     grid_peo = [v for v in f.chordal_cert.peo if isinstance(base.labels[v], GridCell)]
-    bags, _, home = _clique_forest(f.factors[0], grid_peo)
-    # the first largest bag in PEO order, the order of maximal_cliques_chordal
-    smask = max((bags[home[v]] for v in grid_peo), key=int.bit_count)
+    if not grid_peo:
+        raise NoGridCell("no grid cell, so no grid clique to audit")
+    succ = _elimination(f.factors[0], grid_peo)[0]
+    # the first largest C(v), v and its later neighbours, in PEO order: the
+    # first largest bag in that order, the order of maximal_cliques_chordal,
+    # is C(u) for its earliest vertex u, and no earlier C(v) is as large, or
+    # its bag would be as large and come first
+    smask = max((succ[v] | 1 << v for v in grid_peo), key=int.bit_count)
     s = set(bits(smask))
 
     # independent half of s: base[s] 2-coloured from the graph, not from the

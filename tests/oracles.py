@@ -240,8 +240,8 @@ def blown_up_grid(n: int, b: int):
 
 
 def apex_grid_factors(k: int, sizes, apex_edges):
-    """The two factors of `_apex_grid_factors(k, sizes, apex_edges)`
-    and factor 2's cover, by its docstring, one vertex pair at a time.
+    """The two factors of `_apex_grid_factors` with these apex edges and
+    factor 2's cover, by its docstring, one vertex pair at a time.
 
     Vertices are part 0's cells row-major, then apexes 1..k, then each later
     part's cells.  Factor 1: two cells of one part adjacent iff their rows
@@ -291,6 +291,11 @@ def apex_grid_factors(k: int, sizes, apex_edges):
     cover[mid + 1 : mid + 1] = classes[len(cover):]
     n = len(where)
     return Graph.from_edges(n, g1, labels), Graph.from_edges(n, g2, labels), cover
+
+
+def complete_apex_edges(k: int) -> set[tuple[int, int]]:
+    """Every pair (a, b), a < b, of apexes 1..k."""
+    return {(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)}
 
 
 def relabeled(g: Graph, part: int) -> Graph:

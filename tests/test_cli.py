@@ -218,6 +218,20 @@ class TestSeparateAudit:
             "error: bipartition class is not independent in the base\n"
         )
 
+    def test_audit_refuses_an_envelope_with_no_grid_cell(self, tmp_path, capsys):
+        # two adjacent apexes and nothing else: a valid one-factor envelope
+        # that has apex 1 but no grid clique to audit
+        k2 = Graph.from_edges(2, [(0, 1)], [Apex(0, 1), Apex(0, 2)])
+        env = tmp_path / "apexes.json"
+        _dump(_make_factorization(k2, [k2], [], 0).to_json(), str(env))
+        assert run(["verify", str(env)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "a.json"
+        assert run(["audit", str(env), "--apex", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: no grid cell, so no grid clique to audit\n"
+
 
 class TestManifestReplay:
     def test_replay_byte_identical(self, tmp_path):

@@ -13,7 +13,6 @@ from ccwkit import (
     apex_grid,
     check_factorization,
     clique_sum,
-    complete_apex_edges,
     cover_width,
     example3_i,
     example3_ii,
@@ -36,7 +35,7 @@ from ccwkit.errors import (
 )
 from ccwkit.cli import main
 
-from oracles import relabeled
+from oracles import complete_apex_edges, relabeled
 
 
 def complete(n, labels=None):

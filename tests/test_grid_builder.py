@@ -25,7 +25,6 @@ from ccwkit import (
     apex_grid,
     ccw_exact,
     clique_sum,
-    complete_apex_edges,
     example3_i,
     example3_ii,
     factorize_apex_grid,
@@ -37,7 +36,7 @@ from ccwkit.cli import _dump, main
 from ccwkit.errors import InvalidApexEdge, InvalidSize, UnequalApexSizes
 from ccwkit.graph import label_to_json
 
-from oracles import apex_grid_factors, blown_up_grid, relabeled
+from oracles import apex_grid_factors, blown_up_grid, complete_apex_edges, relabeled
 
 
 def apex_pairs(k):
@@ -321,21 +320,27 @@ BAD_PARAMETERS = {
                                     InvalidApexEdge, "apex edge (1,2) invalid for k=1"),
     "apex-grid apex loop": (lambda: factorize_apex_grid(2, 3, {(2, 2)}),
                             InvalidApexEdge, "apex edge (2,2) invalid for k=2"),
-    "sum no parts": (sum_of(), InvalidSize, "clique sum needs at least one part"),
+    "sum no parts": (sum_of(), InvalidSize, "factorize_clique_sum needs at least one part"),
     "sum unequal k": (sum_of((1, 1), (2, 3), removed=((0, 0),)),
                       UnequalApexSizes, "all parts must share one apex size, got [1, 2]"),
     "sum k < 1": (sum_of((0, 1), (0, 3), removed=((0, 0),)),
-                  InvalidSize, "clique sum at apex sets requires k >= 1"),
+                  InvalidSize, "factorize_clique_sum requires n >= 2"),
+    "sum k < 1, every n >= 2": (sum_of((0, 2), (0, 3), removed=((0, 0),)),
+                                InvalidSize, "factorize_clique_sum requires k >= 1"),
     "sum bad removed edge": (sum_of((2, 1), (2, 3), removed=((1, 3),)),
-                             InvalidApexEdge, "apex edge (1,3) invalid for k=2"),
-    "sum n < 2": (sum_of((2, 3), (2, 1)), InvalidSize, "each part requires n >= 2"),
+                             InvalidSize, "factorize_clique_sum requires n >= 2"),
+    "sum bad removed edge, every n >= 2": (sum_of((2, 2), (2, 3), removed=((1, 3),)),
+                                           InvalidApexEdge, "apex edge (1,3) invalid for k=2"),
+    "sum n < 2": (sum_of((2, 3), (2, 1)), InvalidSize, "factorize_clique_sum requires n >= 2"),
     "example3_ii n < 1": (lambda: example3_ii(0, 2),
                           InvalidSize, "example3_ii requires n, k >= 1"),
     "example3_ii k < 1": (lambda: example3_ii(2, 0),
                           InvalidSize, "example3_ii requires n, k >= 1"),
     "example3_i n < 1": (lambda: example3_i(0, 2), InvalidSize, "example3_i requires n, k >= 1"),
     "apex_grid n < 1": (lambda: apex_grid(-1, 0, {(0, 1)}),
-                        InvalidSize, "apex_grid requires n >= 1 and k >= 0"),
+                        InvalidSize, "apex_grid requires n >= 1"),
+    "apex_grid k < 0": (lambda: apex_grid(-1, 2, {(0, 1)}),
+                        InvalidSize, "apex_grid requires k >= 0"),
     "apex_grid bad apex edge": (lambda: apex_grid(1, 2, {(1, 2)}),
                                 InvalidApexEdge, "apex edge (1,2) invalid for k=1"),
     "grid n < 1": (lambda: grid(0), InvalidSize, "grid requires n >= 1"),
@@ -370,8 +375,9 @@ class TestBadParameters:
 
     @pytest.mark.parametrize(
         "parts, message",
-        [("2:3,2:1", "each part requires n >= 2"),
-         ("0:3,0:3", "clique sum at apex sets requires k >= 1")],
+        [("2:3,2:1", "factorize_clique_sum requires n >= 2"),
+         ("0:3,0:3", "factorize_clique_sum requires k >= 1")],
+        ids=["sum n < 2", "sum k < 1"],
     )
     def test_cli_error_line(self, tmp_path, capsys, parts, message):
         out = tmp_path / "f.json"

@@ -19,6 +19,7 @@ from ccwkit import (
     factorize_apex_grid,
     factorize_clique_sum,
     grid,
+    verify_factorization,
 )
 from ccwkit import graph as graph_module
 from ccwkit.cli import main
@@ -82,7 +83,7 @@ def test_n_at_the_limit_loads(monkeypatch):
 
 @pytest.mark.parametrize("argv, refused", [
     (["construct", "grid", "--n", "182"], "grid: n=33124"),
-    (["factorize", "apex-grid", "--k", "2", "--n", "182"], "apex_grid: n=33126"),
+    (["factorize", "apex-grid", "--k", "2", "--n", "182"], "factorize_apex_grid: n=33126"),
 ], ids=["construct-grid", "factorize-apex-grid"])
 def test_construction_over_the_limit_exits_2(tmp_path, capsys, argv, refused):
     out = tmp_path / "out.json"
@@ -102,9 +103,13 @@ BUILDS = {
     "grid": (lambda: grid(4), lambda: grid(5), "grid: n=25"),
     "apex_grid": (lambda: apex_grid(0, 4), lambda: apex_grid(1, 4), "apex_grid: n=17"),
     "factorize_apex_grid": (
-        lambda: factorize_apex_grid(0, 4), lambda: factorize_apex_grid(1, 4), "apex_grid: n=17"
+        lambda: factorize_apex_grid(0, 4),
+        lambda: factorize_apex_grid(1, 4),
+        "factorize_apex_grid: n=17",
     ),
-    "factorize_clique_sum": (sum_of((3, 3), (3, 2)), sum_of((4, 3), (4, 2)), "apex_grid: n=17"),
+    "factorize_clique_sum": (
+        sum_of((3, 3), (3, 2)), sum_of((4, 3), (4, 2)), "factorize_clique_sum: n=17"
+    ),
     "example3_i": (lambda: example3_i(4, 4), lambda: example3_i(17, 1), "example3_i: n=17"),
     "example3_ii": (lambda: example3_ii(2, 4), lambda: example3_ii(1, 17), "example3_ii: n=17"),
 }
@@ -125,6 +130,8 @@ HUGE = {
     "apex_grid": lambda: apex_grid(2, 10**6),
     "factorize_apex_grid": lambda: factorize_apex_grid(2, 10**6),
     "factorize_clique_sum": sum_of((2, 100), (2, 10**6)),
+    # 500 apexes over the limit: no list of their pairs is made before the refusal
+    "factorize_clique_sum many apexes": sum_of((500, 182)),
     "example3_i": lambda: example3_i(10**6, 10**6),
     "example3_ii": lambda: example3_ii(10**6, 2),
 }
@@ -140,3 +147,17 @@ def test_constructions_refuse_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_clique_sum_joins_its_apex_set_as_one_clique():
+    # k = 1 000: the apex set is joined on the masks as one clique, not as
+    # its k(k - 1)/2 pairs, which would trace tens of MB
+    tracemalloc.start()
+    try:
+        f = factorize_clique_sum([(1000, 2), (1000, 2)], [(1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.lstar == 2
+    assert all(ok for _, ok, _ in verify_factorization(f))
+    assert peak < 5_000_000
