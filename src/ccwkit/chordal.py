@@ -4,6 +4,7 @@ balanced clique separators for chordal graphs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, xor
 from typing import Sequence
 
 from .errors import InvalidPEO, NotChordal
@@ -65,7 +66,11 @@ def lex_bfs(g: Graph) -> list[int]:
     return order
 
 
-def _elimination(g: Graph, order: Sequence[int]) -> tuple[list[int], list[int]]:
+# per vertex: the mask of its later neighbours, and its parent (`_elimination`)
+_Elimination = tuple[list[int], list[int]]
+
+
+def _elimination(g: Graph, order: Sequence[int]) -> _Elimination:
     """For each vertex v of `order`: the mask of its neighbours after it in
     `order`, and its parent, the earliest of them (-1 when there is none).
 
@@ -99,27 +104,35 @@ def verify_peo(g: Graph, order: Sequence[int]) -> tuple[int, int, int] | None:
     Returns None on success, else a witness (v, p, w): the first v in
     `order` whose earliest later neighbour p misses a later neighbour, and w
     the smallest such.  Cost: a sort for the permutation check,
-    `_elimination`, then one test on V-bit masks per vertex, so O(V^2/64)
-    machine words.  On the apex-grid factor 1 (k=2, n=20/40/60) it measured
-    0.4/2.0/9.7 ms on a 2-vCPU Xeon VM, against 5.1/51/217 ms with the
-    per-edge parent search.
+    `_elimination`, then one C-level pass that tests every vertex's later
+    neighbours against its parent's, so O(V^2/64) machine words; `order` is
+    walked in Python only to name the witness of a failure.  On the
+    apex-grid factor 1 (k=2, n=20/40/60) it measured 0.26/1.25/3.6 ms on a
+    2-vCPU Xeon VM, against 0.27/1.39/4.4 ms with a Python test per vertex
+    and 5.1/51/217 ms with the per-edge parent search.
     """
+    return _peo_check(g, order)[0]
+
+
+def _peo_check(g: Graph, order: Sequence[int]) -> tuple[tuple[int, int, int] | None, _Elimination]:
+    """`verify_peo(g, order)` and the `_elimination` it ran, so a caller
+    that builds on a passing PEO (a clique forest, the audit's grid clique)
+    eliminates once."""
     if sorted(order) != list(range(g.n)):
         raise InvalidPEO("ordering is not a permutation of V(g)")
-    return _peo_witness(g, order, *_elimination(g, order))
-
-
-def _peo_witness(
-    g: Graph, order: Sequence[int], succ: list[int], parent: list[int]
-) -> tuple[int, int, int] | None:
-    """`verify_peo` of a permutation `order` of V(g) whose `_elimination`
-    is (succ, parent), for a caller that also builds the clique forest
-    from them (`Factorization.to_json`)."""
+    succ, parent = elimination = _elimination(g, order)
+    # v passes iff p, its parent, is the only one of its later neighbours
+    # not adjacent to p: one C-level pass over all v, no list built (a root
+    # has no later neighbour, so passes whatever adj[-1] is); only a failure
+    # walks `order` to name the first v
+    off = map(xor, succ, map(and_, succ, map(g._adj.__getitem__, parent)))
+    if max(map(int.bit_count, off), default=0) <= 1:
+        return None, elimination
     for v in order:
         p = parent[v]
         if p >= 0 and (missing := succ[v] & ~g._adj[p] & ~(1 << p)):
-            return v, p, next(bits(missing))
-    return None
+            return (v, p, next(bits(missing))), elimination
+    return None, elimination
 
 
 def verify_hole(g: Graph, hole: Sequence[int]) -> bool:
@@ -143,24 +156,26 @@ def verify_hole(g: Graph, hole: Sequence[int]) -> bool:
 def verify_certificate(g: Graph, cert: ChordalCertificate) -> bool:
     """Re-check a certificate from the graph alone: PEO => chordal, hole => not."""
     if cert.peo is not None:
-        return _peo_failure(g, cert) is None
+        return _peo_failure(g, cert)[0] is None
     if cert.hole is not None:
         return verify_hole(g, cert.hole)
     return False
 
 
-def _peo_failure(g: Graph, cert: ChordalCertificate) -> str | None:
-    """Why `cert` does not show g chordal by a PEO, or None if it does."""
+def _peo_failure(g: Graph, cert: ChordalCertificate) -> tuple[str | None, _Elimination | None]:
+    """Why `cert` does not show g chordal by a PEO, or None if it does, and
+    the `_elimination` of its PEO (None if it has no PEO of V(g))."""
     if cert.peo is None:
-        return "a hole certificate, not a PEO"
+        return "a hole certificate, not a PEO", None
     try:
-        witness = verify_peo(g, cert.peo)
+        witness, elimination = _peo_check(g, cert.peo)
     except InvalidPEO as exc:
-        return str(exc)
+        return str(exc), None
     if witness is None:
-        return None
+        return None, elimination
     v, p, w = witness
-    return f"PEO fails at vertex {v}: its later neighbours {p} and {w} are not adjacent"
+    failure = f"PEO fails at vertex {v}: its later neighbours {p} and {w} are not adjacent"
+    return failure, elimination
 
 
 def is_chordal(g: Graph) -> tuple[bool, ChordalCertificate]:
@@ -200,14 +215,21 @@ def maximal_cliques_chordal(g: Graph, peo: Sequence[int]) -> list[frozenset[int]
     """Maximal cliques of a chordal graph from a PEO (at most |V| of them),
     in PEO order: the bags of `_clique_forest`, each C() of its earliest
     vertex in `peo`, so first sightings of home[v] give that order."""
-    if verify_peo(g, peo) is not None:
-        raise InvalidPEO("not a perfect elimination ordering")
-    bags, _, home = _clique_forest(g, peo)
+    bags, _, home = _checked_forest(g, peo)
     return [frozenset(bits(bags[i])) for i in dict.fromkeys(home[v] for v in peo)]
 
 
+def _checked_forest(g: Graph, peo: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """`_clique_forest(g, peo)` after `peo` passes the PEO check, on the one
+    elimination both need; `InvalidPEO` if it fails."""
+    witness, elimination = _peo_check(g, peo)
+    if witness is not None:
+        raise InvalidPEO("not a perfect elimination ordering")
+    return _clique_forest(g, peo, elimination)
+
+
 def _clique_forest(
-    g: Graph, peo: Sequence[int], elimination: tuple[list[int], list[int]] | None = None
+    g: Graph, peo: Sequence[int], elimination: _Elimination | None = None
 ) -> tuple[list[int], list[int], list[int]]:
     """Clique forest of g from an already verified PEO: bag masks, `up[i]`
     the parent of bag i (-1 at a root), and `home[v]` the bag nearest the
@@ -243,11 +265,10 @@ def clique_tree(g: Graph, peo: Sequence[int]) -> CliqueTree:
     """Clique tree (forest for disconnected graphs) from the PEO parents:
     the bags of `_clique_forest`, each parent numbered before its children,
     and one (parent, child) edge per non-root bag.  O(V) big-int operations
-    after `verify_peo`: the forest of the apex-grid factor 1 (k=2,
-    n=20/40/60, 19/39/59 bags) took 0.4/3.3/11 ms on a 2-vCPU Xeon VM."""
-    if verify_peo(g, peo) is not None:
-        raise InvalidPEO("not a perfect elimination ordering")
-    bags, up, _ = _clique_forest(g, peo)
+    after the PEO check, which shares its `_elimination`: the forest of the
+    apex-grid factor 1 (k=2, n=20/40/60, 19/39/59 bags) took 0.4/3.3/11 ms
+    on a 2-vCPU Xeon VM."""
+    bags, up, _ = _checked_forest(g, peo)
     return CliqueTree(
         tuple(frozenset(bits(m)) for m in bags),
         tuple((u, i) for i, u in enumerate(up) if u >= 0),
@@ -266,10 +287,13 @@ def balanced_clique_separator(g: Graph, mu: Measure) -> set[int]:
     return _balanced_bag(g, cert.peo, mu)
 
 
-def _balanced_bag(g: Graph, peo: Sequence[int], mu: Measure) -> set[int]:
+def _balanced_bag(
+    g: Graph, peo: Sequence[int], mu: Measure, elimination: _Elimination | None = None
+) -> set[int]:
     """The weighted centroid of the clique forest from an already verified
     PEO of g (Gilbert, Rose & Edenbrandt 1984): every component of g minus
-    the returned bag weighs <= mu(g)/2.
+    the returned bag weighs <= mu(g)/2.  `elimination` is that of
+    `_clique_forest`.
 
     sub[i] is the weight homed in bag i's subtree.  Start at the root of
     the heaviest tree and step into the heaviest child c while c's subtree
@@ -282,7 +306,7 @@ def _balanced_bag(g: Graph, peo: Sequence[int], mu: Measure) -> set[int]:
     of apex grids (V=2 034, 277 bags) on a 2-vCPU Xeon VM, against
     4.8/39/158 ms and 27 ms for the spanning-tree walk it replaced.
     """
-    bags, up, home = _clique_forest(g, peo)
+    bags, up, home = _clique_forest(g, peo, elimination)
     total = mu.total(g.n)
     sub = [0.0] * len(bags)
     for v in peo:

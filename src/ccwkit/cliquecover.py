@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidCover
-from .graph import Graph, _closed_meet, _grown_clique, _pairs, bits, mask_of
+from .graph import Graph, _closed_meet, _grown_clique, _pairs, bits
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,28 @@ def verify_cover(g: Graph, c: OrderedCliqueCover) -> tuple[bool, str]:
     2-vCPU Xeon VM the cover of the apex-grid factor 2 (k=2, n=20/40)
     checks in 0.09/0.6 ms, against 0.2-0.3/0.9-1.6 ms when each block's
     mask was walked bit by bit, one test of adj[v] per member."""
+    masks, why = _block_masks(g, c)
+    return masks is not None, why
+
+
+def _block_masks(g: Graph, c: OrderedCliqueCover) -> tuple[list[int] | None, str]:
+    """The body of `verify_cover`: the mask of each block of c if c passes,
+    else None and the reason it fails."""
     masks, seen = [], 0
     for blk in c.cliques:
         m = g._subset_mask(blk)
         if m is None:
-            return False, "block contains a vertex outside V(g)"
+            return None, "block contains a vertex outside V(g)"
         if m & seen:
-            return False, "blocks are not pairwise disjoint"
+            return None, "blocks are not pairwise disjoint"
         seen |= m
         masks.append(m)
     if seen != g.vertex_mask():
-        return False, "blocks do not cover V(g)"
+        return None, "blocks do not cover V(g)"
     for i, (blk, m) in enumerate(zip(c.cliques, masks)):
         if _closed_meet(g._adj, blk, m) != m:
-            return False, f"block {i} is not a clique"
-    return True, ""
+            return None, f"block {i} is not a clique"
+    return masks, ""
 
 
 def cover_width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
@@ -77,20 +84,22 @@ def cover_width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
     block i's neighbourhoods meets the union of the blocks from i + w on, so
     the running width only ever grows.  The witness is the first u with a
     higher-index neighbour in block b(u) +- width, and its lowest such v.
-    O(V + B) big-int operations after `verify_cover`.  Measured on a 2-vCPU
-    Xeon VM: 0.4/1.9/6.6 ms on the apex-grid factor 2 and its cover (k=2,
-    n=20/40/60), where the per-edge scan took 4.2/25/126 ms; 1.6 to 20 ms on
-    G(n, 4/n) with greedy covers, n=500 to 4000 (~V^1.2).
+    O(V + B) big-int operations on the block masks the cover check built
+    (`_block_masks`, the body of `verify_cover`), so each block becomes a
+    mask once.  Measured on a 2-vCPU Xeon VM: 0.4/1.9/6.6 ms on the
+    apex-grid factor 2 and its cover (k=2, n=20/40/60), where the per-edge
+    scan took 4.2/25/126 ms; 1.6 to 20 ms on G(n, 4/n) with greedy covers,
+    n=500 to 4000 (~V^1.2).
     """
-    ok, why = verify_cover(g, c)
-    if not ok:
+    masks, why = _block_masks(g, c)
+    if masks is None:
         raise InvalidCover(why)
-    return _width(g, c)
+    return _width(g, c, masks)
 
 
-def _width(g: Graph, c: OrderedCliqueCover) -> WidthReport:
-    """`cover_width` of a cover that `verify_cover` accepts, without that check."""
-    masks = [mask_of(blk) for blk in c.cliques]
+def _width(g: Graph, c: OrderedCliqueCover, masks: list[int]) -> WidthReport:
+    """`cover_width` of a cover that `verify_cover` accepts, without that
+    check, given the masks of its blocks."""
     m = len(masks)
     suffix = masks + [0]
     for i in range(m - 1, -1, -1):

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import xor
 from typing import Iterable, Sequence
 
 from . import graph
-from .chordal import ChordalCertificate, _clique_forest, _elimination, _peo_failure
-from .chordal import _peo_witness, lex_bfs
+from .chordal import ChordalCertificate, _clique_forest, _Elimination, _peo_failure, lex_bfs
 from .cliquecover import OrderedCliqueCover, _width, cover_width
 from .errors import (
     BadRemovedEdge,
@@ -67,12 +67,10 @@ class Factorization:
         the factors take 2.2-2.4 ms each in `_unlabeled_json`, the widening
         0.7-0.8 ms and the base 2.6-3.0 ms."""
         base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
-        bags = []
-        if peo is not None and sorted(peo) == list(range(g1.n)):
-            elimination = _elimination(g1, peo)
-            bags = _clique_forest(g1, peo, elimination)[0]
-            if _peo_witness(g1, peo, *elimination) is not None:
-                bags = [m for m in bags if _closed_meet(g1._adj, bits(m), m) == m]
+        failure, elimination = _peo_failure(g1, self.chordal_cert)
+        bags = _clique_forest(g1, peo, elimination)[0] if elimination else []
+        if failure:
+            bags = [m for m in bags if _closed_meet(g1._adj, bits(m), m) == m]
         widened = (
             [_widened(g, b) for b in c.cliques] for g, c in zip(self.factors[1:], self.covers)
         )
@@ -190,17 +188,25 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
     """Independent re-derivation of every factorization invariant.
 
     Returns (check name, passed, detail) triples; trusts nothing stored
-    beyond the raw graphs, the certificate and the covers.
+    beyond the raw graphs, the certificate and the covers.  The
+    intersection and PEO checks pass by C-level work on the masks; a Python
+    loop runs only to name the witness of one that fails.
     """
+    return _verification(f)[0]
+
+
+def _verification(f: Factorization) -> tuple[list[tuple[str, bool, str]], _Elimination | None]:
+    """`verify_factorization(f)`, and the `_elimination` of factor 1 that
+    its PEO check ran (None if it ran none)."""
     checks: list[tuple[str, bool, str]] = []
 
     failure = _vertex_set_failure(f)
     checks.append(("vertex_sets", failure is None, failure or "factors share the base vertex set"))
     if failure:
-        return checks
+        return checks, None
 
-    meet = intersect_graphs(list(f.factors))
-    edge = next(_pairs(a ^ b for a, b in zip(meet._adj, f.base._adj)), None)
+    meet, base = intersect_graphs(list(f.factors))._adj, f.base._adj
+    edge = None if meet == base else next(_pairs(map(xor, meet, base)))
     if edge is None:
         detail = "intersection of factors edge-equals base"
     else:
@@ -209,7 +215,7 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
         detail = f"first differing edge ({edge[0]},{edge[1]}) is not in {where}"
     checks.append(("intersection", edge is None, detail))
 
-    failure = _peo_failure(f.factors[0], f.chordal_cert)
+    failure, elimination = _peo_failure(f.factors[0], f.chordal_cert)
     checks.append(("chordal_certificate", failure is None, failure or "factor 1 PEO verifies"))
 
     if len(f.covers) != len(f.factors) - 1 or len(f.widths) != len(f.covers):
@@ -218,9 +224,10 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
             "widths: need one cover/width per factor >= 2"
         )
         checks.append(("cover_count", False, detail))
-        return checks
+        return checks, elimination
     for i, cover in enumerate(f.covers):
-        # cover_width runs verify_cover first and raises its reason
+        # cover_width runs the cover check first (`_block_masks`, the body
+        # of verify_cover) and raises its reason
         try:
             report = cover_width(f.factors[i + 1], cover)
         except InvalidCover as exc:
@@ -239,13 +246,18 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
     if f.lstar != top:
         detail = f"declared lstar {f.lstar}, max width {top}"
     checks.append(("lstar", f.lstar == top, detail))
-    return checks
+    return checks, elimination
 
 
-def check_factorization(f: Factorization) -> None:
-    for name, ok, detail in verify_factorization(f):
+def check_factorization(f: Factorization) -> _Elimination:
+    """Raise `InvalidFactorization` naming the first failing check of
+    `verify_factorization`; else return factor 1's `_elimination` by the
+    certificate's PEO, just verified, for the caller to build on."""
+    checks, elimination = _verification(f)
+    for name, ok, detail in checks:
         if not ok:
             raise InvalidFactorization(f"{name}: {detail}")
+    return elimination
 
 
 def _make_factorization(
@@ -260,7 +272,8 @@ def _make_factorization(
     `InvalidFactorization` from there.  So does an lstar above `bound`."""
     cert = ChordalCertificate(peo=tuple(lex_bfs(factors[0])[::-1]))
     # declared unchecked; check_factorization below certifies each cover and width
-    widths = tuple(_width(factors[i + 1], covers[i]).width for i in range(len(covers)))
+    masks = ([*map(mask_of, c.cliques)] for c in covers)
+    widths = tuple(_width(g, c, m).width for g, c, m in zip(factors[1:], covers, masks))
     f = Factorization(
         base=base,
         factors=tuple(factors),
@@ -306,10 +319,17 @@ def _grid_args(
     the first failing check wins: at least one (k, n) part, each k and n an
     int, one k, every n >= min_n, k >= min_k, at most `graph.MAX_VERTICES`
     vertices (sum of n^2, plus k), then each apex pair two distinct ints in
-    1..k.  Nothing beyond the input is allocated before the refusal."""
+    1..k.  A part that is not a (k, n) pair raises `InvalidSize`, an apex
+    pair that is not a pair `InvalidApexEdge`, each naming the entry, at the
+    step that checks it.  Nothing beyond the input is allocated before the
+    refusal."""
     if not parts:
         raise InvalidSize(f"{what} needs at least one part")
-    for k, n in parts:
+    for part in parts:
+        try:
+            k, n = part
+        except (TypeError, ValueError):
+            raise InvalidSize(f"{what}: part {part!r} is not a (k, n) pair") from None
         _check_integers(what, k=k, n=n)
     ks = {k for k, _ in parts}
     if len(ks) != 1:
@@ -322,7 +342,11 @@ def _grid_args(
         raise InvalidSize(f"{what} requires k >= {min_k}")
     _check_vertex_count(what, sum(n * n for n in sizes) + k)
     pairs = list(apex_edges)
-    for a, b in pairs:
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise InvalidApexEdge(f"apex edge {pair!r} invalid for k={k}") from None
         if type(a) is not int or type(b) is not int or a == b or not (1 <= a <= k and 1 <= b <= k):
             raise InvalidApexEdge(f"apex edge ({a},{b}) invalid for k={k}")
     return k, sizes, pairs

@@ -24,7 +24,7 @@ class Measure:
         return cls(weights=(1.0,) * n)
 
     def of(self, vertices: Iterable[int]) -> float:
-        return sum(self.weights[v] for v in vertices)
+        return sum(map(self.weights.__getitem__, vertices))
 
     def total(self, n: int) -> float:
         if n != len(self.weights):
@@ -38,14 +38,17 @@ class Measure:
         """A measure from a list (or tuple) of int or float weights, as a
         `--weights` file holds them.  Anything else, a string, an object, a
         boolean or a numeric string included, raises `InvalidMeasure` naming
-        the first bad entry instead of being read as some other measure."""
+        the first bad entry instead of being read as some other measure.
+        The entries pass one C-level screen, the set of their types; only a
+        list holding another type is walked entry by entry, to name it."""
         if not isinstance(weights, (list, tuple)):
             raise InvalidMeasure(
                 f"measure weights must be a list of numbers, not {type(weights).__name__}"
             )
-        for i, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or isinstance(w, bool):
-                raise InvalidMeasure(f"measure weights must be numbers: entry {i} is {w!r}")
+        if not set(map(type, weights)) <= {int, float}:
+            for i, w in enumerate(weights):
+                if not isinstance(w, (int, float)) or isinstance(w, bool):
+                    raise InvalidMeasure(f"measure weights must be numbers: entry {i} is {w!r}")
         try:
             return cls(weights=tuple(map(float, weights)))
         except OverflowError:

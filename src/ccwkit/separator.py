@@ -6,22 +6,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chordal import _balanced_bag, _elimination
+from .chordal import _balanced_bag
 from .cliquecover import OrderedCliqueCover
 from .constructions import Factorization, check_factorization
 from .errors import InvalidFactorization, NoApex, NoGridCell, NotCliqueInFactorOne
-from .graph import (
-    Apex,
-    Graph,
-    GridCell,
-    _bfs_layers,
-    _pairs,
-    bits,
-    connected_components,
-    is_clique,
-    is_independent,
-    mask_of,
-)
+from .graph import Apex, Graph, GridCell, _bfs_layers, _pairs, bits, is_clique, is_independent
+from .graph import mask_of
 from .measure import Measure
 
 
@@ -92,27 +82,34 @@ def product_cell_cover(
 def separate(f: Factorization, mu: Measure | None = None) -> SeparatorResult:
     """Balanced separator of the base graph from a clique-tree bag of the
     chordal factor, with a clique cover of the separator certified in the base.
-    The clique tree is built from the envelope's PEO, which
-    check_factorization has just verified."""
-    check_factorization(f)
+    The clique forest is built on the elimination of the envelope's PEO
+    that check_factorization has just verified, so factor 1 is eliminated
+    once per call.  The components of the base minus the bag (one
+    `_bfs_layers` each) and the sides stay masks until the result is built."""
+    elimination = check_factorization(f)
     base = f.base
     if mu is None:
         mu = Measure.uniform(base.n)
     total = mu.total(base.n)
 
-    sep = _balanced_bag(f.factors[0], f.chordal_cert.peo, mu)
+    sep = _balanced_bag(f.factors[0], f.chordal_cert.peo, mu, elimination)
     cliques = product_cell_cover(base, sep, list(f.covers))
 
-    rest = set(range(base.n)) - sep
-    comps = connected_components(base, within=rest)
+    comps, rest = [], base.vertex_mask() ^ mask_of(sep)
+    while rest:
+        # a component lies in what no earlier one took; its layers are disjoint
+        comp = sum(_bfs_layers(base, rest & -rest, rest))
+        # weighed in the order of a set of its members, the order a float
+        # sum has always taken here, so mu_a and mu_b keep their last digit
+        comps.append((mu.of(set(bits(comp))), comp))
+        rest ^= comp
     # each component is within mu/2 (it refines a factor-1 component);
     # largest-first into the lighter side keeps both sides within 2mu/3
-    sides: list[set[int]] = [set(), set()]
-    weights = [0.0, 0.0]
-    for comp in sorted(comps, key=mu.of, reverse=True):
+    sides, weights = [0, 0], [0.0, 0.0]
+    for w, comp in sorted(comps, key=lambda wc: wc[0], reverse=True):
         i = 0 if weights[0] <= weights[1] else 1
         sides[i] |= comp
-        weights[i] += mu.of(comp)
+        weights[i] += w
 
     d = len(f.factors)
     lstar = f.lstar
@@ -120,8 +117,8 @@ def separate(f: Factorization, mu: Measure | None = None) -> SeparatorResult:
     result = SeparatorResult(
         separator=frozenset(sep),
         separator_cliques=tuple(cliques),
-        side_a=frozenset(sides[0]),
-        side_b=frozenset(sides[1]),
+        side_a=frozenset(bits(sides[0])),
+        side_b=frozenset(bits(sides[1])),
         mu_a=weights[0],
         mu_b=weights[1],
         lstar=lstar,
@@ -138,9 +135,12 @@ def _assert_separator(base: Graph, mu: Measure, r: SeparatorResult) -> None:
     if r.side_a & r.side_b or r.side_a & r.separator or r.side_b & r.separator:
         raise InvalidFactorization("separator result blocks overlap")
     a, b = mask_of(r.side_a), mask_of(r.side_b)
-    crossing = (m & (b if a >> u & 1 else a if b >> u & 1 else 0) for u, m in enumerate(base._adj))
-    if edge := next(_pairs(crossing), None):
-        raise InvalidFactorization(f"edge ({edge[0]},{edge[1]}) crosses the separator")
+    # one C-level pass over side a's neighbourhoods; the vertex walk runs
+    # only to name the first crossing edge
+    if any(map(b.__and__, map(base._adj.__getitem__, r.side_a))):
+        other = (b if a >> u & 1 else a if b >> u & 1 else 0 for u in range(base.n))
+        u, v = next(_pairs(map(int.__and__, base._adj, other)))
+        raise InvalidFactorization(f"edge ({u},{v}) crosses the separator")
     # the sides are weighed here: a stored measure is checked, not trusted
     wa, wb = mu.of(r.side_a), mu.of(r.side_b)
     if max(wa, wb) > 2 * total / 3 + 1e-9:
@@ -165,27 +165,18 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     grid-restricted clique of the chordal factor, an independent half inside
     it, the covers restricted to that clique plus apex x, and the number of
     product cells needed to cover the independent set.  Raises `NoApex` for
-    a base without apex x and `NoGridCell` for one without grid cells."""
-    check_factorization(f)
+    a base without apex x and `NoGridCell` for one without grid cells.  The
+    grid clique comes from the elimination check_factorization has just run
+    on the envelope's PEO (`_grid_clique`), so factor 1 is eliminated once
+    per call."""
+    succ, _ = check_factorization(f)
     base = f.base
-    apex_vs = {
-        lbl.index: v for v, lbl in enumerate(base.labels) if isinstance(lbl, Apex)
-    }
+    apex_vs = {lbl.index: v for v, lbl in enumerate(base.labels) if isinstance(lbl, Apex)}
     if x not in apex_vs:
         raise NoApex(f"no apex with index {x}")
     apex = apex_vs[x]
 
-    # the verified PEO of factor 1, restricted to the grid, is a PEO of the
-    # grid-induced subgraph
-    grid_peo = [v for v in f.chordal_cert.peo if isinstance(base.labels[v], GridCell)]
-    if not grid_peo:
-        raise NoGridCell("no grid cell, so no grid clique to audit")
-    succ = _elimination(f.factors[0], grid_peo)[0]
-    # the first largest C(v), v and its later neighbours, in PEO order: the
-    # first largest bag in that order, the order of maximal_cliques_chordal,
-    # is C(u) for its earliest vertex u, and no earlier C(v) is as large, or
-    # its bag would be as large and come first
-    smask = max((succ[v] | 1 << v for v in grid_peo), key=int.bit_count)
+    smask = _grid_clique(f, succ)
     s = set(bits(smask))
 
     # independent half of s: base[s] 2-coloured from the graph, not from the
@@ -206,10 +197,7 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
             f"apex {x} (vertex {apex}) is not adjacent in the base to vertex {v} of the grid clique"
         )
     s_hat = s | {apex}
-    restricted_sizes = []
-    for cover in f.covers:
-        block = cover.block_of()
-        restricted_sizes.append(len({block[v] for v in s_hat}))
+    restricted_sizes = [len(set(map(c.block_of().__getitem__, s_hat))) for c in f.covers]
 
     cells = product_cell_cover(base, s_prime, list(f.covers))
     report = AuditReport(
@@ -223,3 +211,23 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     if report.product_cells > math.prod(report.restricted_cover_sizes):
         raise InvalidFactorization("product cells exceed the block-count product")
     return report
+
+
+def _grid_clique(f: Factorization, succ: list[int]) -> int:
+    """The mask of the largest clique of factor 1 within the grid cells
+    that `audit_lower_bound` audits, from `succ`, the later-neighbour masks
+    of the `_elimination` of factor 1 by the certificate's verified PEO.
+
+    That PEO restricted to the grid is a PEO of the grid-induced subgraph,
+    and it keeps the grid cells in their order, so the later neighbours of
+    a cell v there are succ[v] & grid.  The first largest C(v), v and those
+    neighbours, in PEO order: the first largest bag in that order, the order
+    of maximal_cliques_chordal, is C(u) for its earliest vertex u, and no
+    earlier C(v) is as large, or its bag would be as large and come first.
+    Raises `NoGridCell` for a base without grid cells."""
+    labels = f.base.labels
+    grid_peo = [v for v in f.chordal_cert.peo if isinstance(labels[v], GridCell)]
+    if not grid_peo:
+        raise NoGridCell("no grid cell, so no grid clique to audit")
+    grid = mask_of(grid_peo)
+    return max((succ[v] & grid | 1 << v for v in grid_peo), key=int.bit_count)

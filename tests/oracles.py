@@ -7,7 +7,8 @@ deliberately kept free of any code path they are used to check.
 import math
 from itertools import combinations, permutations
 
-from ccwkit.chordal import _clique_forest
+from ccwkit.chordal import _clique_forest, _elimination
+from ccwkit.errors import InvalidGraph, InvalidMeasure, VertexOutOfRange
 from ccwkit.cliquecover import OrderedCliqueCover, SearchResult, _layout, ccw_upper_greedy
 from ccwkit.graph import Apex, Graph, GridCell, bits, labels_to_json
 
@@ -753,3 +754,35 @@ def reference_envelope(f) -> dict:
         "widths": list(f.widths),
         "lstar": f.lstar,
     }
+
+
+def reference_grid_clique(f) -> int:
+    """The grid clique `audit_lower_bound` audits, derived as it first was:
+    the certificate's PEO restricted to the grid cells, eliminated on its
+    own in factor 1, then the first largest C(v), v and its later
+    neighbours, in that order."""
+    grid_peo = [v for v in f.chordal_cert.peo if isinstance(f.base.labels[v], GridCell)]
+    succ = _elimination(f.factors[0], grid_peo)[0]
+    return max((succ[v] | 1 << v for v in grid_peo), key=int.bit_count)
+
+
+def reference_from_masks_error(masks):
+    """The error `Graph.from_masks(masks)` raises, as (type, message), or
+    None: the first vertex whose mask holds its own bit or a bit at or above
+    n, a self-loop named before an overrun at one vertex."""
+    n = len(masks)
+    for v, m in enumerate(masks):
+        if m & (1 << v):
+            return InvalidGraph, f"self-loop at vertex {v}"
+        if m >> n:
+            return VertexOutOfRange, f"adjacency of {v} exceeds n={n}"
+    return None
+
+
+def reference_measure_error(weights):
+    """The error `Measure.from_list(weights)` raises for its first entry
+    that is not an int or a float, booleans included, or None."""
+    for i, w in enumerate(weights):
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            return InvalidMeasure, f"measure weights must be numbers: entry {i} is {w!r}"
+    return None

@@ -1,7 +1,9 @@
 """Each factorizing construction builds its parts once and certifies the
-result once, through the checker `verify` uses: one Lex-BFS, one PEO check,
-no separate chordality test and one cover check per cover per construction,
-one cover check per cover in `verify_factorization`."""
+result once, through the checker `verify` uses: one Lex-BFS, one PEO check
+on one elimination, no separate chordality test and one cover check per
+cover per construction, one cover check per cover in `verify_factorization`.
+A cover check is `_block_masks`, the body of `verify_cover`, which
+`cover_width` calls to build the block masks it measures."""
 
 import pytest
 
@@ -47,11 +49,13 @@ CONSTRUCTIONS = {
 @pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
 def test_one_search_and_one_peo_check_per_construction(monkeypatch, build):
     lex = count_calls(monkeypatch, ccwkit.chordal, "lex_bfs")
-    peo = count_calls(monkeypatch, ccwkit.chordal, "verify_peo")
+    peo = count_calls(monkeypatch, ccwkit.chordal, "_peo_check")
+    elim = count_calls(monkeypatch, ccwkit.chordal, "_elimination")
     chordal = count_calls(monkeypatch, ccwkit.chordal, "is_chordal")
     f = build()
     assert len(lex) == 1 and chordal == []
     assert [order for _, order in peo] == [f.chordal_cert.peo]
+    assert elim == [(f.factors[0], f.chordal_cert.peo)]
 
 
 EVERY_CONSTRUCTION = {
@@ -63,7 +67,7 @@ EVERY_CONSTRUCTION = {
 
 @pytest.mark.parametrize("build", EVERY_CONSTRUCTION.values(), ids=EVERY_CONSTRUCTION.keys())
 def test_construction_checks_each_cover_once(monkeypatch, build):
-    calls = count_calls(monkeypatch, ccwkit.cliquecover, "verify_cover")
+    calls = count_calls(monkeypatch, ccwkit.cliquecover, "_block_masks")
     f = build()
     assert [cover for _, cover in calls] == list(f.covers)
 
@@ -71,7 +75,7 @@ def test_construction_checks_each_cover_once(monkeypatch, build):
 @pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
 def test_verify_checks_each_cover_once(monkeypatch, build):
     f = build()
-    calls = count_calls(monkeypatch, ccwkit.cliquecover, "verify_cover")
+    calls = count_calls(monkeypatch, ccwkit.cliquecover, "_block_masks")
     assert all(ok for _, ok, _ in verify_factorization(f))
     assert [cover for _, cover in calls] == list(f.covers)
 

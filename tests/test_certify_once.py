@@ -1,21 +1,29 @@
-"""`separate` and `audit_lower_bound` work from the envelope's PEO once
-check_factorization has verified it, and reject an envelope whose
-certificate does not verify."""
+"""`separate` and `audit_lower_bound` work from the elimination of the
+envelope's PEO that check_factorization has just run and verified, and
+reject an envelope whose certificate does not verify; each command, and
+`clique_tree` and `maximal_cliques_chordal`, eliminates once."""
 
 import dataclasses
+import json
 
 import pytest
 
 import ccwkit.chordal
+import ccwkit.constructions
+import ccwkit.separator
 from ccwkit import (
     ChordalCertificate,
     audit_lower_bound,
+    clique_tree,
     connected_components,
     factorize_apex_grid,
+    factorize_clique_sum,
     is_clique,
+    maximal_cliques_chordal,
     separate,
     verify_peo,
 )
+from ccwkit.cli import main
 from ccwkit.errors import InvalidFactorization
 
 
@@ -66,19 +74,59 @@ def test_bad_certificate_rejected(f, cert):
         audit_lower_bound(bad)
 
 
-def test_peo_verified_once_and_never_recomputed(f, monkeypatch):
+def count_eliminations(monkeypatch):
+    """Record each `_elimination` call as (graph, order), wherever a ccwkit
+    module holds the function."""
     calls = []
-    real_verify = ccwkit.chordal.verify_peo
+    real = ccwkit.chordal._elimination
 
-    def counting_verify(g, order):
-        calls.append(order)
-        return real_verify(g, order)
+    def counted(g, order):
+        calls.append((g, order))
+        return real(g, order)
+
+    for module in (ccwkit.chordal, ccwkit.constructions, ccwkit.separator):
+        if getattr(module, "_elimination", None) is real:
+            monkeypatch.setattr(module, "_elimination", counted)
+    return calls
+
+
+def test_peo_verified_once_and_never_recomputed(f, monkeypatch):
+    calls = count_eliminations(monkeypatch)
 
     def no_search(g):
         raise AssertionError("the stored PEO should be reused")
 
-    monkeypatch.setattr(ccwkit.chordal, "verify_peo", counting_verify)
     monkeypatch.setattr(ccwkit.chordal, "lex_bfs", no_search)
-    separate(f)
-    audit_lower_bound(f)
-    assert calls == [f.chordal_cert.peo, f.chordal_cert.peo]
+    for command in (separate, audit_lower_bound):
+        calls.clear()
+        command(f)
+        # the one elimination is the PEO check's; the forest and the grid
+        # clique are built on it
+        assert calls == [(f.factors[0], f.chordal_cert.peo)]
+
+
+ENVELOPES = {
+    "apex-grid": lambda: factorize_apex_grid(2, 6),
+    "clique-sum": lambda: factorize_clique_sum([(2, 3), (2, 4), (2, 3)], [(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("build", ENVELOPES.values(), ids=ENVELOPES.keys())
+@pytest.mark.parametrize("command", ["verify", "separate", "audit"])
+def test_one_elimination_per_command(build, command, tmp_path, monkeypatch):
+    f = build()
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json()))
+    calls = count_eliminations(monkeypatch)
+    argv = [command, str(path)] + ([] if command == "verify" else ["--out", str(tmp_path / "o")])
+    assert main(argv) == 0
+    assert calls == [(f.factors[0], f.chordal_cert.peo)]
+
+
+def test_clique_tree_and_maximal_cliques_eliminate_once(f, monkeypatch):
+    g, peo = f.factors[0], f.chordal_cert.peo
+    calls = count_eliminations(monkeypatch)
+    tree = clique_tree(g, peo)
+    cliques = maximal_cliques_chordal(g, peo)
+    assert calls == [(g, peo), (g, peo)]
+    assert set(tree.bags) == set(cliques)

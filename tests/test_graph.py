@@ -30,7 +30,7 @@ from ccwkit.errors import (
     VertexOutOfRange,
 )
 
-from oracles import brute_components
+from oracles import brute_components, reference_from_masks_error
 
 
 def complete(n):
@@ -88,6 +88,33 @@ class TestBasics:
         with pytest.raises(type(expected)) as info:
             build()
         assert str(info.value) == str(expected)
+
+    @pytest.mark.parametrize(
+        "masks, expected",
+        [
+            # vertex 1 holds its own bit and one past n: the self-loop is named
+            ([0b10, 0b1010, 0b100], InvalidGraph("self-loop at vertex 1")),
+            ([0b10, 0b1001, 0b100], VertexOutOfRange("adjacency of 1 exceeds n=3")),
+            ([0b10, 0b1001, 0b100, 0b1000], InvalidGraph("self-loop at vertex 2")),
+            ([0b10, -2, 0b100], InvalidGraph("self-loop at vertex 1")),
+            ([0b10, -8, 0], VertexOutOfRange("adjacency of 1 exceeds n=3")),
+        ],
+        ids=["loop-and-past-n", "past-n", "first-bad-vertex", "negative", "negative-high"],
+    )
+    def test_from_masks_names_the_first_bad_vertex(self, masks, expected):
+        with pytest.raises(type(expected)) as info:
+            Graph.from_masks(masks)
+        assert str(info.value) == str(expected)
+
+    @given(st.lists(st.integers(-(1 << 10), (1 << 10) - 1), max_size=10))
+    def test_from_masks_error_matches_the_vertex_walk(self, masks):
+        expected = reference_from_masks_error(masks)
+        if expected is None:
+            assert Graph.from_masks(masks)._adj == tuple(masks)
+            return
+        with pytest.raises(expected[0]) as info:
+            Graph.from_masks(masks)
+        assert type(info.value) is expected[0] and str(info.value) == expected[1]
 
 
 class TestLabelChecks:

@@ -358,6 +358,18 @@ BAD_PARAMETERS = {
     "sum string n": (sum_of((1, "3")),
                      InvalidSize, "factorize_clique_sum: n must be an integer, not '3'"),
     "grid float n": (lambda: grid(2.0), InvalidSize, "grid: n must be an integer, not 2.0"),
+    # a malformed part or apex pair is named at the step that checks its items
+    "apex_grid apex triple": (lambda: apex_grid(2, 3, {(1, 2, 3)}),
+                              InvalidApexEdge, "apex edge (1, 2, 3) invalid for k=2"),
+    "sum one-item part": (sum_of((1,)),
+                          InvalidSize, "factorize_clique_sum: part (1,) is not a (k, n) pair"),
+    "apex_grid int apex": (lambda: apex_grid(2, 3, [1]),
+                           InvalidApexEdge, "apex edge 1 invalid for k=2"),
+    "sum string n before a short part": (sum_of((1, "3"), (1,)),
+                                         InvalidSize,
+                                         "factorize_clique_sum: n must be an integer, not '3'"),
+    "sum n < 2 before an apex triple": (sum_of((2, 1), removed=((1, 2, 3),)),
+                                        InvalidSize, "factorize_clique_sum requires n >= 2"),
     "example3_i bool k": (lambda: example3_i(2, True),
                           InvalidSize, "example3_i: k must be an integer, not True"),
     "example3_ii float n": (lambda: example3_ii(2.5, 1),

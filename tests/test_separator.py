@@ -22,6 +22,16 @@ from ccwkit.errors import InvalidFactorization, InvalidMeasure, NoApex, NotCliqu
 from ccwkit.graph import GridCell
 from ccwkit.separator import _assert_separator
 
+from oracles import reference_measure_error
+
+
+class IntWeight(int):
+    """An int subclass, as some number libraries return: a weight."""
+
+
+class FloatWeight(float):
+    """A float subclass, such as numpy's float64: a weight."""
+
 
 def complete(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -53,6 +63,19 @@ class TestMeasure:
     def test_invalid_weight_is_a_ccwkit_error(self, bad):
         with pytest.raises(InvalidMeasure):
             Measure((1.0, bad))
+
+    @given(st.lists(st.one_of(
+        st.integers(0, 9), st.floats(0, 9), st.booleans(), st.text(max_size=2), st.none(),
+        st.just(IntWeight(3)), st.just(FloatWeight(2.5)),
+    ), max_size=8))
+    def test_from_list_names_the_first_bad_entry(self, weights):
+        expected = reference_measure_error(weights)
+        if expected is None:
+            assert Measure.from_list(weights).weights == tuple(map(float, weights))
+            return
+        with pytest.raises(expected[0]) as info:
+            Measure.from_list(weights)
+        assert str(info.value) == expected[1]
 
     def test_total_rejects_wrong_length(self):
         with pytest.raises(InvalidMeasure):
@@ -143,6 +166,16 @@ class TestSeparate:
         f = factorize_apex_grid(1, 6)
         r = separate(f)
         assert r.mu_a + r.mu_b + len(r.separator) == f.base.n
+
+    def test_float_weights_keep_their_last_digit(self):
+        # each side is the running sum of its components' weights, each
+        # component summed over the set of its members; summed in ascending
+        # order instead, the second side would weigh 4.3
+        weights = [0.7, 0.7, 0.1, 0.3, 0.7, 0.7, 0.3, 0.7, 0.3, 0.2, 0.2, 0.3,
+                   0.2, 0.1, 0.3, 0.2, 0.3, 0.1, 0.1, 0.3, 0.7, 0.1, 0.3, 0.7,
+                   0.3, 0.2, 0.7, 0.7, 0.3, 0.1, 0.1, 0.1, 0.7, 0.1, 0.7, 0.3]
+        r = separate(factorize_apex_grid(0, 6), Measure.from_list(weights))
+        assert (r.mu_a, r.mu_b) == (5.2, 4.299999999999999)
 
     def test_weighted_measure(self):
         f = factorize_apex_grid(1, 6)
