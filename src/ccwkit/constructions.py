@@ -41,42 +41,45 @@ class Factorization:
 
     def to_json(self) -> dict:
         """The envelope.  The base is its full edge list with the vertex
-        labels, grid and apex blocks as runs (`labels_to_json`); factor 1 is
-        written as the bags of its clique forest from the certificate's
-        PEO, and each factor i >= 2 as the blocks of its cover, each widened
-        to a maximal clique of that factor (`_widened`: a column takes its
-        apexes), each plus the edges they leave uncovered.  No clique is
-        tested twice: one `_elimination` serves the PEO test and the forest,
-        and when the test passes every bag, some C(v) of a PEO, is a clique
-        (Rose, Tarjan & Lueker 1976) and goes to `Graph._unlabeled_json` as
-        a mask; when it fails, as it may in an unchecked factorization, each
-        bag is tested and a bag that is no clique dropped, as `_widened`
-        drops a block that is none.  A factor whose labels equal the base's,
-        as `verify_factorization` requires, is written without them; one
-        whose labels differ keeps its own, so an unchecked factorization
-        round-trips too.
+        labels, grid and apex blocks as runs (`labels_to_json`).  Each
+        factor is written as cliques plus the edges they leave uncovered
+        (`Graph._unlabeled_json`): factor 1's cliques are the bags of its
+        clique forest from the certificate's PEO, and factor i >= 2's the
+        blocks of its cover that are cliques of it, as they are.  A factor
+        that holds every base edge is written with `"includes_base": true`
+        and lists no base edge, so a constructed factor, its base plus
+        cliques, lists no edge at all.  No clique is tested twice: one
+        `_elimination` serves the PEO test and the forest, and when the test
+        passes every bag, some C(v) of a PEO, is a clique (Rose, Tarjan &
+        Lueker 1976) and goes to `Graph._unlabeled_json` as a mask; when it
+        fails, as it may in an unchecked factorization, each bag is tested
+        and a bag that is no clique dropped, as is a block that is none or
+        holds an id outside the factor.  A factor whose labels equal the
+        base's, as `verify_factorization` requires, is written without
+        them; one whose labels differ keeps its own, so an unchecked
+        factorization round-trips too.
 
-        At n = 40 (k = 2, apexes adjacent) that writes 0.12 MB (121 344
-        bytes), where one dict per label and the blocks as they are took
-        0.23 MB and labels in every graph 0.36 MB.  Widening costs about
-        what it saves in factor 2's edge list (1 560 edges left against
-        4 680); the gain is in the C encoder, 5.0 ms against 8.3 ms, and in
-        decoding.  On a 2-vCPU Xeon VM, collector paused as in the CLI, the
-        dict takes 1.7-2.5/8.9-13 ms at n = 20/40, where testing every bag
-        and block again, member by member, took 2.7-3.8/12-14 ms; at n = 40
-        the factors take 2.2-2.4 ms each in `_unlabeled_json`, the widening
-        0.7-0.8 ms and the base 2.6-3.0 ms."""
+        At n = 40 (k = 2) that writes 104 441 bytes with apexes 1 and 2
+        adjacent and 104 429 without, where blocks widened to maximal
+        cliques, plus the 1 560 / 3 160 base edges they left in factor 2's
+        edge list, took 121 344 and 139 222.  On a 2-vCPU Xeon VM, collector
+        paused as in the CLI, the dict takes 1.6-2.2/7.6-9.0 ms at n = 20/40
+        and its C encoding 0.63-0.66/2.3-2.6 ms, against 0.73-0.78/2.8-3.3
+        ms for the widened form; at n = 40 `_unlabeled_json` takes 1.5-1.7
+        ms on factor 1, 1.1-1.2 ms on factor 2 and 2.3-2.8 ms on the
+        base."""
         base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
         failure, elimination = _peo_failure(g1, self.chordal_cert)
         bags = _clique_forest(g1, peo, elimination)[0] if elimination else []
         if failure:
             bags = [m for m in bags if _closed_meet(g1._adj, bits(m), m) == m]
-        widened = (
-            [_widened(g, b) for b in c.cliques] for g, c in zip(self.factors[1:], self.covers)
+        blocks = (
+            [m for b in c.cliques if (m := g._subset_mask(b)) and _closed_meet(g._adj, b, m) == m]
+            for g, c in zip(self.factors[1:], self.covers)
         )
         factors = []
-        for g, cliques in zip(self.factors, chain([bags], widened, repeat(()))):
-            factors.append(g._unlabeled_json(cliques))
+        for g, cliques in zip(self.factors, chain([bags], blocks, repeat(()))):
+            factors.append(g._unlabeled_json(cliques, base._adj))
             if g.labels != base.labels:
                 factors[-1]["labels"] = labels_to_json(g.labels)
         return {
@@ -91,22 +94,27 @@ class Factorization:
     @classmethod
     def from_json(cls, obj: dict) -> "Factorization":
         """Decode an envelope; raises `InvalidGraph` for a missing key, a
-        malformed graph, no factors, a certificate without a `peo` or `hole`
-        list, a cover or certificate entry that is not a vertex id, a cover
-        block that repeats one (named by its index and its cover's), or
-        non-integer widths or lstar.  Whether they are right is left to
-        `verify_factorization`.  Each id list is tested by one C-level scan
-        of its types, then its `min` and `max`, and each block by a set.
+        malformed graph, no factors, a certificate without exactly one of a
+        `peo` and a `hole` list, a cover or certificate entry that is not a
+        vertex id, a cover block that repeats one (named by its index and
+        its cover's), or non-integer widths or lstar.  Whether they are
+        right is left to `verify_factorization`.  Each id list is tested by
+        one C-level scan of its types, then its `min` and `max`, and each
+        block by a set.
 
         A factor without `labels` takes the base's checked label tuple, so
         its labels are not decoded or checked again; its n must then be the
         base's.  A factor with `labels` (as in envelopes of earlier
         releases) is decoded in full.  Either way `vertex_sets` compares the
-        labels with the base's.  The graphs share one `_bit_table`.  On a
-        2-vCPU Xeon VM, collector paused, the apex grid k = 2 decodes in
-        0.92-0.97/4.3-4.8 ms at n = 20/40, against 1.3-1.4/5.2-7.5 ms with a
-        label check and a bit table per graph and a generator step per id;
-        its factors take 0.8-1.1 and 1.0-1.3 ms of that at n = 40."""
+        labels with the base's.  A factor with `includes_base`, which must
+        be `true`, must have the base's n too, and gets the base's edges
+        (`Graph._from_json`); one without it (as in envelopes of earlier
+        releases) is its own edges and cliques.  The graphs share one
+        `_bit_table`.  On a 2-vCPU Xeon VM, collector paused, the apex grid
+        k = 2 decodes in 0.95-1.4/3.7-4.3 ms at n = 20/40, against 4.2-5.6
+        ms at n = 40 when factor 2 listed the base edges its widened blocks
+        left; its factors take 0.85-0.97 and 0.64-0.68 ms of that at n = 40,
+        the base ORed into each about 0.15 ms."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -119,8 +127,8 @@ class Factorization:
         base = Graph.from_json(base)
         if not isinstance(factors, list) or not factors:
             raise InvalidGraph("'factors' must be a non-empty list of graphs")
-        if not isinstance(cert, dict) or not cert.keys() & {"peo", "hole"}:
-            raise InvalidGraph("'chordal_cert' needs a 'peo' or a 'hole' list")
+        if not isinstance(cert, dict) or len(cert.keys() & {"peo", "hole"}) != 1:
+            raise InvalidGraph("'chordal_cert' needs exactly one of a 'peo' and a 'hole' list")
         if not isinstance(covers, list) or not all(isinstance(c, list) for c in covers):
             raise InvalidGraph("'covers' must be a list of covers, each a list of blocks")
         # booleans are not ids, and no later 1 << v may see an unchecked v
@@ -138,14 +146,14 @@ class Factorization:
             raise InvalidGraph("'widths' must be a list of integers and 'lstar' an integer")
         graphs = []
         for i, g in enumerate(factors, 1):
-            if not isinstance(g, dict) or "labels" in g:
-                graphs.append(Graph.from_json(g))
-            elif type(m := g.get("n")) is int and m == n:
-                graphs.append(Graph._from_json(g, base.labels))
-            else:
-                raise InvalidGraph(
-                    f"factor {i} has no labels, so its n must be the base's {n}, not {m!r}"
-                )
+            own = not isinstance(g, dict) or "labels" in g
+            inner = isinstance(g, dict) and "includes_base" in g
+            if inner and (flag := g["includes_base"]) is not True:
+                raise InvalidGraph(f"factor {i}: 'includes_base' must be true, not {flag!r}")
+            if (inner or not own) and not (type(m := g.get("n")) is int and m == n):
+                why = "includes the base" if own else "has no labels"
+                raise InvalidGraph(f"factor {i} {why}, so its n must be the base's {n}, not {m!r}")
+            graphs.append(Graph._from_json(g, None if own else base.labels, base._adj))
         return cls(
             base=base,
             factors=tuple(graphs),
@@ -154,21 +162,6 @@ class Factorization:
             widths=tuple(widths),
             lstar=lstar,
         )
-
-
-def _widened(g: Graph, block: frozenset[int]) -> int:
-    """The mask of the block plus, in ascending order, each vertex adjacent
-    in g to the whole block and to every vertex added before it: a maximal
-    clique of g.  0, which `Graph._unlabeled_json` skips, for a block that
-    is empty, not within g (an id outside [0, n), which `Graph._subset_mask`
-    refuses before shifting it) or not a clique: the AND of its closed
-    neighbourhoods (`_closed_meet`) tests it and gives the vertices it may
-    grow by.  The 20/40 blocks of the apex-grid cover (k=2, n=20/40) widen
-    in 0.18/0.78 ms on a 2-vCPU Xeon VM."""
-    m = g._subset_mask(block)
-    if not m or m & ~(common := _closed_meet(g._adj, block, g.vertex_mask())):
-        return 0  # None, empty or not a clique
-    return m | _grown_clique(g._adj, common ^ m)
 
 
 def _vertex_set_failure(f: Factorization) -> str | None:

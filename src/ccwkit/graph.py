@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import and_, xor
+from operator import and_, or_, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -305,7 +305,7 @@ def _closed_meet(adj: Sequence[int], ids: Iterable[int], m: int) -> int:
     all below len(adj): the vertices of m equal or adjacent to every id.
     For the ids of a mask m it is m iff they form a clique, one AND per id:
     the one loop that tests a clique, for `is_clique`, `verify_cover`,
-    `_widened`, `clique_sum` and the bags `Factorization.to_json` could not
+    `clique_sum` and the bags and blocks `Factorization.to_json` could not
     trust."""
     for v in ids:
         m &= adj[v] | 1 << v
@@ -446,8 +446,8 @@ class Graph:
         """`{"n", "edges", "labels"}`: every edge as a [u, v] list in
         `edges()` order (`_unlabeled_json` with no cliques), and the labels
         by `labels_to_json`, grid and apex blocks as runs.  Only envelope
-        factors are written with `cliques` (`Factorization.to_json`);
-        `from_json` reads them in any graph.
+        factors are written with `cliques` and `includes_base`
+        (`Factorization.to_json`); `from_json` reads `cliques` in any graph.
 
         About 0.3-0.5 us per edge: on a 2-vCPU Xeon VM, collector paused as
         in the CLI, the base of the apex grid k=2 at n=20/40 writes in
@@ -458,21 +458,26 @@ class Graph:
         obj["labels"] = labels_to_json(self.labels)
         return obj
 
-    def _unlabeled_json(self, cliques: Iterable[int]) -> dict:
+    def _unlabeled_json(self, cliques: Iterable[int], base: Sequence[int] | None = None) -> dict:
         """`to_json` without `labels`, for a graph that shares the labels of
         another one written next to it (see `_from_json`), plus `"cliques"`
         when some of `cliques`, masks the caller knows to be cliques of g,
         have at least two members: each is listed by `bits` once, members
         ascending, in the order given, none is tested, and `edges` holds
-        only the edges they leave uncovered.  The one clique encoder:
-        `Factorization.to_json` feeds it the bags and widened blocks it has
-        already certified.  The envelope's factors of the apex grid k=2,
-        written with their 19/39 bags and 20/40 widened blocks, take
-        0.25-0.3 ms each at n=20 and 2.2-2.4 ms at n=40 on a 2-vCPU Xeon
-        VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor 2) for
-        their edge lists at n=20/40."""
+        only the edges they leave uncovered.  Given the masks of an
+        envelope's `base`, a graph of the base's n that holds every base
+        edge, which one C-level pass over the masks tests (a | b == a, 0.15
+        ms at n=40 where `any` of b & ~a took 0.37 ms), is written with
+        `"includes_base": true` and `edges` drops the base's edges too.  The
+        one clique encoder: `Factorization.to_json` feeds it the bags and
+        cover blocks it has already certified.  The envelope's factors of
+        the apex grid k=2, written with their 19/39 bags and 20/40 blocks
+        and no edge, take 0.29-0.39 and 0.20-0.21 ms at n=20 and 1.5-1.7 and
+        1.1-1.2 ms at n=40 on a 2-vCPU Xeon VM, against 3.0/30 ms (factor 1)
+        and 1.4/11 ms (factor 2) for their edge lists at n=20/40."""
         n, adj = self.n, self._adj
-        kept, covered = [], [0] * n
+        inner = base is not None and len(base) == n and tuple(map(or_, adj, base)) == adj
+        kept, covered = [], list(base) if inner else [0] * n
         for m in cliques:
             if m.bit_count() < 2:
                 continue
@@ -484,6 +489,8 @@ class Graph:
             "n": n,
             "edges": [[u, v] for u, v in _pairs([a & ~c for a, c in zip(adj, covered)])],
         }
+        if inner:
+            obj["includes_base"] = True
         if kept:
             obj["cliques"] = kept
         return obj
@@ -493,15 +500,18 @@ class Graph:
         """Inverse of `to_json`: the union of `edges` and the optional
         `cliques`, with every check of `from_edges`.  Raises `InvalidGraph`
         for a missing key, a malformed label, a JSON boolean as a vertex id,
-        or `cliques` that is not a list of lists of distinct vertex ids in
-        [0, n).  Edge errors, self-loops included, come first.
+        `cliques` that is not a list of lists of distinct vertex ids in
+        [0, n), or `includes_base`, which only the factors of an envelope
+        carry (see `_from_json`).  Edge errors, self-loops included, come
+        first.
 
         Each clique costs one C-level sum of its members' bits, which also
         finds a repeated member (a carry lowers the bit count), and one mask
         OR per member; the members' own bits are then cleared by two C-level
         maps.  On a 2-vCPU Xeon VM, collector paused, the two clique-encoded
-        factors of the apex grid k=2 decode in 0.16-0.17 and 0.19-0.21 ms at
-        n=20 and 0.8-1.1 and 1.0-1.3 ms at n=40.  Labels are decoded by
+        factors of the apex grid k=2, each with the base ORed in
+        (`_from_json`), decode in 0.22-0.35 and 0.15-0.25 ms at n=20 and
+        0.85-0.97 and 0.64-0.68 ms at n=40.  Labels are decoded by
         `labels_from_json`, which expands each run after checking it: the
         base of that apex grid parses and decodes from its 2 label entries
         in 3.5-4.1 ms at n=40.  An envelope's factors share the base's
@@ -510,14 +520,20 @@ class Graph:
         by one C-level scan of all ids for `bool`, about 50 ns an id: 2-4 us
         of the 14-23 us a 25-edge graph file takes.
         """
-        return cls._from_json(obj, None)
+        return cls._from_json(obj, None, None)
 
     @classmethod
-    def _from_json(cls, obj: dict, shared: tuple[VertexLabel, ...] | None) -> "Graph":
+    def _from_json(
+        cls, obj: dict, shared: tuple[VertexLabel, ...] | None, base: Sequence[int] | None
+    ) -> "Graph":
         """`from_json(obj)`, or, with `shared` given, the graph of an `obj`
         without labels of its own on the label tuple `shared`.  The caller
         has checked that tuple, and that obj's n is its length, so no label
-        is decoded or checked again, and the graph shares the tuple."""
+        is decoded or checked again, and the graph shares the tuple.  With
+        `base`, the masks of an envelope's base, an `obj` that holds
+        `includes_base` also gets the base's edges, ORed in by one C-level
+        map; the caller has checked that the key is true and that obj's n is
+        the base's.  Without a base the key raises `InvalidGraph`."""
         try:
             n, edges = obj["n"], obj["edges"]
             labels = obj["labels"] if shared is None else shared
@@ -536,6 +552,10 @@ class Graph:
         adj = _edge_masks(n, edges, bit)
         if bool in map(type, chain.from_iterable(edges)):
             raise InvalidGraph("edge endpoints must be integer vertex ids, not booleans")
+        if "includes_base" in obj:
+            if base is None:
+                raise InvalidGraph("only the factors of an envelope may carry 'includes_base'")
+            adj = [*map(or_, adj, base)]
         if "cliques" not in obj:
             return cls(n, tuple(adj), labels)
         cliques = obj["cliques"]

@@ -692,13 +692,18 @@ def reference_ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, 
     return SearchResult(inc_w, not exhausted), inc_cover
 
 
-def reference_graph_json(g: Graph, candidates) -> dict:
+def reference_graph_json(g: Graph, candidates, base: Graph | None = None) -> dict:
     """g written as candidate cliques plus leftover edges, the form of an
     envelope's factors, each candidate checked pair by pair: written,
     members ascending, iff it has at least two members, all in [0, n) and
-    pairwise adjacent; `edges` holds the edges no written candidate covers,
-    and `labels` follows as `Graph.to_json` writes it."""
+    pairwise adjacent.  With a `base` of g's n whose every edge, checked one
+    by one, is an edge of g, `includes_base` is true and the base's edges
+    count as covered; `edges` holds the edges nothing covers, and `labels`
+    follows as `Graph.to_json` writes it."""
     kept, covered = [], set()
+    inner = base is not None and base.n == g.n and all(g.has_edge(*e) for e in base.edges())
+    if inner:
+        covered.update(base.edges())
     for c in candidates:
         members = sorted(set(c))
         pairs = list(combinations(members, 2))
@@ -706,43 +711,29 @@ def reference_graph_json(g: Graph, candidates) -> dict:
             kept.append(members)
             covered.update(pairs)
     obj = {"n": g.n, "edges": [[u, v] for u, v in g.edges() if (u, v) not in covered]}
+    if inner:
+        obj["includes_base"] = True
     if kept:
         obj["cliques"] = kept
     obj["labels"] = labels_to_json(g.labels)
     return obj
 
 
-def reference_widened(g: Graph, block):
-    """A cover block grown as the envelope grows it, by definition: each
-    vertex outside it, in ascending order, joins iff it is adjacent to every
-    member so far.  An empty block, or one with an id outside [0, n), is
-    returned as it is."""
-    if not block or not all(0 <= v < g.n for v in block):
-        return block
-    clique = sorted(block)
-    for u in range(g.n):
-        if u not in block and all(g.has_edge(u, v) for v in clique):
-            clique.append(u)
-    return clique
-
-
 def reference_envelope(f) -> dict:
-    """`Factorization.to_json` with every candidate clique checked
-    (`reference_graph_json`) and none trusted: factor 1's candidates are the
-    bags of its clique forest from the certificate's PEO when that is a
-    permutation of factor 1's vertices, whether or not it is a PEO; factor
-    i >= 2's are its cover's blocks, widened (`reference_widened`).  A factor
+    """`Factorization.to_json` with every candidate clique and the base's
+    every edge checked (`reference_graph_json`) and none trusted: factor 1's
+    candidates are the bags of its clique forest from the certificate's PEO
+    when that is a permutation of factor 1's vertices, whether or not it is
+    a PEO; factor i >= 2's are its cover's blocks as they are.  A factor
     whose labels equal the base's is written without them."""
     base, g1, peo = f.base, f.factors[0], f.chordal_cert.peo
     bags = []
     if peo is not None and sorted(peo) == list(range(g1.n)):
         bags = [list(bits(m)) for m in _clique_forest(g1, peo)[0]]
-    candidates = [bags] + [
-        [reference_widened(g, b) for b in c.cliques] for g, c in zip(f.factors[1:], f.covers)
-    ]
+    candidates = [bags] + [c.cliques for c in f.covers]
     factors = []
     for i, g in enumerate(f.factors):
-        obj = reference_graph_json(g, candidates[i] if i < len(candidates) else [])
+        obj = reference_graph_json(g, candidates[i] if i < len(candidates) else [], base)
         if g.labels == base.labels:
             del obj["labels"]
         factors.append(obj)

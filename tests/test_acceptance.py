@@ -191,7 +191,9 @@ def test_criterion_7_fault_injection(tmp_path, capsys):
         assert code == 1
         assert f"verification failed: {expect_name}" in captured.err, captured.err
 
-    # one base edge added (a non-edge of the intersection)
+    # one base edge added (a non-edge of the intersection); a factor that
+    # includes the base would gain it too, so each lists the base's edges
+    # as its own first
     def add_base_edge(obj):
         edges = {tuple(e) for e in obj["base"]["edges"]}
         extra = next(
@@ -200,17 +202,18 @@ def test_criterion_7_fault_injection(tmp_path, capsys):
             for v in range(u + 1, obj["base"]["n"])
             if (u, v) not in edges
         )
+        for g in obj["factors"]:
+            if g.pop("includes_base", False):
+                g["edges"] += obj["base"]["edges"]
         obj["base"]["edges"].append(list(extra))
 
     run_tampered(add_base_edge, "intersection")
 
-    # one factor edge removed (an edge the base needs)
-    def remove_factor_edge(obj):
-        base_edges = {tuple(e) for e in obj["base"]["edges"]}
-        keep = next(e for e in obj["factors"][1]["edges"] if tuple(e) in base_edges)
-        obj["factors"][1]["edges"].remove(keep)
+    # factor 2 without the base's edges (edges the base needs)
+    def drop_factor_base(obj):
+        del obj["factors"][1]["includes_base"]
 
-    run_tampered(remove_factor_edge, "intersection")
+    run_tampered(drop_factor_base, "intersection")
 
     # one cover block split across non-adjacent positions
     def split_cover_block(obj):

@@ -64,7 +64,7 @@ class TestFactorizeVerify:
         out = tmp_path / "f.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(out)])
         obj = json.loads(out.read_text())
-        obj["factors"][1]["edges"] = obj["factors"][1]["edges"][1:]
+        del obj["factors"][1]["includes_base"]  # factor 2 loses the base's edges
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         assert run(["verify", str(bad)]) == 1
@@ -389,9 +389,10 @@ class TestMalformedGraphFile:
             {"n": 2, "edges": [[0, 1]]},
             {"n": 2, "edges": [[0, 1.5]], "labels": _plain(2)},
             {"n": 2, "edges": [[0, 2]], "labels": _plain(2)},
+            {"n": 2, "edges": [], "labels": _plain(2), "includes_base": True},
         ],
         ids=["self-loop", "label-count", "label-kind", "triple", "no-labels",
-             "non-integer-id", "out-of-range"],
+             "non-integer-id", "out-of-range", "includes-base"],
     )
     def test_ccw_exits_2(self, tmp_path, capsys, graph):
         g = tmp_path / "g.json"
@@ -411,7 +412,7 @@ class TestMalformedGraphFile:
     @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
     @pytest.mark.parametrize("factor", [1, 2], ids=["factor-1", "factor-2"])
     def test_self_loop_in_a_factor_exits_2(self, tmp_path, capsys, factor, cmd):
-        # factor 1 is written as its clique-forest bags, factor 2 as widened blocks
+        # factor 1 is written as its clique-forest bags, factor 2 as its cover blocks
         f, out = tmp_path / "f.json", tmp_path / "out.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
         obj = json.loads(f.read_text())
@@ -436,7 +437,9 @@ class TestMalformedEnvelope:
         "key, value, message",
         [
             ("factors", [], "'factors' must be a non-empty list"),
-            ("chordal_cert", {}, "'chordal_cert' needs a 'peo' or a 'hole' list"),
+            ("chordal_cert", {}, "'chordal_cert' needs exactly one of a 'peo' and a 'hole' list"),
+            ("chordal_cert", {"peo": [0], "hole": [0]},
+             "'chordal_cert' needs exactly one of a 'peo' and a 'hole' list"),
             ("chordal_cert", {"peo": 5}, "certificate and cover entries must be vertex ids"),
             ("covers", [5], "'covers' must be a list of covers"),
             ("covers", [[["a", 0]]], "certificate and cover entries must be vertex ids"),
@@ -447,7 +450,7 @@ class TestMalformedEnvelope:
             ("widths", 5, "'widths' must be a list of integers"),
             ("lstar", "1", "'widths' must be a list of integers and 'lstar' an integer"),
         ],
-        ids=["no-factors", "empty-cert", "peo-not-a-list", "cover-not-a-list",
+        ids=["no-factors", "empty-cert", "peo-and-hole", "peo-not-a-list", "cover-not-a-list",
              "non-integer-block-id", "negative-block-id", "huge-block-id", "repeated-block-id",
              "widths-not-a-list", "lstar-not-an-integer"],
     )
@@ -480,7 +483,7 @@ class TestGcState:
 
     def _tamper(self, f):
         obj = json.loads(f.read_text())
-        obj["factors"][1]["edges"] = obj["factors"][1]["edges"][1:]
+        del obj["factors"][1]["includes_base"]
         f.write_text(json.dumps(obj))
 
     @pytest.mark.parametrize("tampered", [False, True])
@@ -523,8 +526,9 @@ class TestFailedVerification:
     @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
     def test_every_command_exits_1(self, tmp_path, capsys, envelope, cmd):
         g1, g2 = envelope["factors"]
-        f = tmp_path / "f.json"  # one factor-2 edge removed
-        f.write_text(json.dumps({**envelope, "factors": [g1, {**g2, "edges": g2["edges"][1:]}]}))
+        f = tmp_path / "f.json"  # factor 2 without the base's edges
+        g2 = {key: v for key, v in g2.items() if key != "includes_base"}
+        f.write_text(json.dumps({**envelope, "factors": [g1, g2]}))
         out, csvf = tmp_path / "out.json", tmp_path / "rows.csv"
         argv = {
             "verify": ["verify", str(f)],

@@ -1,8 +1,9 @@
 """Graphs written as cliques plus leftover edges: the `cliques` key of
 `Graph.from_json`, on graphs the reference encoder writes with candidate
-cliques, and factorization envelopes, whose factors are written that way
-(only envelopes write `cliques`) while older edge-only envelopes still load
-and give the same outputs."""
+cliques, and factorization envelopes, whose factors are written that way,
+each as the base plus its cliques (only envelopes write `cliques` and
+`includes_base`), while envelopes of earlier layouts still load and give
+the same outputs."""
 
 import dataclasses
 import json
@@ -146,20 +147,23 @@ class TestEnvelopeRoundTrip:
     def test_factors_are_written_as_their_cliques(self):
         f = factorize_apex_grid(2, 4, {(1, 2)})
         g1, g2 = f.to_json()["factors"]
-        assert g1["edges"] == [] and len(g1["cliques"]) == 3  # the row bands
-        # each cover block widened in ascending order to a maximal clique:
-        # a column takes both apexes (16, 17), which the middle column holds
+        # each factor is the base plus cliques, so it lists no edge
+        assert g1["includes_base"] is g2["includes_base"] is True
+        assert g1["edges"] == g2["edges"] == []
+        assert len(g1["cliques"]) == 3  # the row bands
+        # the cover blocks as they are: the middle column holds both apexes
         cover = f.covers[0].to_json()
         assert cover[1] == [1, 5, 9, 13, 16, 17]
-        assert g2["cliques"] == [sorted({*blk, 16, 17}) for blk in cover]
+        assert g2["cliques"] == cover
         assert f.to_json()["base"] == f.base.to_json()
 
     def test_hole_certificate(self):
         _, holed = hole_free_and_holed()
         g1 = holed.to_json()["factors"][0]
-        plain = holed.factors[0].to_json()
-        del plain["labels"]  # a factor shares the base's labels
-        assert "cliques" not in g1 and g1 == plain
+        # no bags without a PEO: the edges factor 1 adds to the base
+        g, base = holed.factors[0], holed.base
+        added = [list(e) for e in g.edges() if not base.has_edge(*e)]
+        assert g1 == {"n": g.n, "edges": added, "includes_base": True}
         assert Factorization.from_json(round_trip(holed.to_json())) == holed
 
     @settings(max_examples=40, deadline=None)
@@ -191,7 +195,12 @@ class TestEnvelopeRoundTrip:
 # `factorize apex-grid --k 1 --n 3` and `factorize clique-sum --parts
 # 2:2,2:3 --removed-edges 1-2`, as written before factor 2's cover became one
 # line, so a fresh `factorize` writes another cover
-LEGACY = ["legacy-apex-grid-k1-n3.json", "legacy-clique-sum-2x2-2x3.json"]
+EDGE_ONLY = ["legacy-apex-grid-k1-n3.json", "legacy-clique-sum-2x2-2x3.json"]
+# `factorize apex-grid --k 2 --n 4` and `factorize clique-sum --parts
+# 3:2,3:3 --removed-edges 1-2`, as written before factors included the base:
+# factor 2's blocks each widened to a maximal clique, plus the base edges
+# they leave uncovered (the apex joins and the grid rows)
+WIDENED = ["widened-apex-grid-k2-n4.json", "widened-clique-sum-3x2-3x3.json"]
 
 
 def outputs(envelope, work, capsys):
@@ -206,19 +215,24 @@ def outputs(envelope, work, capsys):
 
 
 class TestLegacyEnvelopes:
-    """tests/data holds edge-only envelopes as `factorize` wrote them before
-    factors were written as cliques."""
+    """tests/data holds envelopes as `factorize` wrote them before factors
+    were written as cliques (`EDGE_ONLY`), and before they included the base
+    (`WIDENED`)."""
 
-    @pytest.mark.parametrize("name", LEGACY)
+    @pytest.mark.parametrize("name", EDGE_ONLY + WIDENED)
     def test_same_outputs_as_the_clique_encoded_envelope(self, tmp_path, capsys, name):
         legacy = tmp_path / name
         shutil.copy(DATA / name, legacy)
         obj = json.loads(legacy.read_text())
-        assert all("cliques" not in g for g in obj["factors"])
-        # the same factorization re-encoded, its factors written as cliques
+        assert not any("includes_base" in g for g in obj["factors"])
+        if name in EDGE_ONLY:
+            assert all("cliques" not in g for g in obj["factors"])
+        # the same factorization re-encoded: each factor the base plus its
+        # cliques, with no edge left
         new = tmp_path / "new.json"
         _dump({**Factorization.from_json(obj).to_json(), "meta": obj["meta"]}, str(new))
-        assert all("cliques" in g for g in json.loads(new.read_text())["factors"])
+        for g in json.loads(new.read_text())["factors"]:
+            assert g["includes_base"] is True and g["cliques"] and g["edges"] == []
         assert new.stat().st_size < legacy.stat().st_size
 
         decoded = [Factorization.from_json(json.loads(p.read_text())) for p in (legacy, new)]

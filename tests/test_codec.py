@@ -99,6 +99,7 @@ def test_malformed_edge(edge):
         {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": 0, "apex_index": "1"}]},
         {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": True, "apex_index": 1}]},
         {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": 0, "apex_index": [1]}]},
+        {"n": 1, "edges": [], "labels": [{"kind": "plain", "id": 0}], "includes_base": True},
     ],
 )
 def test_malformed_graph_object(obj):

@@ -1,23 +1,31 @@
 """`Factorization.to_json` against `oracles.reference_envelope`, the encoder
-that checks every candidate clique pair by pair and trusts none: the same
-bytes on unchecked factorizations, whose certificate may be a PEO, a
-permutation that is no PEO, no permutation or a hole, whose covers may hold
-blocks that are not cliques, empty blocks or ids outside the factor, and
-whose factor 1 may have another size, and so its own labels."""
+that checks every candidate clique and every base edge pair by pair and
+trusts none: the same bytes on unchecked factorizations, whose certificate
+may be a PEO, a permutation that is no PEO, no permutation or a hole, whose
+covers may hold blocks that are not cliques, empty blocks or ids outside
+the factor, whose factor 1 may have another size, and so its own labels
+and no `includes_base`, and whose factor 2 may lack a base edge, and so
+no `includes_base` either.  Each envelope decodes to the factorization it was
+written from, unless an id lies outside the base, which `from_json` refuses."""
 
 import dataclasses
 import json
+from itertools import chain
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwkit import (
     ChordalCertificate,
+    Factorization,
+    Graph,
     OrderedCliqueCover,
     example3_i,
     factorize_apex_grid,
     factorize_clique_sum,
 )
+from ccwkit.errors import InvalidGraph
 
 from oracles import reference_envelope
 
@@ -72,6 +80,12 @@ def unchecked_factorizations(draw):
     if draw(st.booleans()):  # a factor 1 of another size, with its own labels
         other = draw(st.sampled_from([h for h in BUILT if h.base.n != f.base.n]))
         factors = (other.factors[0], *factors[1:])
+    if draw(st.booleans()):  # a factor 2 that lacks a base edge
+        u, v = draw(st.sampled_from(list(f.base.edges())))
+        masks = list(factors[1]._adj)
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+        factors = (factors[0], Graph.from_masks(masks, f.base.labels), *factors[2:])
     covers = f.covers
     if draw(st.booleans()):
         cover_lists = st.lists(blocks(f), max_size=8).map(lambda b: OrderedCliqueCover(tuple(b)))
@@ -84,3 +98,17 @@ def unchecked_factorizations(draw):
 @given(unchecked_factorizations())
 def test_same_bytes_as_the_checking_encoder(f):
     assert json.dumps(f.to_json()) == json.dumps(reference_envelope(f))
+
+
+@settings(deadline=None)
+@given(unchecked_factorizations())
+def test_decodes_to_the_factorization(f):
+    obj = json.loads(json.dumps(f.to_json()))
+    cert = f.chordal_cert
+    blocks = chain.from_iterable(c.cliques for c in f.covers)
+    ids = [*(cert.peo or ()), *(cert.hole or ()), *chain.from_iterable(blocks)]
+    if all(0 <= v < f.base.n for v in ids):
+        assert Factorization.from_json(obj) == f
+    else:
+        with pytest.raises(InvalidGraph, match="certificate and cover entries must be vertex ids"):
+            Factorization.from_json(obj)

@@ -198,32 +198,32 @@ GOLDEN = {
         "369092a3fb51b4fde88523284be81c0e4afe684940054b5c776dccc10dc32261",
 }
 
-# sha256 of the same envelopes with each factor written as its cliques (the
-# cover blocks of factor 2 widened to maximal cliques) plus the edges they
-# leave uncovered, without the labels it shares with the base, and the base's
-# grid and apex labels written as runs (the clique sums' later parts pin the
-# runs of labels with part > 0)
+# sha256 of the same envelopes with each factor written as the base plus its
+# cliques (`includes_base`; the bags of factor 1, the cover blocks of factor 2
+# as they are) and no leftover edge, without the labels it shares with the
+# base, and the base's grid and apex labels written as runs (the clique sums'
+# later parts pin the runs of labels with part > 0)
 CLIQUE_ENCODED = {
     ("apex-grid", "--k", "0", "--n", "2"):
-        "7247eee8f926417958ce9146029d42d700ed987412f29c701f4f3f67c5436365",
+        "e3c65c983d97293a3af6f6164d610e65b7c108032fda36039d1f7d4e634f4720",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "95bb4dc6a898f04d78daf32a990b41f54010adff3c002c98a8d6ee8dce0a1a85",
+        "8b04cfaa247fec003b86200045be28acd1e6d8fb1b2564ca3aea443cb3337e96",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "2cc3373b26be3b140f6d818c87073f97c38d8f79648202f41a2d254785781841",
+        "e92f13e306381737a0bdc2f1f6019fabbf9af126e8246e6be214505b978c6608",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "9d47d039368be465c8366f554e443e2f4329a68fbf4e485b470b8f295cd2b4b1",
+        "d8000d57437d9f958c60d80730dec95d80758278d1fc99e4a941cf2e9a687b5b",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "9acae1d4e90efcd9fe6f728c8a7ae961d8119726e119598dfa456ef91ec68b3e",
+        "8e4ea24865fbb5202c53b1719d4016e6529140aa09fa40848fe0eccf75cd4d42",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "4ee99d27a45fee3f86abd23549ff33d684eafebfa18ce868c2eb60632dec68ee",
+        "381ce5a9e35730410630433192c00fca0d7cfd1cdc799658868221d9c27dcf98",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "456b1702e80ac658154bbbf6f0074eaa1d73b6a07c09ec81e51d2d61d6a8330c",
+        "fbc4f715729b40358e821eed75b3110497d1ebc1e38e048b071c92fa6b2dbac4",
     ("example3ii", "--n", "1", "--k", "3"):
-        "cd7ced05a442d35393304fe9f2de01454584edcba6db0420df527b3ae9c730aa",
+        "5e6ca741334a434135ecb954dd642dbfb5a869f4b635f3a0ecaafedc241ce576",
     ("example3ii", "--n", "3", "--k", "2"):
-        "ce1b1b33805307162bbd33e21b79029f5ae3d3dddd056793f995021a88d00eee",
+        "bf2d5896cc0e8db3783d6a2316cd209b49e712ca68d7e970f0bee819af034802",
     ("example3ii", "--n", "4", "--k", "3"):
-        "299ba51996a90b1dddb4483fb960fbb0043c6da18525d52f6c195b56089e0e5d",
+        "4da6a12612e256faec25b0f425e19d5620a94035de588902423df53d6d568aa9",
 }
 
 

@@ -86,9 +86,21 @@ def commands(tmp_path):
          "factor 2 has no labels, so its n must be the base's 10, not True"),
         ({"n": 10}, "a graph needs keys 'n' and 'edges'"),
         ({"n": 10, "edges": [[0, 10]]}, "edge (0,10) out of range for n=10"),
+        ({"n": 10, "edges": [], "includes_base": False},
+         "factor 2: 'includes_base' must be true, not False"),
+        ({"n": 10, "edges": [], "includes_base": 1},
+         "factor 2: 'includes_base' must be true, not 1"),
+        ({"n": 10, "edges": [], "includes_base": "yes"},
+         "factor 2: 'includes_base' must be true, not 'yes'"),
+        ({"n": 10, "edges": [], "includes_base": None},
+         "factor 2: 'includes_base' must be true, not None"),
+        ({"n": 9, "edges": [], "labels": [{"kind": "plain", "id": v} for v in range(9)],
+          "includes_base": True},
+         "factor 2 includes the base, so its n must be the base's 10, not 9"),
     ],
     ids=["int", "string", "list", "null", "no-n", "n-9", "n-float", "n-string", "n-true",
-         "no-edges", "edge-out-of-range"],
+         "no-edges", "edge-out-of-range", "includes-base-false", "includes-base-1",
+         "includes-base-string", "includes-base-null", "includes-base-n-9"],
 )
 @pytest.mark.parametrize("cmd", range(3), ids=["verify", "separate", "audit"])
 def test_malformed_factor_exits_2(tmp_path, capsys, cmd, factor, message):
