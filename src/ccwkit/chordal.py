@@ -153,15 +153,6 @@ def verify_hole(g: Graph, hole: Sequence[int]) -> bool:
     )
 
 
-def verify_certificate(g: Graph, cert: ChordalCertificate) -> bool:
-    """Re-check a certificate from the graph alone: PEO => chordal, hole => not."""
-    if cert.peo is not None:
-        return _peo_failure(g, cert)[0] is None
-    if cert.hole is not None:
-        return verify_hole(g, cert.hole)
-    return False
-
-
 def _peo_failure(g: Graph, cert: ChordalCertificate) -> tuple[str | None, _Elimination | None]:
     """Why `cert` does not show g chordal by a PEO, or None if it does, and
     the `_elimination` of its PEO (None if it has no PEO of V(g))."""

@@ -11,7 +11,7 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from . import graph
-from .chordal import ChordalCertificate, _clique_forest, _Elimination, _peo_failure, lex_bfs
+from .chordal import ChordalCertificate, _clique_forest, _Elimination, _peo_failure
 from .cliquecover import OrderedCliqueCover, _width, cover_width
 from .errors import (
     BadRemovedEdge,
@@ -258,12 +258,23 @@ def _make_factorization(
 ) -> Factorization:
     """Assemble, then certify once through `check_factorization`, the checker
     `verify` uses, and hold the certified cover width to the construction's
-    bound: the one last step of every factorizing constructor.  The
-    candidate PEO of factor 1 is its reversed Lex-BFS order, which is a PEO
-    iff factor 1 is chordal; it is not checked here, since the checker's
-    `chordal_certificate` test verifies it, so a non-chordal factor 1 raises
-    `InvalidFactorization` from there.  So does an lstar above `bound`."""
-    cert = ChordalCertificate(peo=tuple(lex_bfs(factors[0])[::-1]))
+    bound: the one last step of every factorizing constructor.
+
+    Factor 1's PEO is stated, not searched for: the vertices that are not
+    apexes in descending id order, then the apexes in descending id order.
+    It fits every family.  A grid cell of row r has as later neighbours in
+    factor 1 the lower-id cells of rows r - 1 and r of its part, plus the
+    apexes, and they all lie in one band clique; the apex set, eliminated
+    last, is a clique of factor 1.  A vertex of `example3_i`'s block i has
+    its later neighbours in blocks i - 1 and i, one clique of factor 1, and
+    a vertex of `example3_ii` the blown-up band of its row and the row
+    above.  Ascending ids would fit too, but for odd n they move
+    `separate`'s centroid bag to the other pair of middle rows.  The order
+    is not checked here: the checker's `chordal_certificate` test verifies
+    it, so a construction it does not fit raises `InvalidFactorization` from
+    there.  So does an lstar above `bound`."""
+    is_apex = [isinstance(label, Apex) for label in base.labels]
+    cert = ChordalCertificate(peo=tuple(sorted(reversed(range(base.n)), key=is_apex.__getitem__)))
     # declared unchecked; check_factorization below certifies each cover and width
     masks = ([*map(mask_of, c.cliques)] for c in covers)
     widths = tuple(_width(g, c, m).width for g, c, m in zip(factors[1:], covers, masks))

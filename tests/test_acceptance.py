@@ -24,8 +24,8 @@ from ccwkit import (
     is_chordal,
     is_clique,
     separate,
-    verify_certificate,
     verify_factorization,
+    verify_peo,
 )
 from ccwkit.cli import main as cli_main
 
@@ -49,7 +49,7 @@ def test_criterion_1_theorem_3ii_sweep():
                 apex_edges = {p for p in pairs if rng.random() < 0.5}
                 f = factorize_apex_grid(k, n, apex_edges)
                 assert f.chordal_cert.peo is not None
-                assert verify_certificate(f.factors[0], f.chordal_cert)
+                assert verify_peo(f.factors[0], f.chordal_cert.peo) is None
                 assert intersect_graphs(list(f.factors)) == apex_grid(k, n, apex_edges)
                 assert f.widths[0] <= (n + 1) // 2 + k
                 count += 1

@@ -1,7 +1,8 @@
 """Each factorizing construction builds its parts once and certifies the
-result once, through the checker `verify` uses: one Lex-BFS, one PEO check
-on one elimination, no separate chordality test and one cover check per
-cover per construction, one cover check per cover in `verify_factorization`.
+result once, through the checker `verify` uses: no search for a PEO (the
+construction states factor 1's), one PEO check on one elimination, no
+separate chordality test and one cover check per cover per construction,
+one cover check per cover in `verify_factorization`.
 A cover check is `_block_masks`, the body of `verify_cover`, which
 `cover_width` calls to build the block masks it measures."""
 
@@ -13,6 +14,7 @@ import ccwkit.cliquecover
 import ccwkit.constructions
 import ccwkit.separator
 from ccwkit import (
+    Apex,
     example3_i,
     example3_ii,
     factorize_apex_grid,
@@ -46,23 +48,39 @@ CONSTRUCTIONS = {
 }
 
 
-@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
-def test_one_search_and_one_peo_check_per_construction(monkeypatch, build):
-    lex = count_calls(monkeypatch, ccwkit.chordal, "lex_bfs")
-    peo = count_calls(monkeypatch, ccwkit.chordal, "_peo_check")
-    elim = count_calls(monkeypatch, ccwkit.chordal, "_elimination")
-    chordal = count_calls(monkeypatch, ccwkit.chordal, "is_chordal")
-    f = build()
-    assert len(lex) == 1 and chordal == []
-    assert [order for _, order in peo] == [f.chordal_cert.peo]
-    assert elim == [(f.factors[0], f.chordal_cert.peo)]
-
-
 EVERY_CONSTRUCTION = {
     **CONSTRUCTIONS,
     "example3-i": lambda: example3_i(3, 4),
     "example3-ii": lambda: example3_ii(3, 2),
 }
+
+
+def stated_peo(f):
+    """Factor 1's stated PEO: the vertices that are not apexes in descending
+    id order, then the apexes in descending id order."""
+    labels = f.base.labels
+    return tuple(sorted(reversed(range(f.base.n)), key=lambda v: isinstance(labels[v], Apex)))
+
+
+@pytest.mark.parametrize("build", EVERY_CONSTRUCTION.values(), ids=EVERY_CONSTRUCTION.keys())
+def test_no_search_and_one_peo_check_per_construction(monkeypatch, build):
+    lex = count_calls(monkeypatch, ccwkit.chordal, "lex_bfs")
+    peo = count_calls(monkeypatch, ccwkit.chordal, "_peo_check")
+    elim = count_calls(monkeypatch, ccwkit.chordal, "_elimination")
+    chordal = count_calls(monkeypatch, ccwkit.chordal, "is_chordal")
+    f = build()
+    assert lex == [] and chordal == []
+    assert f.chordal_cert.peo == stated_peo(f)
+    assert [order for _, order in peo] == [f.chordal_cert.peo]
+    assert elim == [(f.factors[0], f.chordal_cert.peo)]
+
+
+def test_stated_peo_puts_the_apexes_last():
+    # cells 0-3, apexes 4-5; a clique sum's later part follows the apexes
+    assert factorize_apex_grid(2, 2).chordal_cert.peo == (3, 2, 1, 0, 5, 4)
+    sum_peo = (9, 8, 7, 6, 3, 2, 1, 0, 5, 4)
+    assert factorize_clique_sum([(2, 2), (2, 2)]).chordal_cert.peo == sum_peo
+    assert example3_i(2, 2).chordal_cert.peo == (3, 2, 1, 0)
 
 
 @pytest.mark.parametrize("build", EVERY_CONSTRUCTION.values(), ids=EVERY_CONSTRUCTION.keys())

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccwkit import (
-    ChordalCertificate,
     Graph,
     Measure,
     balanced_clique_separator,
@@ -16,7 +15,6 @@ from ccwkit import (
     is_chordal,
     lex_bfs,
     maximal_cliques_chordal,
-    verify_certificate,
     verify_peo,
 )
 from ccwkit.chordal import _balanced_bag, verify_hole
@@ -72,7 +70,7 @@ class TestIsChordal:
     def test_apex_grid_factor_one_chordal(self):
         f = factorize_apex_grid(2, 5)
         ok, cert = is_chordal(f.factors[0])
-        assert ok and verify_certificate(f.factors[0], cert)
+        assert ok and verify_peo(f.factors[0], cert.peo) is None
 
     def test_c6_hole_verifies(self):
         ok, cert = is_chordal(cycle(6))
@@ -84,7 +82,7 @@ class TestIsChordal:
     def test_matches_hole_search_oracle(self, g):
         ok, cert = is_chordal(g)
         assert ok == (not brute_has_hole(g))
-        assert verify_certificate(g, cert)
+        assert verify_peo(g, cert.peo) is None if ok else verify_hole(g, cert.hole)
 
 
 class TestMaximalCliques:
@@ -158,11 +156,6 @@ def test_an_order_of_every_vertex_that_is_no_peo_is_refused(build, g, order):
     # verify_peo accepts the order as a permutation and returns a witness
     with pytest.raises(InvalidPEO, match="^not a perfect elimination ordering$"):
         build(g, order)
-
-
-def test_an_empty_certificate_verifies_nothing():
-    assert verify_certificate(path(3), ChordalCertificate()) is False
-    assert verify_certificate(cycle(4), ChordalCertificate()) is False
 
 
 class TestBalancedCliqueSeparator:

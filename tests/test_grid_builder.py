@@ -4,14 +4,16 @@ independent definitions (the per-pair oracles of both apex-grid factors,
 whose edge intersection is the base, `clique_sum` and a per-pair oracle of
 the blown-up grid), hold factor 2's cover to the optimum (the exact
 search on small apex grids, and the floor of a complete apex set, with its
-witness, on clique sums), pin the bytes of a few envelopes per family and
-of `construct grid` and `construct apex-grid`, and pin every bad-parameter
-error: type, message and which check comes first."""
+witness, on clique sums), pin the bytes of a few envelopes per family, of
+what `separate` and `audit` print for them, and of `construct grid` and
+`construct apex-grid`, and pin every bad-parameter error: type, message and
+which check comes first."""
 
 import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -174,22 +176,24 @@ class TestOptimalCover:
 # sha256 of each envelope as `cli._dump` wrote it with every graph as a plain
 # edge list, taken before the grid factorizations shared one builder; the
 # apex-grid entries with k >= 1 and the clique sums were taken again when
-# factor 2's cover became one line with the apex cliques at its middle
+# factor 2's cover became one line with the apex cliques at its middle, and
+# again when factor 1's PEO became the stated order (`_make_factorization`),
+# which only permutes `chordal_cert.peo`
 GOLDEN = {
     ("apex-grid", "--k", "0", "--n", "2"):
         "eb60cf1a47d1e434b23782ea1aa49b80542704ac3001a84b14aefde9faa5a1fd",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "531179b9ab1beacab5f2b4dc3f1bb95518d9226ecda5e016677640a797556003",
+        "66e67fbb140a8887452b1fe923aaabcb3b2802593a273d9b65fd887ea86d1304",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "079f653a63bb1259374603331177839af7546cbcb2861fabe9807c8ffd2efbb9",
+        "807e5fab0eebdfc9282204e7e99adcb462181199ddedf646aa52626dec9d483d",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "586727e84cf95d37e821faea0e6803bae24086943fcdd0e832ef8d2a7230a04b",
+        "cb457e8a3cbb592bde21e597e819de2b5456cf0630cca6dcf929ac5ad459e29a",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "ecbad780083630f91e283e73f76a1025246c77057552affdb8d4fcf453e8ec3b",
+        "a8d6d334eb1efcd553a77b693a41d3be628bc9623493883441faec72bf9ffcde",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "83e6263f16ef2c2b9a0b39d43467f81299525b2c8c362ef5fb208c8d48a56174",
+        "e67442ff0e81440630af322013c462ffc6066eb92ffa4b4ec76290f34ab41d1c",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "9048855c34db24b2b321d046df50bf16fb106e5379da411c45988042b959f1cd",
+        "71bd3a881759602b53e2501096c6f79aa9063a37207408d2eb569c64131d4170",
     ("example3ii", "--n", "1", "--k", "3"):
         "41c08de06cbf3f930f3faf46b1243c02343d5123c5cf9c9921db5a41d6392eb0",
     ("example3ii", "--n", "3", "--k", "2"):
@@ -202,22 +206,23 @@ GOLDEN = {
 # cliques (`includes_base`; the bags of factor 1, the cover blocks of factor 2
 # as they are) and no leftover edge, without the labels it shares with the
 # base, and the base's grid and apex labels written as runs (the clique sums'
-# later parts pin the runs of labels with part > 0)
+# later parts pin the runs of labels with part > 0); the apex-grid entries
+# with k >= 1 and the clique sums were taken again with the stated PEO
 CLIQUE_ENCODED = {
     ("apex-grid", "--k", "0", "--n", "2"):
         "e3c65c983d97293a3af6f6164d610e65b7c108032fda36039d1f7d4e634f4720",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "8b04cfaa247fec003b86200045be28acd1e6d8fb1b2564ca3aea443cb3337e96",
+        "c266c804d02a69b5a9f68ef50fde61f309303788d1da1fe3637b5668bbd8bd81",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "e92f13e306381737a0bdc2f1f6019fabbf9af126e8246e6be214505b978c6608",
+        "14757b18ff8423f0bb1188c198a5f4a4b70af8bb08350e52145ac133e811c9bf",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "d8000d57437d9f958c60d80730dec95d80758278d1fc99e4a941cf2e9a687b5b",
+        "68df79eaa34c081086201ecc4b584bd92b28d6c0ff000d383742d6695a246e84",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "8e4ea24865fbb5202c53b1719d4016e6529140aa09fa40848fe0eccf75cd4d42",
+        "94a6f9493671ecf031bf5067e2eef79f2e3171df4bb1c89edfe565e0ff25fc00",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "381ce5a9e35730410630433192c00fca0d7cfd1cdc799658868221d9c27dcf98",
+        "8216d83a1e6ed67f1c61191b8cb7960a4465386c26c96668c6b880a79e8c4556",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "fbc4f715729b40358e821eed75b3110497d1ebc1e38e048b071c92fa6b2dbac4",
+        "50a7bd07308537e6a3c80e423ec19a45630a925c832961c77711221e1349c240",
     ("example3ii", "--n", "1", "--k", "3"):
         "5e6ca741334a434135ecb954dd642dbfb5a869f4b635f3a0ecaafedc241ce576",
     ("example3ii", "--n", "3", "--k", "2"):
@@ -271,6 +276,91 @@ class TestGolden:
         for g in json.loads(out.read_text())["factors"]:
             cliques = [tuple(c) for c in g.get("cliques", [])]
             assert len(set(cliques)) == len(cliques)
+
+
+def weights_for(n):
+    """Seeded vertex weights in 1..9 for n vertices."""
+    rng = random.Random(1)
+    return [rng.randint(1, 9) for _ in range(n)]
+
+
+# sha256 of what `separate` (uniform weights, then `weights_for`) and `audit
+# --apex 1` print for each GOLDEN envelope: the exit code and a newline, then
+# stdout, then stderr (`audit` exits 2 with `error: no apex with index 1` where
+# the base has no apex); taken while factor 1's PEO was its reversed Lex-BFS
+# order, so they pin that the stated order moved no separator or grid clique
+COMMAND_DIGESTS = {
+    ("apex-grid", "--k", "0", "--n", "2"): (
+        "363322e2e7161b65742a9a9545a11aad31d32b34bc89da73ef8e2d6c2ab78da2",
+        "89c121f96ce749c7f96e4255049894299dc8a2b384b7c36370c9c7aa34d2bd3c",
+        "4e960bb471ae014ecc6803e475dc5139eb64051c6d3bfeae151f1e406111e3fa",
+    ),
+    ("apex-grid", "--k", "1", "--n", "5"): (
+        "078ee370fb80e54eeeb7e818eef544d2001f9e3303eda9440d57f1e221c1e049",
+        "a974d2f39ce45e1eaa5277c4d8ce182133da51bebdd42714e1226423382c61cd",
+        "e0a2049134857b676852713583c22cb631666c66800b3b0b9bdea06543ae440f",
+    ),
+    ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"): (
+        "5afcd1feb2fea1e70e571cb02e5fce179953f67a90293dfdd3f36c1714856156",
+        "6f37830481ac8b472dba4da192f298775ec82a346e9610b59f95430d16d593f8",
+        "145c17db2cc07e715e3a16fd014bb2a8077c8d62a77f5eeef2a32199039b70fc",
+    ),
+    ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"): (
+        "88410db7a2be52f8b268add81bee704167aa84abf50cd21ba479deaff046cb60",
+        "53aca3b4c10b243caa10bf8b420aefe8ec8b45428e9eb683d035767698fceadf",
+        "06d5a03d2568dc635cebbc1e3eae3ad22ebc0b0e660136d7fce5377334d2068b",
+    ),
+    ("clique-sum", "--parts", "1:4,1:6"): (
+        "2ba4698d52ca84fef002face8e3ef735c8eb197f4f774bdadae5142405ad13f4",
+        "f38808c6a53b8a3c440be84ed469150a877fd55649ffedb14603dd499384dfce",
+        "145c17db2cc07e715e3a16fd014bb2a8077c8d62a77f5eeef2a32199039b70fc",
+    ),
+    ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"): (
+        "f350cc3253bde720f21c7322939c3c11db521d0ee94017c543c91ccfea2b6a0b",
+        "4be0c38aad68aaed69567666f5736b0241a5f5438fb7ce58c97c6fdf8ab9eeed",
+        "0ab52e1e37fdb0338303ce74096a2c94103642dae3670966c69637d049585ebb",
+    ),
+    ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"): (
+        "237777f6ecf8398df713a13d75641ea0a556068ab05a5ae625f463ab6db0793f",
+        "67d69e121fc2abd36915d9a4560ae8afc023ac61dce343e69365ee3507e773b5",
+        "e0a2049134857b676852713583c22cb631666c66800b3b0b9bdea06543ae440f",
+    ),
+    ("example3ii", "--n", "1", "--k", "3"): (
+        "dcea772ff56694cb8ea77b5544671d68dc8608eb245e82ad087c270a846e3979",
+        "6680bf4e09dc7995703459cac5f0f8765aceb4b7e3b46b83f5c5d0099863f4cd",
+        "4e960bb471ae014ecc6803e475dc5139eb64051c6d3bfeae151f1e406111e3fa",
+    ),
+    ("example3ii", "--n", "3", "--k", "2"): (
+        "64cf62abd8e893bb9b40b55d83d9a8a4465b3f7bd90c9dad867806e09f465bdb",
+        "ffc5223baf0938ad4715f1c769301e5c8800b2553b714df6d0690e0ff7d71c3f",
+        "4e960bb471ae014ecc6803e475dc5139eb64051c6d3bfeae151f1e406111e3fa",
+    ),
+    ("example3ii", "--n", "4", "--k", "3"): (
+        "eafde5f403ac3027c0cb3d0f96d4b2a1ebc9f3acaa33f9d27bbd5290912de0df",
+        "bc64260fbe8c8f6d1b815eb0191e5c4cfa58d9074ea10a55066bf5296f95e06f",
+        "4e960bb471ae014ecc6803e475dc5139eb64051c6d3bfeae151f1e406111e3fa",
+    ),
+}
+
+
+def command_digest(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", GOLDEN, ids=" ".join)
+def test_separate_and_audit_bytes(tmp_path, capsys, argv):
+    envelope, weights = tmp_path / "f.json", tmp_path / "w.json"
+    assert main(["factorize", *argv, "--out", str(envelope)]) == 0
+    n = json.loads(envelope.read_text())["base"]["n"]
+    weights.write_text(json.dumps(weights_for(n)))
+    digests = tuple(
+        command_digest(capsys, [cmd, str(envelope), *args])
+        for cmd, args in [("separate", []), ("separate", ["--weights", str(weights)]),
+                          ("audit", ["--apex", "1"])]
+    )
+    assert digests == COMMAND_DIGESTS[argv]
 
 
 def construct_cases(family):
