@@ -210,6 +210,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     f, meta = _build_factorization(args)
     with _gc_paused():
         envelope = f.to_json()
+        del f  # its graphs and check freed before the text is encoded
         envelope["meta"] = meta
         _dump(envelope, args.out)
         del envelope  # freed before the collector resumes, so it never scans it

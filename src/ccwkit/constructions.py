@@ -5,7 +5,7 @@ unit-width example families."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import xor
 from typing import Iterable, Sequence
@@ -39,6 +39,13 @@ class Factorization:
     widths: tuple[int, ...]
     lstar: int
 
+    # factor 1's verified `_elimination` and each cover's block masks, as
+    # `_make_factorization` certified them; None on any other instance, one
+    # made by `dataclasses.replace` included
+    _checked: tuple[_Elimination, list[list[int]]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
     def to_json(self) -> dict:
         """The envelope.  The base is its full edge list with the vertex
         labels, grid and apex blocks as runs (`labels_to_json`).  Each
@@ -48,38 +55,44 @@ class Factorization:
         blocks of its cover that are cliques of it, as they are.  A factor
         that holds every base edge is written with `"includes_base": true`
         and lists no base edge, so a constructed factor, its base plus
-        cliques, lists no edge at all.  No clique is tested twice: one
-        `_elimination` serves the PEO test and the forest, and when the test
-        passes every bag, some C(v) of a PEO, is a clique (Rose, Tarjan &
-        Lueker 1976) and goes to `Graph._unlabeled_json` as a mask; when it
-        fails, as it may in an unchecked factorization, each bag is tested
-        and a bag that is no clique dropped, as is a block that is none or
-        holds an id outside the factor.  A factor whose labels equal the
+        cliques, lists no edge at all.  A factor whose labels equal the
         base's, as `verify_factorization` requires, is written without
         them; one whose labels differ keeps its own, so an unchecked
         factorization round-trips too.
 
+        A factorization that `_make_factorization` certified is written
+        from that check (`_checked`): the bags are built on its elimination,
+        the blocks are its masks, and factor 1 is the base plus its bags
+        with no edge tested, since a verified PEO's bags hold every edge of
+        factor 1 (Blair & Peyton 1993) and the intersection check put every
+        base edge in it.  Any other one is checked here: one `_elimination`
+        serves the PEO test and the forest, and when the test fails a bag
+        that is no clique is dropped, as is a block that is none or holds
+        an id outside the factor.
+
         At n = 40 (k = 2) that writes 104 441 bytes with apexes 1 and 2
-        adjacent and 104 429 without, where blocks widened to maximal
-        cliques, plus the 1 560 / 3 160 base edges they left in factor 2's
-        edge list, took 121 344 and 139 222.  On a 2-vCPU Xeon VM, collector
-        paused as in the CLI, the dict takes 1.6-2.2/7.6-9.0 ms at n = 20/40
-        and its C encoding 0.63-0.66/2.3-2.6 ms, against 0.73-0.78/2.8-3.3
-        ms for the widened form; at n = 40 `_unlabeled_json` takes 1.5-1.7
-        ms on factor 1, 1.1-1.2 ms on factor 2 and 2.3-2.8 ms on the
-        base."""
+        adjacent and 104 429 without.  On a 2-vCPU Xeon VM, collector
+        paused as in the CLI, a certified dict takes 1.0/4.7-5.0 ms at
+        n = 20/40 and 6.6-6.9 ms on a 62-part clique sum (N = 2 034),
+        against 1.5-1.9/7.3-7.4 and 9.8-10.2 ms checked; its C encoding
+        takes 0.6/2.2-2.3 ms.  At n = 40 `_unlabeled_json` takes 0.7 ms on
+        factor 1, 1.0 ms on factor 2 and 1.9-2.0 ms on the base."""
         base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
-        failure, elimination = _peo_failure(g1, self.chordal_cert)
+        certified = self._checked is not None
+        if certified:
+            (elimination, blocks), failure = self._checked, None
+        else:
+            failure, elimination = _peo_failure(g1, self.chordal_cert)
+            blocks = (
+                [m for b in c.cliques if (m := g._subset_mask(b)) and _closed_meet(g._adj, b, m) == m]
+                for g, c in zip(self.factors[1:], self.covers)
+            )
         bags = _clique_forest(g1, peo, elimination)[0] if elimination else []
         if failure:
             bags = [m for m in bags if _closed_meet(g1._adj, bits(m), m) == m]
-        blocks = (
-            [m for b in c.cliques if (m := g._subset_mask(b)) and _closed_meet(g._adj, b, m) == m]
-            for g, c in zip(self.factors[1:], self.covers)
-        )
         factors = []
-        for g, cliques in zip(self.factors, chain([bags], blocks, repeat(()))):
-            factors.append(g._unlabeled_json(cliques, base._adj))
+        for i, (g, cliques) in enumerate(zip(self.factors, chain([bags], blocks, repeat(())))):
+            factors.append(g._unlabeled_json(cliques, base._adj, certified and i == 0))
             if g.labels != base.labels:
                 factors[-1]["labels"] = labels_to_json(g.labels)
         return {
@@ -272,11 +285,16 @@ def _make_factorization(
     `separate`'s centroid bag to the other pair of middle rows.  The order
     is not checked here: the checker's `chordal_certificate` test verifies
     it, so a construction it does not fit raises `InvalidFactorization` from
-    there.  So does an lstar above `bound`."""
+    there.  So does an lstar above `bound`.
+
+    The factorization keeps that check's elimination of factor 1 and its
+    cover's block masks (`_checked`), and `to_json` writes from them, so
+    `factorize` eliminates factor 1 once and tests each block once: about
+    9 % less `factorize`-to-`audit` time on perfbench's sum-separate."""
     is_apex = [isinstance(label, Apex) for label in base.labels]
     cert = ChordalCertificate(peo=tuple(sorted(reversed(range(base.n)), key=is_apex.__getitem__)))
     # declared unchecked; check_factorization below certifies each cover and width
-    masks = ([*map(mask_of, c.cliques)] for c in covers)
+    masks = [[*map(mask_of, c.cliques)] for c in covers]
     widths = tuple(_width(g, c, m).width for g, c, m in zip(factors[1:], covers, masks))
     f = Factorization(
         base=base,
@@ -286,9 +304,10 @@ def _make_factorization(
         widths=widths,
         lstar=max(widths, default=0),
     )
-    check_factorization(f)
+    elimination = check_factorization(f)
     if f.lstar > bound:
         raise InvalidFactorization(f"cover width {f.lstar} exceeds bound {bound}")
+    object.__setattr__(f, "_checked", (elimination, masks))
     return f
 
 

@@ -458,7 +458,9 @@ class Graph:
         obj["labels"] = labels_to_json(self.labels)
         return obj
 
-    def _unlabeled_json(self, cliques: Iterable[int], base: Sequence[int] | None = None) -> dict:
+    def _unlabeled_json(
+        self, cliques: Iterable[int], base: Sequence[int] | None = None, known: bool = False
+    ) -> dict:
         """`to_json` without `labels`, for a graph that shares the labels of
         another one written next to it (see `_from_json`), plus `"cliques"`
         when some of `cliques`, masks the caller knows to be cliques of g,
@@ -468,27 +470,28 @@ class Graph:
         envelope's `base`, a graph of the base's n that holds every base
         edge, which one C-level pass over the masks tests (a | b == a, 0.15
         ms at n=40 where `any` of b & ~a took 0.37 ms), is written with
-        `"includes_base": true` and `edges` drops the base's edges too.  The
-        one clique encoder: `Factorization.to_json` feeds it the bags and
-        cover blocks it has already certified.  The envelope's factors of
-        the apex grid k=2, written with their 19/39 bags and 20/40 blocks
-        and no edge, take 0.29-0.39 and 0.20-0.21 ms at n=20 and 1.5-1.7 and
-        1.1-1.2 ms at n=40 on a 2-vCPU Xeon VM, against 3.0/30 ms (factor 1)
-        and 1.4/11 ms (factor 2) for their edge lists at n=20/40."""
+        `"includes_base": true` and `edges` drops the base's edges too.
+        `known` says the caller has proved both, that g holds every base
+        edge and that the base and the cliques cover every edge of g, so
+        neither is tested and `edges` is empty.  The one clique encoder:
+        `Factorization.to_json` feeds it the bags and cover blocks it has
+        already certified.  The envelope's factors of the apex grid k=2,
+        written with their 19/39 bags (`known`) and 20/40 blocks and no
+        edge, take 0.14 and 0.19 ms at n=20 and 0.7 and 1.0 ms at n=40 on a
+        2-vCPU Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor
+        2) for their edge lists at n=20/40."""
         n, adj = self.n, self._adj
-        inner = base is not None and len(base) == n and tuple(map(or_, adj, base)) == adj
+        inner = known or base is not None and len(base) == n and tuple(map(or_, adj, base)) == adj
         kept, covered = [], list(base) if inner else [0] * n
         for m in cliques:
             if m.bit_count() < 2:
                 continue
-            members = list(bits(m))
-            kept.append(members)
-            for v in members:
-                covered[v] |= m
-        obj = {
-            "n": n,
-            "edges": [[u, v] for u, v in _pairs([a & ~c for a, c in zip(adj, covered)])],
-        }
+            kept.append(members := list(bits(m)))
+            if not known:
+                for v in members:
+                    covered[v] |= m
+        pairs = () if known else _pairs([a & ~c for a, c in zip(adj, covered)])
+        obj = {"n": n, "edges": [[u, v] for u, v in pairs]}
         if inner:
             obj["includes_base"] = True
         if kept:
@@ -516,9 +519,10 @@ class Graph:
         base of that apex grid parses and decodes from its 2 label entries
         in 3.5-4.1 ms at n=40.  An envelope's factors share the base's
         labels and decode none (see `_from_json`).  `n` must be an int, at
-        most `MAX_VERTICES`, before any run is expanded.  Booleans are found
-        by one C-level scan of all ids for `bool`, about 50 ns an id: 2-4 us
-        of the 14-23 us a 25-edge graph file takes.
+        most `MAX_VERTICES`, before any run is expanded.  A boolean passes
+        the edge loop only as 0 or 1, so only edges with an end below 2 are
+        type-tested: 0.2 ms on a 9 479-edge base, where a C-level scan of
+        every end took 0.9 ms.  Clique members get that scan.
         """
         return cls._from_json(obj, None, None)
 
@@ -550,7 +554,8 @@ class Graph:
             labels = _checked_labels(n, labels_from_json(labels, n))
         bit = _bit_table(n)
         adj = _edge_masks(n, edges, bit)
-        if bool in map(type, chain.from_iterable(edges)):
+        # every endpoint is now an id in [0, n), so a boolean reads 0 or 1
+        if any(type(u) is bool or type(v) is bool for u, v in edges if u < 2 or v < 2):
             raise InvalidGraph("edge endpoints must be integer vertex ids, not booleans")
         if "includes_base" in obj:
             if base is None:

@@ -9,6 +9,7 @@ import json
 import pytest
 
 import ccwkit.chordal
+import ccwkit.cliquecover
 import ccwkit.constructions
 import ccwkit.separator
 from ccwkit import (
@@ -25,6 +26,8 @@ from ccwkit import (
 )
 from ccwkit.cli import main
 from ccwkit.errors import InvalidFactorization
+
+from test_build_once import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -109,18 +112,33 @@ ENVELOPES = {
     "apex-grid": lambda: factorize_apex_grid(2, 6),
     "clique-sum": lambda: factorize_clique_sum([(2, 3), (2, 4), (2, 3)], [(1, 2)]),
 }
+# the same factorizations as `factorize` arguments
+FAMILIES = {
+    "apex-grid": ["apex-grid", "--k", "2", "--n", "6"],
+    "clique-sum": ["clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"],
+}
 
 
-@pytest.mark.parametrize("build", ENVELOPES.values(), ids=ENVELOPES.keys())
-@pytest.mark.parametrize("command", ["verify", "separate", "audit"])
-def test_one_elimination_per_command(build, command, tmp_path, monkeypatch):
-    f = build()
+@pytest.mark.parametrize("family", ENVELOPES, ids=ENVELOPES.keys())
+@pytest.mark.parametrize("command", ["verify", "separate", "audit", "factorize"])
+def test_one_elimination_per_command(family, command, tmp_path, monkeypatch):
+    f = ENVELOPES[family]()
     path = tmp_path / "f.json"
     path.write_text(json.dumps(f.to_json()))
     calls = count_eliminations(monkeypatch)
-    argv = [command, str(path)] + ([] if command == "verify" else ["--out", str(tmp_path / "o")])
+    # a cover check is `_block_masks`, the body of `verify_cover`
+    checks = count_calls(monkeypatch, ccwkit.cliquecover, "_block_masks")
+    if command == "factorize":
+        # construction and encoding: the encoder builds on the check
+        argv = ["factorize", *FAMILIES[family], "--out", str(tmp_path / "o")]
+    else:
+        argv = [command, str(path)] + ([] if command == "verify" else ["--out", str(tmp_path / "o")])
     assert main(argv) == 0
     assert calls == [(f.factors[0], f.chordal_cert.peo)]
+    assert [cover for _, cover in checks] == list(f.covers)
+    if command == "factorize":
+        written = json.loads((tmp_path / "o").read_text())
+        assert written == {**f.to_json(), "meta": written["meta"]}
 
 
 def test_clique_tree_and_maximal_cliques_eliminate_once(f, monkeypatch):
