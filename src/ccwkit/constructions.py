@@ -23,7 +23,8 @@ from .errors import (
     JunctionNotClique,
     UnequalApexSizes,
 )
-from .graph import Apex, Graph, GridCell, VertexLabel, intersect_graphs, is_clique, labels_to_json
+from .graph import Apex, Graph, GridCell, VertexLabel, ids_from_json, ids_to_json, intersect_graphs
+from .graph import is_clique, labels_to_json
 from .graph import _closed_meet, _grown_clique, _pairs, bits, mask_of
 
 
@@ -53,30 +54,36 @@ class Factorization:
         (`Graph._unlabeled_json`): factor 1's cliques are the bags of its
         clique forest from the certificate's PEO, and factor i >= 2's the
         blocks of its cover that are cliques of it, as they are.  A factor
-        that holds every base edge is written with `"includes_base": true`
-        and lists no base edge, so a constructed factor, its base plus
-        cliques, lists no edge at all.  A factor whose labels equal the
-        base's, as `verify_factorization` requires, is written without
-        them; one whose labels differ keeps its own, so an unchecked
-        factorization round-trips too.
+        that holds every base edge lists no base edge, and is written with
+        `"includes_base": true` if its cliques leave one uncovered, so a
+        constructed factor, its base plus cliques, lists no edge at all, and
+        factor 1, whose bags cover every edge it has, needs no key.  A
+        factor whose labels equal the base's, as `verify_factorization`
+        requires, is written without them; one whose labels differ keeps its
+        own, so an unchecked factorization round-trips too.  Every vertex-id
+        list, the certificate's, each cover block and each clique, is
+        written as id runs (`graph.ids_to_json`): the PEO of the apex grid
+        k = 2, n = 40 as `[[1599, -1, -1], 1601, 1600]`, a row band as
+        `[[0, 80, 1], 1600, 1601]`, a column as `[[0, 1600, 40]]`.
 
         A factorization that `_make_factorization` certified is written
         from that check (`_checked`): the bags are built on its elimination,
-        the blocks are its masks, and factor 1 is the base plus its bags
-        with no edge tested, since a verified PEO's bags hold every edge of
-        factor 1 (Blair & Peyton 1993) and the intersection check put every
-        base edge in it.  Any other one is checked here: one `_elimination`
-        serves the PEO test and the forest, and when the test fails a bag
-        that is no clique is dropped, as is a block that is none or holds
-        an id outside the factor.
+        the blocks are its masks, and factor 1 is its bags with no edge
+        tested, since a verified PEO's bags hold every edge of factor 1
+        (Blair & Peyton 1993).  Any other one is checked here: one
+        `_elimination` serves the PEO test and the forest, and when the test
+        fails a bag that is no clique is dropped, as is a block that is none
+        or holds an id outside the factor.
 
-        At n = 40 (k = 2) that writes 104 441 bytes with apexes 1 and 2
-        adjacent and 104 429 without.  On a 2-vCPU Xeon VM, collector
-        paused as in the CLI, a certified dict takes 1.0/4.7-5.0 ms at
-        n = 20/40 and 6.6-6.9 ms on a 62-part clique sum (N = 2 034),
-        against 1.5-1.9/7.3-7.4 and 9.8-10.2 ms checked; its C encoding
-        takes 0.6/2.2-2.3 ms.  At n = 40 `_unlabeled_json` takes 0.7 ms on
-        factor 1, 1.0 ms on factor 2 and 1.9-2.0 ms on the base."""
+        At n = 40 (k = 2) that writes 71 796 bytes with apexes 1 and 2
+        adjacent and 71 784 without, where one id per entry wrote 104 441
+        and 104 429.  On a 2-vCPU Xeon VM, collector paused as in the CLI, a
+        certified dict takes 4.3 ms at n = 40 and 6.2 ms on a 62-part clique
+        sum (N = 2 034, 114 574 bytes), where ids one by one took 4.8 and
+        6.6 ms; its C encoding takes 1.75 and 3.2 ms, where it took 2.3 and
+        3.5 ms (interleaved medians of 80).  At n = 40 `_unlabeled_json`
+        takes 0.08-0.09 ms on factor 1, 1.1-1.3 ms on factor 2 and 1.7-2.8
+        ms on the base."""
         base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
         certified = self._checked is not None
         if certified:
@@ -98,8 +105,8 @@ class Factorization:
         return {
             "base": base.to_json(),
             "factors": factors,
-            "chordal_cert": self.chordal_cert.to_json(),
-            "covers": [c.to_json() for c in self.covers],
+            "chordal_cert": {k: ids_to_json(ids) for k, ids in self.chordal_cert.to_json().items()},
+            "covers": [[*map(ids_to_json, c.to_json())] for c in self.covers],
             "widths": list(self.widths),
             "lstar": self.lstar,
         }
@@ -109,10 +116,12 @@ class Factorization:
         """Decode an envelope; raises `InvalidGraph` for a missing key, a
         malformed graph, no factors, a certificate without exactly one of a
         `peo` and a `hole` list, a cover or certificate entry that is not a
-        vertex id, a cover block that repeats one (named by its index and
-        its cover's), or non-integer widths or lstar.  Whether they are
-        right is left to `verify_factorization`.  Each id list is tested by
-        one C-level scan of its types, then its `min` and `max`, and each
+        vertex id or a well-formed run (`graph.ids_from_json`, which names a
+        malformed run), a cover block that repeats one (named by its index
+        and its cover's), or non-integer widths or lstar.  Whether they are
+        right is left to `verify_factorization`.  Each run is checked in
+        O(1) before it is expanded, the other entries of an id list by one
+        C-level scan of their types, then their `min` and `max`, and each
         block by a set.
 
         A factor without `labels` takes the base's checked label tuple, so
@@ -121,13 +130,16 @@ class Factorization:
         releases) is decoded in full.  Either way `vertex_sets` compares the
         labels with the base's.  A factor with `includes_base`, which must
         be `true`, must have the base's n too, and gets the base's edges
-        (`Graph._from_json`); one without it (as in envelopes of earlier
-        releases) is its own edges and cliques.  The graphs share one
-        `_bit_table`.  On a 2-vCPU Xeon VM, collector paused, the apex grid
-        k = 2 decodes in 0.95-1.4/3.7-4.3 ms at n = 20/40, against 4.2-5.6
-        ms at n = 40 when factor 2 listed the base edges its widened blocks
-        left; its factors take 0.85-0.97 and 0.64-0.68 ms of that at n = 40,
-        the base ORed into each about 0.15 ms."""
+        (`Graph._from_json`); one without it (factor 1, and factors of
+        envelopes of earlier releases) is its own edges and cliques.  Lists
+        of ids one by one, as earlier releases wrote them, decode too.  The
+        graphs share one `_bit_table`.  On a 2-vCPU Xeon VM, collector
+        paused, the decoded JSON of the apex grid k = 2, n = 40 becomes the
+        factorization in 2.7 ms and that of a 62-part clique sum in 4.7 ms,
+        where ids one by one took 3.3 and 5.0 ms (and `json.loads` 1.7 and
+        2.5 ms, now 1.2 and 2.1 ms; interleaved medians of 80); at n = 40
+        its factors take 0.46-0.75 and 0.45-0.73 ms of that, the base ORed
+        into factor 2 about 0.15 ms."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -145,12 +157,18 @@ class Factorization:
         if not isinstance(covers, list) or not all(isinstance(c, list) for c in covers):
             raise InvalidGraph("'covers' must be a list of covers, each a list of blocks")
         # booleans are not ids, and no later 1 << v may see an unchecked v
-        n = base.n
-        for ids in [cert.get("peo", cert.get("hole")), *chain.from_iterable(covers)]:
-            if not isinstance(ids, list) or ids and (
-                set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= n
-            ):
-                raise InvalidGraph(f"certificate and cover entries must be vertex ids in [0, {n})")
+        n, (key,) = base.n, cert.keys() & {"peo", "hole"}
+        refusal = f"certificate and cover entries must be vertex ids in [0, {n})"
+
+        def ids(entries):
+            if isinstance(entries, list):
+                decoded = ids_from_json(entries, n, refusal + ":")
+                if decoded is not None:
+                    return decoded
+            raise InvalidGraph(refusal)
+
+        cert = ChordalCertificate.from_json({key: ids(cert[key])})
+        covers = [[ids(blk) for blk in cover] for cover in covers]
         for i, cover in enumerate(covers, 1):
             for j, blk in enumerate(cover):
                 if len(set(blk)) != len(blk):
@@ -170,7 +188,7 @@ class Factorization:
         return cls(
             base=base,
             factors=tuple(graphs),
-            chordal_cert=ChordalCertificate.from_json(cert),
+            chordal_cert=cert,
             covers=tuple(OrderedCliqueCover.from_json(c) for c in covers),
             widths=tuple(widths),
             lstar=lstar,

@@ -185,6 +185,96 @@ def _edge_error(edge, n: int) -> CcwKitError:
     return InvalidGraph(f"edge {edge!r} is not a pair of integer vertex ids")
 
 
+def ids_to_json(ids: Sequence[int]) -> list:
+    """A vertex-id list as the envelope writes it: from the left, each
+    arithmetic progression of at least 3 ids, the longest that starts at
+    its first id and steps by the next id minus it (not 0), as one run
+    `[start, stop, step]` for `range(start, stop, step)`, and every other id
+    as itself.  So the PEO of the apex grid k=2, n=40 is
+    `[[1599, -1, -1], 1601, 1600]` and a column `[[0, 1600, 40]]`; the
+    entries are unique, and `ids_from_json` inverts them.  One subtraction
+    and test per id: 0.35 ms for the 120 lists (8 004 ids) of that envelope
+    on a 2-vCPU Xeon VM, where finding the steps and their stretches by
+    C-level passes took 0.61 ms, as it costs more per list."""
+    out, i, n = [], 0, len(ids)
+    while i < n:
+        a = ids[i]
+        if i + 2 < n and (step := ids[i + 1] - a) and ids[i + 2] - ids[i + 1] == step:
+            i += 3
+            while i < n and ids[i] - ids[i - 1] == step:
+                i += 1
+            out.append([a, ids[i - 1] + step, step])
+        else:
+            out.append(a)
+            i += 1
+    return out
+
+
+def _bits_to_json(m: int) -> list:
+    """`ids_to_json(list(bits(m)))`, each leading stretch of at least 3
+    consecutive bits written by a few big-int operations, not one step per
+    bit, until the lowest bit left starts none; the rest goes through
+    `ids_to_json`.  A row band of an apex grid's factor 1 is one such
+    stretch."""
+    out = []
+    while m:
+        start = (m & -m).bit_length() - 1
+        x = m >> start
+        ones = (x ^ (x + 1)).bit_length() - 1  # set bits from start up
+        if ones < 3:
+            return out + ids_to_json(list(bits(m)))
+        out.append([start, start + ones, 1])
+        m ^= ((1 << ones) - 1) << start
+    return out
+
+
+def _id_run(entry: list, n: int, what: str) -> range:
+    """The ids of a run entry of an id list: three ints, not booleans,
+    `[start, stop, step]` with step != 0, at least 3 ids, the first and the
+    last in [0, n).  All is tested on the `range`, in O(1), so a huge run
+    allocates nothing; else `InvalidGraph` naming the entry as `what`."""
+    try:
+        start, stop, step = entry
+        if type(start) is int and type(stop) is int and type(step) is int:
+            run = range(start, stop, step)  # ValueError for step 0
+            # OverflowError for a run longer than sys.maxsize
+            if len(run) >= 3 and 0 <= start < n and 0 <= run[-1] < n:
+                return run
+    except (ValueError, OverflowError):
+        pass
+    if len(entry) != 3 or not all(type(x) is int for x in entry):
+        why = "is not an integer vertex id or a run [start, stop, step] of three integers"
+    elif entry[2] == 0:
+        why = "is a run of step 0"
+    elif len(range(*entry)[:3]) < 3:
+        why = "is a run of fewer than 3 ids"
+    else:
+        why = f"is a run that leaves [0, {n})"
+    raise InvalidGraph(f"{what} {entry!r} {why}")
+
+
+def ids_from_json(entries: list, n: int, what: str) -> list[int] | None:
+    """Inverse of `ids_to_json`: the ids of an id list, each run checked by
+    `_id_run` (`InvalidGraph` naming it as `what`) and expanded in place, or
+    None if another entry is not an int in [0, n), booleans included.  A
+    list without runs, as earlier releases wrote, is returned as it is.
+    Runs are checked first, and only entries outside a run get the C-level
+    type scan."""
+    if list not in map(type, entries):
+        ids = plain = entries
+    else:
+        ids, plain = [], []
+        for x in entries:
+            if type(x) is list:
+                ids += _id_run(x, n, what)
+            else:
+                ids.append(x)
+                plain.append(x)
+    if plain and (set(map(type, plain)) != {int} or min(plain) < 0 or max(plain) >= n):
+        return None
+    return ids
+
+
 def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[VertexLabel, ...]:
     """The labels of an n-vertex graph (Plain(0..n-1) by default), a tuple
     given returned as it is; a wrong count, an unhashable label or one that
@@ -255,13 +345,40 @@ def _edge_masks(n: int, edges, bit: Sequence[int | None]) -> list[int]:
 
 
 def _clique_error(clique, n: int) -> InvalidGraph:
-    """The error for a clique that `Graph.from_json` could not decode."""
+    """The error for a clique that `Graph.from_json` could not decode; its
+    runs have passed `_id_run` already."""
     for v in clique:
+        if type(v) is list:
+            continue
         if type(v) is not int:
             return InvalidGraph(f"clique member {v!r} is not an integer vertex id")
         if not 0 <= v < n:
             return InvalidGraph(f"clique member {v} out of range for n={n}")
     return InvalidGraph(f"clique {clique!r} repeats a member")
+
+
+def _run_members(clique: list, n: int, bit: Sequence[int | None]) -> tuple[list[int], int]:
+    """The members of a clique with runs, expanded in place, and the sum of
+    their bits, with `bit` the `_bit_table(n)`: each run is checked by
+    `_id_run` and gives its bits by a few big-int operations, not one
+    addition per member, whatever its step.  A member outside a run is
+    neither type- nor range-tested here, as in a clique without runs: its
+    `bit` entry fails the sum or its mask OR."""
+    members: list[int] = []
+    m = 0
+    for x in clique:
+        if type(x) is not list:
+            members.append(x)
+            m += bit[x]
+            continue
+        run = _id_run(x, n, "clique member")
+        start, _, step = x
+        if step < 0:
+            start, step = run[-1], -step
+        # bits 0, step, .., (len - 1) * step above start: a geometric series
+        m += ((1 << len(run) * step) - 1) // ((1 << step) - 1) << start
+        members += run
+    return members, m
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -272,18 +389,22 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _pairs(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """The pairs (u, v), u < v, with bit v set in masks[u], in lexicographic
+def _pairs(masks: Iterable[int]) -> Iterator[list[int]]:
+    """The pairs [u, v], u < v, with bit v set in masks[u], in lexicographic
     order, so `next(_pairs(masks), None)` is the first such pair (or None):
     the witness the intersection, separator and cover-width checks report.
     Given a generator, it computes masks[u] only as far as it is asked.
     Peels the lowest bit of masks[u] >> (u + 1), so the bit at position b
-    is the pair (u, u + 1 + b): three big-int operations each."""
+    is the pair (u, u + 1 + b): three big-int operations each.  Each pair
+    is a list, as a graph's `edges` are written: `list(_pairs(adj))` took
+    2.2 ms for the 9 479 edges of a 62-part clique sum of apex grids, where
+    a list per yielded tuple took 2.6 ms (interleaved medians, collector
+    paused, 2-vCPU Xeon VM)."""
     for u, m in enumerate(masks):
         m >>= u + 1
         while m:
             low = m & -m
-            yield u, u + low.bit_length()
+            yield [u, u + low.bit_length()]
             m ^= low
 
 
@@ -398,7 +519,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographic order."""
-        return _pairs(self._adj)
+        return map(tuple, _pairs(self._adj))
 
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
@@ -446,12 +567,13 @@ class Graph:
         """`{"n", "edges", "labels"}`: every edge as a [u, v] list in
         `edges()` order (`_unlabeled_json` with no cliques), and the labels
         by `labels_to_json`, grid and apex blocks as runs.  Only envelope
-        factors are written with `cliques` and `includes_base`
-        (`Factorization.to_json`); `from_json` reads `cliques` in any graph.
+        factors are written with `cliques`, their ids as runs, and
+        `includes_base` (`Factorization.to_json`); `from_json` reads
+        `cliques`, with or without runs, in any graph.
 
-        About 0.3-0.5 us per edge: on a 2-vCPU Xeon VM, collector paused as
+        About 0.2-0.4 us per edge: on a 2-vCPU Xeon VM, collector paused as
         in the CLI, the base of the apex grid k=2 at n=20/40 writes in
-        0.5-0.6/2.6-3.0 ms, its labels as 2 entries (81 bytes) in
+        0.4-0.5/1.7-2.8 ms, its labels as 2 entries (81 bytes) in
         0.15/0.55 ms of it.
         """
         obj = self._unlabeled_json(())
@@ -464,34 +586,45 @@ class Graph:
         """`to_json` without `labels`, for a graph that shares the labels of
         another one written next to it (see `_from_json`), plus `"cliques"`
         when some of `cliques`, masks the caller knows to be cliques of g,
-        have at least two members: each is listed by `bits` once, members
-        ascending, in the order given, none is tested, and `edges` holds
-        only the edges they leave uncovered.  Given the masks of an
-        envelope's `base`, a graph of the base's n that holds every base
-        edge, which one C-level pass over the masks tests (a | b == a, 0.15
-        ms at n=40 where `any` of b & ~a took 0.37 ms), is written with
-        `"includes_base": true` and `edges` drops the base's edges too.
-        `known` says the caller has proved both, that g holds every base
-        edge and that the base and the cliques cover every edge of g, so
-        neither is tested and `edges` is empty.  The one clique encoder:
-        `Factorization.to_json` feeds it the bags and cover blocks it has
-        already certified.  The envelope's factors of the apex grid k=2,
-        written with their 19/39 bags (`known`) and 20/40 blocks and no
-        edge, take 0.14 and 0.19 ms at n=20 and 0.7 and 1.0 ms at n=40 on a
-        2-vCPU Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor
-        2) for their edge lists at n=20/40."""
+        have at least two members: each is listed once, members ascending
+        and written as id runs (`ids_to_json`), in the order given, none is
+        tested, and `edges` holds only the edges they leave uncovered.
+        Given the masks of an envelope's `base`, a graph of the base's n
+        that holds every base edge, which one C-level pass over the masks
+        tests (a | b == a, 0.15 ms at n=40 where `any` of b & ~a took 0.37
+        ms), counts the base's edges as covered, and is written with
+        `"includes_base": true` only if its cliques leave one of them
+        uncovered: where they cover all, the key would save no byte and
+        cost the reader an OR of the base.  `known` says the caller has
+        proved that the cliques cover every edge of g, as the bags of a
+        verified PEO do, so nothing is tested, `edges` is empty, no key is
+        written, and each clique is written from its mask by
+        `_bits_to_json`.  The one clique encoder: `Factorization.to_json`
+        feeds it the bags and cover blocks it has already certified.  The
+        envelope's factors of the apex grid k=2, written with their 19/39
+        bags (`known`) and 20/40 blocks and no edge, take 0.03-0.05 and
+        0.2-0.3 ms at n=20 and 0.08-0.09 and 1.1-1.3 ms at n=40 on a 2-vCPU
+        Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor 2) for
+        their edge lists at n=20/40."""
         n, adj = self.n, self._adj
-        inner = known or base is not None and len(base) == n and tuple(map(or_, adj, base)) == adj
-        kept, covered = [], list(base) if inner else [0] * n
+        kept, covered = [], [0] * n
         for m in cliques:
             if m.bit_count() < 2:
                 continue
-            kept.append(members := list(bits(m)))
-            if not known:
-                for v in members:
-                    covered[v] |= m
-        pairs = () if known else _pairs([a & ~c for a, c in zip(adj, covered)])
-        obj = {"n": n, "edges": [[u, v] for u, v in pairs]}
+            if known:
+                kept.append(_bits_to_json(m))
+                continue
+            kept.append(ids_to_json(members := list(bits(m))))
+            for v in members:
+                covered[v] |= m
+        inner, edges = False, []
+        if not known:
+            if base is not None and len(base) == n and tuple(map(or_, adj, base)) == adj:
+                # a base edge the cliques leave uncovered makes the key pay
+                inner = (full := [*map(or_, covered, base)]) != covered
+                covered = full
+            edges = list(_pairs([a & ~c for a, c in zip(adj, covered)]))
+        obj = {"n": n, "edges": edges}
         if inner:
             obj["includes_base"] = True
         if kept:
@@ -504,17 +637,20 @@ class Graph:
         `cliques`, with every check of `from_edges`.  Raises `InvalidGraph`
         for a missing key, a malformed label, a JSON boolean as a vertex id,
         `cliques` that is not a list of lists of distinct vertex ids in
-        [0, n), or `includes_base`, which only the factors of an envelope
-        carry (see `_from_json`).  Edge errors, self-loops included, come
-        first.
+        [0, n), each an id or a run (`ids_to_json`; a malformed run is
+        named by `_id_run`), or `includes_base`, which only the factors of
+        an envelope carry (see `_from_json`).  Edge errors, self-loops
+        included, come first.
 
         Each clique costs one C-level sum of its members' bits, which also
         finds a repeated member (a carry lowers the bit count), and one mask
         OR per member; the members' own bits are then cleared by two C-level
-        maps.  On a 2-vCPU Xeon VM, collector paused, the two clique-encoded
-        factors of the apex grid k=2, each with the base ORed in
-        (`_from_json`), decode in 0.22-0.35 and 0.15-0.25 ms at n=20 and
-        0.85-0.97 and 0.64-0.68 ms at n=40.  Labels are decoded by
+        maps.  A clique with runs (`_run_members`) checks each run in O(1)
+        and sums a few big ints per run, not one bit per member.  On a
+        2-vCPU Xeon VM, collector paused, the two clique-encoded factors of
+        the apex grid k=2, their ids as runs and only factor 2 with the
+        base ORed in (`_from_json`), decode in 0.12 ms each at n=20 and
+        0.46-0.75 and 0.45-0.73 ms at n=40.  Labels are decoded by
         `labels_from_json`, which expands each run after checking it: the
         base of that apex grid parses and decodes from its 2 label entries
         in 3.5-4.1 ms at n=40.  An envelope's factors share the base's
@@ -522,7 +658,8 @@ class Graph:
         most `MAX_VERTICES`, before any run is expanded.  A boolean passes
         the edge loop only as 0 or 1, so only edges with an end below 2 are
         type-tested: 0.2 ms on a 9 479-edge base, where a C-level scan of
-        every end took 0.9 ms.  Clique members get that scan.
+        every end took 0.9 ms.  Clique entries get that scan, and the fields
+        of each run are type-tested by `_id_run`.
         """
         return cls._from_json(obj, None, None)
 
@@ -566,14 +703,18 @@ class Graph:
         cliques = obj["cliques"]
         if not isinstance(cliques, list) or not all(type(c) is list for c in cliques):
             raise InvalidGraph("'cliques' must be a list of lists of vertex ids")
-        if bool in map(type, chain.from_iterable(cliques)):
+        kinds = set(map(type, chain.from_iterable(cliques)))
+        if bool in kinds:
             raise InvalidGraph("clique members must be integer vertex ids, not booleans")
         try:
             for clique in cliques:
-                m = sum(map(bit.__getitem__, clique))
-                if m.bit_count() != len(clique):
+                if list in kinds:
+                    members, m = _run_members(clique, n, bit)
+                else:
+                    members, m = clique, sum(map(bit.__getitem__, clique))
+                if m.bit_count() != len(members):
                     raise _clique_error(clique, n)
-                for v in clique:  # an id in [-2n, -n) fails here
+                for v in members:  # an id in [-2n, -n) fails here
                     adj[v] |= m
         except (IndexError, TypeError):
             raise _clique_error(clique, n) from None

@@ -692,24 +692,48 @@ def reference_ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, 
     return SearchResult(inc_w, not exhausted), inc_cover
 
 
+def reference_id_runs(ids) -> list:
+    """An id list as envelopes write it, one id at a time: at each id, the
+    step is the next id minus it; while the id after the last one taken is
+    the last one plus that step, it is taken too.  At least 3 ids taken, and
+    a step other than 0, make one run [first, last + step, step]; otherwise
+    the id is written alone and the walk goes on from the next one."""
+    ids, out, i = list(ids), [], 0
+    while i < len(ids):
+        j = i + 1
+        if j < len(ids) and ids[j] != ids[i]:
+            step = ids[j] - ids[i]
+            while j + 1 < len(ids) and ids[j + 1] - ids[j] == step:
+                j += 1
+            if j - i + 1 >= 3:
+                out.append([ids[i], ids[j] + step, step])
+                i = j + 1
+                continue
+        out.append(ids[i])
+        i += 1
+    return out
+
+
 def reference_graph_json(g: Graph, candidates, base: Graph | None = None) -> dict:
     """g written as candidate cliques plus leftover edges, the form of an
     envelope's factors, each candidate checked pair by pair: written,
-    members ascending, iff it has at least two members, all in [0, n) and
-    pairwise adjacent.  With a `base` of g's n whose every edge, checked one
-    by one, is an edge of g, `includes_base` is true and the base's edges
-    count as covered; `edges` holds the edges nothing covers, and `labels`
+    members ascending and as `reference_id_runs`, iff it has at least two
+    members, all in [0, n) and pairwise adjacent.  With a `base` of g's n
+    whose every edge, checked one by one, is an edge of g, the base's edges
+    count as covered, and `includes_base` is true if the cliques leave one
+    of them uncovered; `edges` holds the edges nothing covers, and `labels`
     follows as `Graph.to_json` writes it."""
     kept, covered = [], set()
-    inner = base is not None and base.n == g.n and all(g.has_edge(*e) for e in base.edges())
-    if inner:
-        covered.update(base.edges())
     for c in candidates:
         members = sorted(set(c))
         pairs = list(combinations(members, 2))
         if pairs and all(0 <= v < g.n for v in members) and all(g.has_edge(*e) for e in pairs):
-            kept.append(members)
+            kept.append(reference_id_runs(members))
             covered.update(pairs)
+    inner = base is not None and base.n == g.n and all(g.has_edge(*e) for e in base.edges())
+    inner = inner and not covered.issuperset(base.edges())
+    if inner:
+        covered.update(base.edges())
     obj = {"n": g.n, "edges": [[u, v] for u, v in g.edges() if (u, v) not in covered]}
     if inner:
         obj["includes_base"] = True
@@ -725,7 +749,9 @@ def reference_envelope(f) -> dict:
     candidates are the bags of its clique forest from the certificate's PEO
     when that is a permutation of factor 1's vertices, whether or not it is
     a PEO; factor i >= 2's are its cover's blocks as they are.  A factor
-    whose labels equal the base's is written without them."""
+    whose labels equal the base's is written without them.  The
+    certificate's list and each cover block, members ascending, are written
+    as `reference_id_runs`."""
     base, g1, peo = f.base, f.factors[0], f.chordal_cert.peo
     bags = []
     if peo is not None and sorted(peo) == list(range(g1.n)):
@@ -740,8 +766,8 @@ def reference_envelope(f) -> dict:
     return {
         "base": reference_graph_json(base, []),
         "factors": factors,
-        "chordal_cert": f.chordal_cert.to_json(),
-        "covers": [c.to_json() for c in f.covers],
+        "chordal_cert": {k: reference_id_runs(ids) for k, ids in f.chordal_cert.to_json().items()},
+        "covers": [[reference_id_runs(sorted(blk)) for blk in c.cliques] for c in f.covers],
         "widths": list(f.widths),
         "lstar": f.lstar,
     }

@@ -146,16 +146,24 @@ def hole_free_and_holed():
 class TestEnvelopeRoundTrip:
     def test_factors_are_written_as_their_cliques(self):
         f = factorize_apex_grid(2, 4, {(1, 2)})
-        g1, g2 = f.to_json()["factors"]
-        # each factor is the base plus cliques, so it lists no edge
-        assert g1["includes_base"] is g2["includes_base"] is True
+        obj = f.to_json()
+        g1, g2 = obj["factors"]
+        # each factor is its cliques, plus the base where they leave a base
+        # edge uncovered, so it lists no edge; factor 1's bags cover every
+        # edge it has, so it does not carry `includes_base`
+        assert "includes_base" not in g1 and g2["includes_base"] is True
         assert g1["edges"] == g2["edges"] == []
-        assert len(g1["cliques"]) == 3  # the row bands
-        # the cover blocks as they are: the middle column holds both apexes
+        # the row bands, each id list written as runs (`graph.ids_to_json`):
+        # rows r and r + 1 are one range of ids, the apexes 16 and 17 follow
+        assert g1["cliques"] == [[[0, 8, 1], 16, 17], [[4, 12, 1], 16, 17], [[8, 18, 1]]]
+        # the cover blocks as they are: the middle column holds both apexes;
+        # each column is one run of step n
         cover = f.covers[0].to_json()
         assert cover[1] == [1, 5, 9, 13, 16, 17]
-        assert g2["cliques"] == cover
-        assert f.to_json()["base"] == f.base.to_json()
+        assert g2["cliques"] == [[[0, 16, 4]], [[1, 17, 4], 16, 17], [[2, 18, 4]], [[3, 19, 4]]]
+        assert obj["covers"] == [g2["cliques"]]
+        assert obj["chordal_cert"] == {"peo": [[15, -1, -1], 17, 16]}
+        assert obj["base"] == f.base.to_json()
 
     def test_hole_certificate(self):
         _, holed = hole_free_and_holed()
@@ -201,6 +209,11 @@ EDGE_ONLY = ["legacy-apex-grid-k1-n3.json", "legacy-clique-sum-2x2-2x3.json"]
 # factor 2's blocks each widened to a maximal clique, plus the base edges
 # they leave uncovered (the apex joins and the grid rows)
 WIDENED = ["widened-apex-grid-k2-n4.json", "widened-clique-sum-3x2-3x3.json"]
+# `factorize apex-grid --k 2 --n 5 --apex-edges 1-2` and `factorize
+# clique-sum --parts 3:2,3:4 --removed-edges 1-3`, as written before the
+# certificate, the cover blocks and the cliques were written as id runs,
+# when factor 1 still carried `includes_base`
+PLAIN_IDS = ["plain-ids-apex-grid-k2-n5.json", "plain-ids-clique-sum-3x2-3x4.json"]
 
 
 def outputs(envelope, work, capsys):
@@ -216,8 +229,8 @@ def outputs(envelope, work, capsys):
 
 class TestLegacyEnvelopes:
     """tests/data holds envelopes as `factorize` wrote them before factors
-    were written as cliques (`EDGE_ONLY`), and before they included the base
-    (`WIDENED`)."""
+    were written as cliques (`EDGE_ONLY`), before they included the base
+    (`WIDENED`), and before id lists were written as runs (`PLAIN_IDS`)."""
 
     @pytest.mark.parametrize("name", EDGE_ONLY + WIDENED)
     def test_same_outputs_as_the_clique_encoded_envelope(self, tmp_path, capsys, name):
@@ -231,8 +244,30 @@ class TestLegacyEnvelopes:
         # cliques, with no edge left
         new = tmp_path / "new.json"
         _dump({**Factorization.from_json(obj).to_json(), "meta": obj["meta"]}, str(new))
-        for g in json.loads(new.read_text())["factors"]:
-            assert g["includes_base"] is True and g["cliques"] and g["edges"] == []
+        g1, g2 = json.loads(new.read_text())["factors"]
+        # factor 1's bags cover every edge it has, so only factor 2 carries
+        # `includes_base`
+        assert "includes_base" not in g1 and g2["includes_base"] is True
+        assert g1["cliques"] and g2["cliques"] and g1["edges"] == g2["edges"] == []
+        assert new.stat().st_size < legacy.stat().st_size
+
+        decoded = [Factorization.from_json(json.loads(p.read_text())) for p in (legacy, new)]
+        assert decoded[0] == decoded[1]
+        assert outputs(legacy, tmp_path / "legacy", capsys) == outputs(new, tmp_path / "new", capsys)
+
+    @pytest.mark.parametrize("name", PLAIN_IDS)
+    def test_plain_id_lists_give_the_same_outputs(self, tmp_path, capsys, name):
+        legacy = tmp_path / name
+        shutil.copy(DATA / name, legacy)
+        obj = json.loads(legacy.read_text())
+        cliques = [c for g in obj["factors"] for c in g["cliques"]]
+        lists = [obj["chordal_cert"]["peo"], *sum(obj["covers"], []), *cliques]
+        assert all(type(v) is int for ids in lists for v in ids)
+        assert all(g["includes_base"] is True for g in obj["factors"])
+        # the same factorization re-encoded, its id lists as runs
+        new = tmp_path / "new.json"
+        _dump({**Factorization.from_json(obj).to_json(), "meta": obj["meta"]}, str(new))
+        assert "includes_base" not in json.loads(new.read_text())["factors"][0]
         assert new.stat().st_size < legacy.stat().st_size
 
         decoded = [Factorization.from_json(json.loads(p.read_text())) for p in (legacy, new)]

@@ -23,6 +23,8 @@ from ccwkit.cli import main
 from ccwkit.errors import InvalidGraph
 from ccwkit.graph import Apex, GridCell, Plain, labels_from_json, labels_to_json
 
+from oracles import reference_id_runs
+
 SUM_SIZES = [3, 4, 5, 6, 7, 8] * 10 + [4, 5]
 
 
@@ -209,4 +211,7 @@ def test_cover_blocks_are_written_as_maximal_cliques(build):
     obj = f.to_json()
     for cover, written in zip(f.covers, obj["factors"][1:]):
         assert written["includes_base"] is True and written["edges"] == []
-        assert written["cliques"] == [sorted(b) for b in cover.cliques if len(b) > 1]
+        # each block's id list is written as runs (`graph.ids_to_json`);
+        # the reference writer gives the same entries
+        blocks = [sorted(b) for b in cover.cliques if len(b) > 1]
+        assert written["cliques"] == [*map(reference_id_runs, blocks)]
