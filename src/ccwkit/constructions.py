@@ -23,7 +23,15 @@ from .errors import (
     JunctionNotClique,
     UnequalApexSizes,
 )
-from .graph import Apex, Graph, GridCell, VertexLabel, ids_from_json, ids_to_json, intersect_graphs
+from .graph import (
+    Apex,
+    Graph,
+    GridCell,
+    VertexLabel,
+    id_lists_from_json,
+    id_lists_to_json,
+    intersect_graphs,
+)
 from .graph import is_clique, labels_to_json
 from .graph import _closed_meet, _grown_clique, _pairs, bits, mask_of
 
@@ -64,7 +72,10 @@ class Factorization:
         list, the certificate's, each cover block and each clique, is
         written as id runs (`graph.ids_to_json`): the PEO of the apex grid
         k = 2, n = 40 as `[[1599, -1, -1], 1601, 1600]`, a row band as
-        `[[0, 80, 1], 1600, 1601]`, a column as `[[0, 1600, 40]]`.
+        `[[0, 80, 1], 1600, 1601]`, a column as `[[0, 1600, 40]]`.  The runs
+        of the certificate's list, and those of each cover's blocks
+        together, stand for at most 2n ids (`graph.id_lists_to_json`), the
+        room `from_json` allows, so whatever they repeat, they load back.
 
         A factorization that `_make_factorization` certified is written
         from that check (`_checked`): the bags are built on its elimination,
@@ -78,12 +89,15 @@ class Factorization:
         At n = 40 (k = 2) that writes 71 796 bytes with apexes 1 and 2
         adjacent and 71 784 without, where one id per entry wrote 104 441
         and 104 429.  On a 2-vCPU Xeon VM, collector paused as in the CLI, a
-        certified dict takes 4.3 ms at n = 40 and 6.2 ms on a 62-part clique
-        sum (N = 2 034, 114 574 bytes), where ids one by one took 4.8 and
-        6.6 ms; its C encoding takes 1.75 and 3.2 ms, where it took 2.3 and
-        3.5 ms (interleaved medians of 80).  At n = 40 `_unlabeled_json`
-        takes 0.08-0.09 ms on factor 1, 1.1-1.3 ms on factor 2 and 1.7-2.8
-        ms on the base."""
+        certified dict takes 4.8 ms at n = 40 and 6.8 ms on a 62-part
+        clique sum (N = 2 034, 114 574 bytes), where ids one by one took
+        4.4 and 5.8 ms (interleaved medians of 100): finding the runs
+        (`graph.ids_to_json`) costs 0.3 and 0.6 ms, which its C encoding
+        repays at n = 40 and in part on the sum (1.56 and 2.72 ms, where it
+        took 2.03 and 3.05), and each command that reads the envelope back
+        repays in full (`from_json`).  At n = 40 `_unlabeled_json` takes
+        0.73-0.79 ms on factor 1, 1.00-1.09 ms on factor 2 and 2.6-3.0 ms
+        on the base."""
         base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
         certified = self._checked is not None
         if certified:
@@ -105,8 +119,11 @@ class Factorization:
         return {
             "base": base.to_json(),
             "factors": factors,
-            "chordal_cert": {k: ids_to_json(ids) for k, ids in self.chordal_cert.to_json().items()},
-            "covers": [[*map(ids_to_json, c.to_json())] for c in self.covers],
+            "chordal_cert": {
+                k: id_lists_to_json([ids], base.n)[0]
+                for k, ids in self.chordal_cert.to_json().items()
+            },
+            "covers": [id_lists_to_json(c.to_json(), base.n) for c in self.covers],
             "widths": list(self.widths),
             "lstar": self.lstar,
         }
@@ -116,11 +133,13 @@ class Factorization:
         """Decode an envelope; raises `InvalidGraph` for a missing key, a
         malformed graph, no factors, a certificate without exactly one of a
         `peo` and a `hole` list, a cover or certificate entry that is not a
-        vertex id or a well-formed run (`graph.ids_from_json`, which names a
-        malformed run), a cover block that repeats one (named by its index
-        and its cover's), or non-integer widths or lstar.  Whether they are
-        right is left to `verify_factorization`.  Each run is checked in
-        O(1) before it is expanded, the other entries of an id list by one
+        vertex id or a well-formed run (`graph.id_lists_from_json`, which
+        names a malformed run, and one that would take the runs of the
+        certificate's list, or of a cover's blocks together, past 2n ids),
+        a cover block that repeats one (named by its index and its
+        cover's), or non-integer widths or lstar.  Whether they are right
+        is left to `verify_factorization`.  Each run is checked in O(1)
+        before it is expanded, the other entries of an id list by one
         C-level scan of their types, then their `min` and `max`, and each
         block by a set.
 
@@ -135,11 +154,11 @@ class Factorization:
         of ids one by one, as earlier releases wrote them, decode too.  The
         graphs share one `_bit_table`.  On a 2-vCPU Xeon VM, collector
         paused, the decoded JSON of the apex grid k = 2, n = 40 becomes the
-        factorization in 2.7 ms and that of a 62-part clique sum in 4.7 ms,
-        where ids one by one took 3.3 and 5.0 ms (and `json.loads` 1.7 and
-        2.5 ms, now 1.2 and 2.1 ms; interleaved medians of 80); at n = 40
-        its factors take 0.46-0.75 and 0.45-0.73 ms of that, the base ORed
-        into factor 2 about 0.15 ms."""
+        factorization in 2.4 ms and that of a 62-part clique sum in 4.2 ms,
+        where ids one by one took 2.9 and 4.4 ms (and `json.loads` 1.5 and
+        2.2 ms, now 1.1 and 1.9 ms; interleaved medians of 100); at n = 40
+        its factors take 0.42-0.45 ms each of that, the base ORed into
+        factor 2 about 0.15 ms."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -160,15 +179,15 @@ class Factorization:
         n, (key,) = base.n, cert.keys() & {"peo", "hole"}
         refusal = f"certificate and cover entries must be vertex ids in [0, {n})"
 
-        def ids(entries):
-            if isinstance(entries, list):
-                decoded = ids_from_json(entries, n, refusal + ":")
-                if decoded is not None:
-                    return decoded
-            raise InvalidGraph(refusal)
+        def ids(lists, whose):
+            decoded = id_lists_from_json(lists, n, refusal + ":", whose)
+            if decoded is None:
+                raise InvalidGraph(refusal)
+            return decoded
 
-        cert = ChordalCertificate.from_json({key: ids(cert[key])})
-        covers = [[ids(blk) for blk in cover] for cover in covers]
+        (peo_or_hole,) = ids([cert[key]], "its list")
+        cert = ChordalCertificate.from_json({key: peo_or_hole})
+        covers = [ids(cover, "its cover") for cover in covers]
         for i, cover in enumerate(covers, 1):
             for j, blk in enumerate(cover):
                 if len(set(blk)) != len(blk):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
+from math import inf
 from operator import and_, or_, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -185,46 +186,55 @@ def _edge_error(edge, n: int) -> CcwKitError:
     return InvalidGraph(f"edge {edge!r} is not a pair of integer vertex ids")
 
 
-def ids_to_json(ids: Sequence[int]) -> list:
+def ids_to_json(ids: Sequence[int], room: float = inf) -> list:
     """A vertex-id list as the envelope writes it: from the left, each
     arithmetic progression of at least 3 ids, the longest that starts at
     its first id and steps by the next id minus it (not 0), as one run
     `[start, stop, step]` for `range(start, stop, step)`, and every other id
     as itself.  So the PEO of the apex grid k=2, n=40 is
     `[[1599, -1, -1], 1601, 1600]` and a column `[[0, 1600, 40]]`; the
-    entries are unique, and `ids_from_json` inverts them.  One subtraction
-    and test per id: 0.35 ms for the 120 lists (8 004 ids) of that envelope
-    on a 2-vCPU Xeon VM, where finding the steps and their stretches by
-    C-level passes took 0.61 ms, as it costs more per list."""
+    entries are unique, and `id_lists_from_json` inverts them.
+
+    Runs stand for at most `room` ids (see `id_lists_to_json`): of a
+    progression longer than the room left, the ids before its last `room`
+    are written alone, and those, if at least 3, are a run; with less than
+    3 ids of room every id is written alone.  One comparison and addition
+    per id: 0.26-0.28 ms for the 80 bags, blocks and PEO (6 402 ids) of
+    that envelope and 0.55-0.57 ms for the 617 (8 283 ids) of a 62-part
+    clique sum on a 2-vCPU Xeon VM, medians of 300."""
     out, i, n = [], 0, len(ids)
     while i < n:
         a = ids[i]
         if i + 2 < n and (step := ids[i + 1] - a) and ids[i + 2] - ids[i + 1] == step:
-            i += 3
-            while i < n and ids[i] - ids[i - 1] == step:
-                i += 1
-            out.append([a, ids[i - 1] + step, step])
+            j, stop = i + 3, ids[i + 2] + step
+            while j < n and ids[j] == stop:
+                j += 1
+                stop += step
+            if j - i > room:
+                k = j - room if room >= 3 else j
+                out += ids[i:k]
+                i = k
+                continue
+            room -= j - i
+            out.append([a, stop, step])
+            i = j
         else:
             out.append(a)
             i += 1
     return out
 
 
-def _bits_to_json(m: int) -> list:
-    """`ids_to_json(list(bits(m)))`, each leading stretch of at least 3
-    consecutive bits written by a few big-int operations, not one step per
-    bit, until the lowest bit left starts none; the rest goes through
-    `ids_to_json`.  A row band of an apex grid's factor 1 is one such
-    stretch."""
-    out = []
-    while m:
-        start = (m & -m).bit_length() - 1
-        x = m >> start
-        ones = (x ^ (x + 1)).bit_length() - 1  # set bits from start up
-        if ones < 3:
-            return out + ids_to_json(list(bits(m)))
-        out.append([start, start + ones, 1])
-        m ^= ((1 << ones) - 1) << start
+def id_lists_to_json(lists: Iterable[Sequence[int]], n: int) -> list[list]:
+    """Id lists whose runs share one room of 2n ids, as a certificate's
+    list alone, or the blocks of one cover together, are written: each by
+    `ids_to_json`, in the room the lists before it leave.  A list of
+    distinct ids, or a cover whose blocks are disjoint, never fills it, and
+    whatever the lists hold, `id_lists_from_json` reads them back."""
+    out, room = [], 2 * n
+    for ids in lists:
+        out.append(entries := ids_to_json(ids, room))
+        # the ids in runs: all but those written alone
+        room -= len(ids) - len(entries) + sum(type(x) is list for x in entries)
     return out
 
 
@@ -253,26 +263,46 @@ def _id_run(entry: list, n: int, what: str) -> range:
     raise InvalidGraph(f"{what} {entry!r} {why}")
 
 
-def ids_from_json(entries: list, n: int, what: str) -> list[int] | None:
-    """Inverse of `ids_to_json`: the ids of an id list, each run checked by
-    `_id_run` (`InvalidGraph` naming it as `what`) and expanded in place, or
-    None if another entry is not an int in [0, n), booleans included.  A
-    list without runs, as earlier releases wrote, is returned as it is.
-    Runs are checked first, and only entries outside a run get the C-level
-    type scan."""
-    if list not in map(type, entries):
-        ids = plain = entries
-    else:
-        ids, plain = [], []
-        for x in entries:
-            if type(x) is list:
-                ids += _id_run(x, n, what)
-            else:
-                ids.append(x)
-                plain.append(x)
-    if plain and (set(map(type, plain)) != {int} or min(plain) < 0 or max(plain) >= n):
-        return None
-    return ids
+def id_lists_from_json(
+    lists: list, n: int, what: str, whose: str
+) -> list[list[int]] | None:
+    """Inverse of `id_lists_to_json`: the ids of each id list, each run
+    checked by `_id_run` (`InvalidGraph` naming it as `what`) and expanded
+    in place, or None if a list is no list or another entry is not an int
+    in [0, n), booleans included.  A list without runs, as earlier releases
+    wrote, is returned as it is.  Runs are checked first, and only entries
+    outside a run get the C-level type scan.
+
+    The runs of all the lists together may stand for at most 2n ids: a run
+    that would pass that raises `InvalidGraph`, naming the lists as
+    `whose`, before it is expanded.  A valid certificate or cover holds
+    each of the n vertices once; the room of twice that still decodes one
+    that repeats vertices, as a cover with a block repeated, for `verify`
+    to name its fault, while a few bytes of runs can no longer stand for
+    many times n ids.  Ids written one by one are paid for in bytes and
+    not counted."""
+    out, room = [], 2 * n
+    for entries in lists:
+        if not isinstance(entries, list):
+            return None
+        if list not in map(type, entries):
+            ids = plain = entries
+        else:
+            ids, plain = [], []
+            for x in entries:
+                if type(x) is list:
+                    run = _id_run(x, n, what)
+                    if (room := room - len(run)) < 0:
+                        why = f"is a run that takes {whose} past {2 * n} ids"
+                        raise InvalidGraph(f"{what} {x!r} {why}")
+                    ids += run
+                else:
+                    ids.append(x)
+                    plain.append(x)
+        if plain and (set(map(type, plain)) != {int} or min(plain) < 0 or max(plain) >= n):
+            return None
+        out.append(ids)
+    return out
 
 
 def _checked_labels(n: int, labels: Sequence[VertexLabel] | None) -> tuple[VertexLabel, ...]:
@@ -345,8 +375,9 @@ def _edge_masks(n: int, edges, bit: Sequence[int | None]) -> list[int]:
 
 
 def _clique_error(clique, n: int) -> InvalidGraph:
-    """The error for a clique that `Graph.from_json` could not decode; its
-    runs have passed `_id_run` already."""
+    """The error for a clique that `Graph.from_json` could not decode: a
+    member outside a run that is not an id in [0, n), else a repeat.  Its
+    runs are skipped, as one that fails `_id_run` raises its own error."""
     for v in clique:
         if type(v) is list:
             continue
@@ -357,21 +388,30 @@ def _clique_error(clique, n: int) -> InvalidGraph:
     return InvalidGraph(f"clique {clique!r} repeats a member")
 
 
-def _run_members(clique: list, n: int, bit: Sequence[int | None]) -> tuple[list[int], int]:
-    """The members of a clique with runs, expanded in place, and the sum of
-    their bits, with `bit` the `_bit_table(n)`: each run is checked by
-    `_id_run` and gives its bits by a few big-int operations, not one
-    addition per member, whatever its step.  A member outside a run is
-    neither type- nor range-tested here, as in a clique without runs: its
-    `bit` entry fails the sum or its mask OR."""
+def _clique_members(clique: list, n: int, bit: Sequence[int | None]) -> tuple[list[int], int]:
+    """The members of a clique, its runs expanded in place, and the sum of
+    their bits, with `bit` the `_bit_table(n)`.  A member outside a run is
+    neither type- nor range-tested here: its `bit` entry fails the sum or
+    its mask OR.  Each run is checked by `_id_run`, and refused before it
+    is expanded if the clique's runs would stand for more than 2n ids, the
+    room of any id list (`id_lists_from_json`), though a clique that holds
+    more than n fails the repeat check anyway; it gives its bits by a few
+    big-int operations, not one addition per member, whatever its step.
+    The one clique decoder, for lists with runs and without: on a 2-vCPU
+    Xeon VM the 79 cliques of the apex grid k = 2, n = 40 take 0.17 ms
+    written with runs and 0.35 ms written one id at a time, where a C-level
+    sum of a plain clique's bits took 0.40 ms (medians of 300)."""
     members: list[int] = []
-    m = 0
+    m, room = 0, 2 * n
     for x in clique:
         if type(x) is not list:
             members.append(x)
             m += bit[x]
             continue
         run = _id_run(x, n, "clique member")
+        if (room := room - len(run)) < 0:
+            why = f"is a run that takes its clique past {2 * n} ids"
+            raise InvalidGraph(f"clique member {x!r} {why}")
         start, _, step = x
         if step < 0:
             start, step = run[-1], -step
@@ -389,22 +429,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _pairs(masks: Iterable[int]) -> Iterator[list[int]]:
-    """The pairs [u, v], u < v, with bit v set in masks[u], in lexicographic
+def _pairs(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v), u < v, with bit v set in masks[u], in lexicographic
     order, so `next(_pairs(masks), None)` is the first such pair (or None):
     the witness the intersection, separator and cover-width checks report.
     Given a generator, it computes masks[u] only as far as it is asked.
     Peels the lowest bit of masks[u] >> (u + 1), so the bit at position b
-    is the pair (u, u + 1 + b): three big-int operations each.  Each pair
-    is a list, as a graph's `edges` are written: `list(_pairs(adj))` took
-    2.2 ms for the 9 479 edges of a 62-part clique sum of apex grids, where
-    a list per yielded tuple took 2.6 ms (interleaved medians, collector
-    paused, 2-vCPU Xeon VM)."""
+    is the pair (u, u + 1 + b): three big-int operations each."""
     for u, m in enumerate(masks):
         m >>= u + 1
         while m:
             low = m & -m
-            yield [u, u + low.bit_length()]
+            yield u, u + low.bit_length()
             m ^= low
 
 
@@ -519,7 +555,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographic order."""
-        return map(tuple, _pairs(self._adj))
+        return _pairs(self._adj)
 
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
@@ -571,9 +607,9 @@ class Graph:
         `includes_base` (`Factorization.to_json`); `from_json` reads
         `cliques`, with or without runs, in any graph.
 
-        About 0.2-0.4 us per edge: on a 2-vCPU Xeon VM, collector paused as
+        About 0.3-0.5 us per edge: on a 2-vCPU Xeon VM, collector paused as
         in the CLI, the base of the apex grid k=2 at n=20/40 writes in
-        0.4-0.5/1.7-2.8 ms, its labels as 2 entries (81 bytes) in
+        0.5-0.6/2.6-3.0 ms, its labels as 2 entries (81 bytes) in
         0.15/0.55 ms of it.
         """
         obj = self._unlabeled_json(())
@@ -597,34 +633,31 @@ class Graph:
         uncovered: where they cover all, the key would save no byte and
         cost the reader an OR of the base.  `known` says the caller has
         proved that the cliques cover every edge of g, as the bags of a
-        verified PEO do, so nothing is tested, `edges` is empty, no key is
-        written, and each clique is written from its mask by
-        `_bits_to_json`.  The one clique encoder: `Factorization.to_json`
-        feeds it the bags and cover blocks it has already certified.  The
+        verified PEO do, so nothing is tested, `edges` is empty and no key
+        is written.  The one clique encoder: `Factorization.to_json` feeds
+        it the bags and cover blocks it has already certified.  The
         envelope's factors of the apex grid k=2, written with their 19/39
-        bags (`known`) and 20/40 blocks and no edge, take 0.03-0.05 and
-        0.2-0.3 ms at n=20 and 0.08-0.09 and 1.1-1.3 ms at n=40 on a 2-vCPU
-        Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor 2) for
-        their edge lists at n=20/40."""
+        bags (`known`) and 20/40 blocks and no edge, take 0.17 and 0.22 ms
+        at n=20 and 0.73-0.79 and 1.00-1.09 ms at n=40 (quartiles of 200) on a
+        2-vCPU Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor
+        2) for their edge lists at n=20/40."""
         n, adj = self.n, self._adj
         kept, covered = [], [0] * n
         for m in cliques:
             if m.bit_count() < 2:
                 continue
-            if known:
-                kept.append(_bits_to_json(m))
-                continue
             kept.append(ids_to_json(members := list(bits(m))))
-            for v in members:
-                covered[v] |= m
-        inner, edges = False, []
+            if not known:
+                for v in members:
+                    covered[v] |= m
+        inner, pairs = False, ()
         if not known:
             if base is not None and len(base) == n and tuple(map(or_, adj, base)) == adj:
                 # a base edge the cliques leave uncovered makes the key pay
                 inner = (full := [*map(or_, covered, base)]) != covered
                 covered = full
-            edges = list(_pairs([a & ~c for a, c in zip(adj, covered)]))
-        obj = {"n": n, "edges": edges}
+            pairs = _pairs([a & ~c for a, c in zip(adj, covered)])
+        obj = {"n": n, "edges": [[u, v] for u, v in pairs]}
         if inner:
             obj["includes_base"] = True
         if kept:
@@ -642,15 +675,15 @@ class Graph:
         an envelope carry (see `_from_json`).  Edge errors, self-loops
         included, come first.
 
-        Each clique costs one C-level sum of its members' bits, which also
-        finds a repeated member (a carry lowers the bit count), and one mask
-        OR per member; the members' own bits are then cleared by two C-level
-        maps.  A clique with runs (`_run_members`) checks each run in O(1)
-        and sums a few big ints per run, not one bit per member.  On a
-        2-vCPU Xeon VM, collector paused, the two clique-encoded factors of
-        the apex grid k=2, their ids as runs and only factor 2 with the
-        base ORed in (`_from_json`), decode in 0.12 ms each at n=20 and
-        0.46-0.75 and 0.45-0.73 ms at n=40.  Labels are decoded by
+        Each clique (`_clique_members`) costs one addition of a member's bit
+        per id written alone and a few big ints per run, whose O(1) check
+        comes first; the sum also finds a repeated member (a carry lowers
+        the bit count).  Then one mask OR per member, and the members' own
+        bits are cleared by two C-level maps.  On a 2-vCPU Xeon VM,
+        collector paused, the two clique-encoded factors of the apex grid
+        k=2, their ids as runs and only factor 2 with the base ORed in
+        (`_from_json`), decode in 0.12 ms each at n=20 and 0.42-0.45 ms each
+        at n=40 (quartiles of 200).  Labels are decoded by
         `labels_from_json`, which expands each run after checking it: the
         base of that apex grid parses and decodes from its 2 label entries
         in 3.5-4.1 ms at n=40.  An envelope's factors share the base's
@@ -658,8 +691,8 @@ class Graph:
         most `MAX_VERTICES`, before any run is expanded.  A boolean passes
         the edge loop only as 0 or 1, so only edges with an end below 2 are
         type-tested: 0.2 ms on a 9 479-edge base, where a C-level scan of
-        every end took 0.9 ms.  Clique entries get that scan, and the fields
-        of each run are type-tested by `_id_run`.
+        every end took 0.9 ms.  Clique entries get a C-level type scan for
+        booleans, and the fields of each run are type-tested by `_id_run`.
         """
         return cls._from_json(obj, None, None)
 
@@ -703,15 +736,11 @@ class Graph:
         cliques = obj["cliques"]
         if not isinstance(cliques, list) or not all(type(c) is list for c in cliques):
             raise InvalidGraph("'cliques' must be a list of lists of vertex ids")
-        kinds = set(map(type, chain.from_iterable(cliques)))
-        if bool in kinds:
+        if bool in set(map(type, chain.from_iterable(cliques))):
             raise InvalidGraph("clique members must be integer vertex ids, not booleans")
         try:
             for clique in cliques:
-                if list in kinds:
-                    members, m = _run_members(clique, n, bit)
-                else:
-                    members, m = clique, sum(map(bit.__getitem__, clique))
+                members, m = _clique_members(clique, n, bit)
                 if m.bit_count() != len(members):
                     raise _clique_error(clique, n)
                 for v in members:  # an id in [-2n, -n) fails here

@@ -692,12 +692,27 @@ def reference_ccw_exact(g: Graph, budget: int = 500_000) -> tuple[SearchResult, 
     return SearchResult(inc_w, not exhausted), inc_cover
 
 
-def reference_id_runs(ids) -> list:
+def reference_id_runs(ids, room=math.inf) -> list:
     """An id list as envelopes write it, one id at a time: at each id, the
     step is the next id minus it; while the id after the last one taken is
-    the last one plus that step, it is taken too.  At least 3 ids taken, and
-    a step other than 0, make one run [first, last + step, step]; otherwise
-    the id is written alone and the walk goes on from the next one."""
+    the last one plus that step, it is taken too.  At least 3 ids taken, a
+    step other than 0, and no more ids than the `room` left make one run
+    [first, last + step, step], and the room shrinks by the ids taken;
+    otherwise the id is written alone and the walk goes on from the next
+    one."""
+    return _reference_runs(ids, [room])
+
+
+def reference_id_lists(lists, n) -> list:
+    """Id lists whose runs share one room of 2n ids, each written as
+    `reference_id_runs` in the room the lists before it leave."""
+    room = [2 * n]
+    return [_reference_runs(ids, room) for ids in lists]
+
+
+def _reference_runs(ids, room) -> list:
+    """`reference_id_runs` with the room in the one-element list `room`,
+    which it shrinks."""
     ids, out, i = list(ids), [], 0
     while i < len(ids):
         j = i + 1
@@ -705,8 +720,9 @@ def reference_id_runs(ids) -> list:
             step = ids[j] - ids[i]
             while j + 1 < len(ids) and ids[j + 1] - ids[j] == step:
                 j += 1
-            if j - i + 1 >= 3:
+            if 3 <= j - i + 1 <= room[0]:
                 out.append([ids[i], ids[j] + step, step])
+                room[0] -= j - i + 1
                 i = j + 1
                 continue
         out.append(ids[i])
@@ -750,8 +766,8 @@ def reference_envelope(f) -> dict:
     when that is a permutation of factor 1's vertices, whether or not it is
     a PEO; factor i >= 2's are its cover's blocks as they are.  A factor
     whose labels equal the base's is written without them.  The
-    certificate's list and each cover block, members ascending, are written
-    as `reference_id_runs`."""
+    certificate's list, in a room of its own, and the blocks of each cover,
+    members ascending, in one room, are written as `reference_id_lists`."""
     base, g1, peo = f.base, f.factors[0], f.chordal_cert.peo
     bags = []
     if peo is not None and sorted(peo) == list(range(g1.n)):
@@ -766,8 +782,10 @@ def reference_envelope(f) -> dict:
     return {
         "base": reference_graph_json(base, []),
         "factors": factors,
-        "chordal_cert": {k: reference_id_runs(ids) for k, ids in f.chordal_cert.to_json().items()},
-        "covers": [[reference_id_runs(sorted(blk)) for blk in c.cliques] for c in f.covers],
+        "chordal_cert": {
+            k: reference_id_lists([ids], base.n)[0] for k, ids in f.chordal_cert.to_json().items()
+        },
+        "covers": [reference_id_lists(map(sorted, c.cliques), base.n) for c in f.covers],
         "widths": list(f.widths),
         "lstar": f.lstar,
     }

@@ -2,9 +2,11 @@
 each progression of at least 3 ids as `[start, stop, step]`, and every
 vertex-id list of an envelope (the certificate, each cover block, each
 factor clique) goes through it.  The writer is canonical, agrees with the
-independent `oracles.reference_id_runs`, and `ids_from_json` inverts it.  A
-malformed or huge run exits 2 from every command that reads an envelope,
-with its own message and no output, before any run is expanded."""
+independent `oracles.reference_id_runs`, keeps to the room of 2n ids a
+list or a cover's blocks share, and `id_lists_from_json` inverts it.  A
+malformed or huge run, or runs that would stand for more than 2n ids,
+exit 2 from every command that reads an envelope, with their own message
+and no output, before any run is expanded."""
 
 import json
 import tracemalloc
@@ -16,11 +18,17 @@ from hypothesis import strategies as st
 from ccwkit import Factorization, Graph, factorize_apex_grid
 from ccwkit.cli import main
 from ccwkit.errors import InvalidGraph
-from ccwkit.graph import _bits_to_json, bits, ids_from_json, ids_to_json
+from ccwkit.graph import id_lists_from_json, id_lists_to_json, ids_to_json
 
-from oracles import reference_id_runs
+from oracles import reference_id_lists, reference_id_runs
 
 N = 64
+
+
+def ids_from_json(entries, n):
+    """The ids of one list, read in a room of its own."""
+    lists = id_lists_from_json([entries], n, "entry", "its list")
+    return None if lists is None else lists[0]
 
 
 @st.composite
@@ -50,7 +58,7 @@ ID_LISTS = st.one_of(
 def is_canonical(entries):
     """Each run holds at least 3 ids with a step other than 0; no run could
     take the next id, and no id written alone starts a progression of 3."""
-    ids = ids_from_json(entries, N, "entry")
+    ids = ids_from_json(entries, N)
     i = 0
     for x in entries:
         if type(x) is list:
@@ -74,16 +82,9 @@ class TestRoundTrip:
         entries = ids_to_json(ids)
         assert entries == reference_id_runs(ids)
         assert is_canonical(entries)
-        decoded = ids_from_json(json.loads(json.dumps(entries)), N, "entry")
+        decoded = ids_from_json(json.loads(json.dumps(entries)), N)
         assert decoded == ids
         assert ids_to_json(decoded) == entries
-
-    @settings(deadline=None)
-    @given(st.sets(st.integers(0, 3 * N)))
-    def test_a_mask_is_written_as_its_ascending_ids(self, ids):
-        mask = sum(1 << v for v in ids)
-        assert _bits_to_json(mask) == ids_to_json(list(bits(mask)))
-        assert _bits_to_json(mask) == reference_id_runs(sorted(ids))
 
     @pytest.mark.parametrize(
         "ids, entries",
@@ -103,7 +104,7 @@ class TestRoundTrip:
     )
     def test_greedy_from_the_left(self, ids, entries):
         assert ids_to_json(ids) == entries
-        assert ids_from_json(entries, 1602, "entry") == ids
+        assert ids_from_json(entries, 1602) == ids
 
     @settings(deadline=None)
     @given(st.lists(st.sets(st.integers(0, N - 1), min_size=1), max_size=6), st.randoms())
@@ -121,9 +122,42 @@ class TestRoundTrip:
         expected = Graph.from_json({**plain, "cliques": lists})
         assert Graph.from_json({**plain, "cliques": [*map(ids_to_json, lists)]}) == expected
 
+    @settings(deadline=None)
+    @given(st.lists(ID_LISTS, max_size=6), st.integers(0, 3 * N))
+    def test_runs_fill_a_shared_room_and_no_more(self, lists, room):
+        """Lists whose runs share one room, as the blocks of a cover, are
+        written as the reference writes them, their runs within the room,
+        and read back whatever they repeat, where the room is 2n."""
+        out, left = [], room
+        for ids in lists:
+            entries = ids_to_json(ids, left)
+            assert entries == reference_id_runs(ids, left)
+            left -= sum(len(range(*x)) for x in entries if type(x) is list)
+            assert left >= 0
+            out.append(entries)
+        assert id_lists_to_json(lists, N) == reference_id_lists(lists, N)
+        written = json.loads(json.dumps(id_lists_to_json(lists, N)))
+        assert id_lists_from_json(written, N, "entry", "its cover") == lists
+
+    @pytest.mark.parametrize(
+        "lists, entries",
+        [
+            # the third list finds the room of 2n = 20 full
+            ([[*range(10)]] * 3, [[[0, 10, 1]], [[0, 10, 1]], [*range(10)]]),
+            # 4 ids of room left: the last 4 of the descent are a run
+            (
+                [[*range(6)], [*range(10), *range(9, -1, -1)]],
+                [[[0, 6, 1]], [[0, 10, 1], 9, 8, 7, 6, 5, 4, [3, -1, -1]]],
+            ),
+        ],
+    )
+    def test_lists_share_one_room(self, lists, entries):
+        assert id_lists_to_json(lists, 10) == entries == reference_id_lists(lists, 10)
+        assert id_lists_from_json(entries, 10, "entry", "its cover") == lists
+
     def test_a_list_without_runs_is_returned_as_it_is(self):
         ids = [4, 1, 3]
-        assert ids_from_json(ids, N, "entry") is ids
+        assert ids_from_json(ids, N) is ids
 
     def test_an_envelope_writes_its_lists_as_runs(self):
         obj = factorize_apex_grid(2, 40).to_json()
@@ -199,3 +233,78 @@ class TestMalformedRuns:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+# K copies of the full run at n = 10: each stands for 10 ids, and the runs of
+# one list, of one cover's blocks together or of one clique may stand for
+# at most 2n = 20, so the third copy is refused
+FULL, K = [9, -1, -1], 20_000
+PAST = {
+    "peo": f"{PREFIX['peo']} {FULL!r} is a run that takes its list past 20 ids",
+    "cover block": f"{PREFIX['cover']} {FULL!r} is a run that takes its cover past 20 ids",
+    "cover": f"{PREFIX['cover']} {FULL!r} is a run that takes its cover past 20 ids",
+    "clique": f"clique member {FULL!r} is a run that takes its clique past 20 ids",
+}
+
+
+def with_runs(envelope, where):
+    obj = json.loads(json.dumps(envelope))
+    if where == "peo":
+        obj["chordal_cert"]["peo"] = [FULL] * K
+    elif where == "cover block":
+        obj["covers"][0] = [[FULL] * K]
+    elif where == "cover":
+        obj["covers"][0] = [[FULL]] * K
+    else:
+        obj["factors"][0]["cliques"][0] = [FULL] * K
+    return obj
+
+
+class TestTooManyIds:
+    """Each run is in range and well formed, but together they would hold
+    K * 10 ids: the one that passes 2n is refused before it is expanded, so
+    a few bytes per run cannot make the reader hold K * n ids."""
+
+    @pytest.fixture(scope="class")
+    def envelope(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("env") / "f.json"
+        assert main(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)]) == 0
+        return json.loads(f.read_text())
+
+    @pytest.mark.parametrize("where", PAST)
+    def test_allocates_nothing(self, envelope, where):
+        obj = with_runs(envelope, where)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidGraph) as err:
+                Factorization.from_json(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == PAST[where]
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
+    @pytest.mark.parametrize("where", PAST)
+    def test_exits_2(self, tmp_path, capsys, envelope, cmd, where):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(with_runs(envelope, where)))
+        out = tmp_path / "out.json"
+        argv = {
+            "verify": ["verify", str(f)],
+            "separate": ["separate", str(f), "--out", str(out)],
+            "audit": ["audit", str(f), "--out", str(out)],
+        }[cmd]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == f"error: {PAST[where]}\n"
+        assert not out.exists()
+
+    def test_a_whole_cover_of_runs_still_loads(self, envelope):
+        """A cover whose blocks are runs that hold the n ids exactly is not
+        refused: the count is of ids, not of runs."""
+        obj = json.loads(json.dumps(envelope))
+        obj["covers"][0] = [[[0, 3, 1]], [[3, 6, 1]], [[6, 9, 1]], [9]]
+        obj["chordal_cert"]["peo"] = [[9, -1, -1]]
+        f = Factorization.from_json(obj)
+        assert sorted(map(sorted, f.covers[0].cliques)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
