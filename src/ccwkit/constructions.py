@@ -33,7 +33,7 @@ from .graph import (
     intersect_graphs,
 )
 from .graph import is_clique, labels_to_json
-from .graph import _closed_meet, _grown_clique, _pairs, bits, mask_of
+from .graph import _bit_table, _closed_meet, _grown_clique, _ids_mask, _pairs, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,12 @@ class Factorization:
         factor is written as cliques plus the edges they leave uncovered
         (`Graph._unlabeled_json`): factor 1's cliques are the bags of its
         clique forest from the certificate's PEO, and factor i >= 2's the
-        blocks of its cover that are cliques of it, as they are.  A factor
+        blocks of its cover that are cliques of it, as they are.  Where
+        every block of cover i - 1 is a clique of factor i with ids in
+        range, and the factor has the base's n, the factor is written with
+        `"includes_cover": true` and no `cliques`, since `covers` lists the
+        blocks already; else with the blocks that are cliques as its
+        `cliques`, so an unchecked factorization round-trips too.  A factor
         that holds every base edge lists no base edge, and is written with
         `"includes_base": true` if its cliques leave one uncovered, so a
         constructed factor, its base plus cliques, lists no edge at all, and
@@ -81,39 +86,50 @@ class Factorization:
         from that check (`_checked`): the bags are built on its elimination,
         the blocks are its masks, and factor 1 is its bags with no edge
         tested, since a verified PEO's bags hold every edge of factor 1
-        (Blair & Peyton 1993).  Any other one is checked here: one
-        `_elimination` serves the PEO test and the forest, and when the test
-        fails a bag that is no clique is dropped, as is a block that is none
-        or holds an id outside the factor.
+        (Blair & Peyton 1993), and every factor i >= 2 includes its cover.
+        Any other one is checked here: one `_elimination` serves the PEO
+        test and the forest, and when the test fails a bag that is no
+        clique is dropped, as is a block that is none or holds an id
+        outside the factor.
 
-        At n = 40 (k = 2) that writes 71 796 bytes with apexes 1 and 2
-        adjacent and 71 784 without, where one id per entry wrote 104 441
-        and 104 429.  On a 2-vCPU Xeon VM, collector paused as in the CLI, a
-        certified dict takes 4.8 ms at n = 40 and 6.8 ms on a 62-part
-        clique sum (N = 2 034, 114 574 bytes), where ids one by one took
-        4.4 and 5.8 ms (interleaved medians of 100): finding the runs
-        (`graph.ids_to_json`) costs 0.3 and 0.6 ms, which its C encoding
-        repays at n = 40 and in part on the sum (1.56 and 2.72 ms, where it
-        took 2.03 and 3.05), and each command that reads the envelope back
-        repays in full (`from_json`).  At n = 40 `_unlabeled_json` takes
-        0.73-0.79 ms on factor 1, 1.00-1.09 ms on factor 2 and 2.6-3.0 ms
-        on the base."""
+        At n = 40 (k = 2) that writes 71 206 bytes with apexes 1 and 2
+        adjacent and 71 194 without, where factor 2's blocks written again
+        as its cliques took 71 796 and 71 784, and one id per entry 104 441
+        and 104 429; a 62-part clique sum (N = 2 034) takes 109 510 bytes,
+        where it took 114 574.  On a 2-vCPU Xeon VM, collector paused as in
+        the CLI, a certified dict takes 5.3 ms at n = 40 and 7.6 ms on that
+        sum, where factor 2's blocks written as id runs a second time took
+        5.4 and 7.9 ms (interleaved medians of 120, lower in 77 and 94 of
+        120).  Finding the runs (`graph.ids_to_json`) costs 0.3 and 0.6 ms
+        of that, which their C encoding and each command that reads the
+        envelope back (`from_json`) repay.  At n = 40 `_unlabeled_json`
+        took 0.73-0.79 ms on factor 1, 1.00-1.09 ms on factor 2 and
+        2.6-3.0 ms on the base, with factor 2's blocks written as cliques."""
         base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
         certified = self._checked is not None
+
+        def blocks_of(g: Graph, cover: OrderedCliqueCover) -> tuple[list[int], bool]:
+            # the masks of the blocks that are cliques of g, and whether all are
+            masks = [
+                m
+                for b in cover.cliques
+                if (m := g._subset_mask(b)) is not None and _closed_meet(g._adj, b, m) == m
+            ]
+            return masks, len(masks) == len(cover.cliques) and g.n == base.n
+
         if certified:
-            (elimination, blocks), failure = self._checked, None
+            (elimination, masks), failure = self._checked, None
+            blocks = zip(masks, repeat(True))
         else:
             failure, elimination = _peo_failure(g1, self.chordal_cert)
-            blocks = (
-                [m for b in c.cliques if (m := g._subset_mask(b)) and _closed_meet(g._adj, b, m) == m]
-                for g, c in zip(self.factors[1:], self.covers)
-            )
+            blocks = map(blocks_of, self.factors[1:], self.covers)
         bags = _clique_forest(g1, peo, elimination)[0] if elimination else []
         if failure:
             bags = [m for m in bags if _closed_meet(g1._adj, bits(m), m) == m]
         factors = []
-        for i, (g, cliques) in enumerate(zip(self.factors, chain([bags], blocks, repeat(())))):
-            factors.append(g._unlabeled_json(cliques, base._adj, certified and i == 0))
+        rest = chain([(bags, False)], blocks, repeat(((), False)))
+        for i, (g, (cliques, whole)) in enumerate(zip(self.factors, rest)):
+            factors.append(g._unlabeled_json(cliques, base._adj, certified and i == 0, whole))
             if g.labels != base.labels:
                 factors[-1]["labels"] = labels_to_json(g.labels)
         return {
@@ -150,15 +166,21 @@ class Factorization:
         labels with the base's.  A factor with `includes_base`, which must
         be `true`, must have the base's n too, and gets the base's edges
         (`Graph._from_json`); one without it (factor 1, and factors of
-        envelopes of earlier releases) is its own edges and cliques.  Lists
-        of ids one by one, as earlier releases wrote them, decode too.  The
-        graphs share one `_bit_table`.  On a 2-vCPU Xeon VM, collector
-        paused, the decoded JSON of the apex grid k = 2, n = 40 becomes the
-        factorization in 2.4 ms and that of a 62-part clique sum in 4.2 ms,
-        where ids one by one took 2.9 and 4.4 ms (and `json.loads` 1.5 and
-        2.2 ms, now 1.1 and 1.9 ms; interleaved medians of 100); at n = 40
-        its factors take 0.42-0.45 ms each of that, the base ORed into
-        factor 2 about 0.15 ms."""
+        envelopes of earlier releases) is its own edges and cliques.  So
+        does a factor i >= 2 with `includes_cover`, which must be `true`
+        and which factor 1 may not carry: it gets each block of cover
+        i - 1 as a clique, its mask computed once from the cover's id runs
+        (`graph._ids_mask`), and none if that cover is missing, for
+        `verify` to report `cover_count`.  Lists of ids one by one, and
+        factors that list their cover's blocks as `cliques`, as earlier
+        releases wrote them, decode too.  The graphs share one
+        `_bit_table`.  On a 2-vCPU Xeon VM, collector paused, the decoded
+        JSON of the apex grid k = 2, n = 40 becomes the factorization in
+        3.0 ms and that of a 62-part clique sum in 4.7 ms, where factor
+        2's blocks listed as its cliques took 3.0 and 4.8 ms (and
+        `json.loads` 1.24 and 2.20 ms, now 1.22 and 2.12 ms; interleaved
+        medians of 120, lower in 84 and 94 of 120): on the sum factor 2
+        decodes in 0.74 ms, where its 339 cliques took 0.97 ms."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -187,23 +209,33 @@ class Factorization:
 
         (peo_or_hole,) = ids([cert[key]], "its list")
         cert = ChordalCertificate.from_json({key: peo_or_hole})
-        covers = [ids(cover, "its cover") for cover in covers]
+        entries, covers = covers, [ids(cover, "its cover") for cover in covers]
         for i, cover in enumerate(covers, 1):
             for j, blk in enumerate(cover):
                 if len(set(blk)) != len(blk):
                     raise InvalidGraph(f"block {j} of cover {i} repeats a member")
         if not isinstance(widths, list) or not all(type(w) is int for w in (*widths, lstar)):
             raise InvalidGraph("'widths' must be a list of integers and 'lstar' an integer")
-        graphs = []
+        graphs, bit = [], _bit_table(n)
         for i, g in enumerate(factors, 1):
             own = not isinstance(g, dict) or "labels" in g
             inner = isinstance(g, dict) and "includes_base" in g
-            if inner and (flag := g["includes_base"]) is not True:
-                raise InvalidGraph(f"factor {i}: 'includes_base' must be true, not {flag!r}")
-            if (inner or not own) and not (type(m := g.get("n")) is int and m == n):
-                why = "includes the base" if own else "has no labels"
+            with_cover = isinstance(g, dict) and "includes_cover" in g
+            for key, given in ("includes_base", inner), ("includes_cover", with_cover):
+                if given and (flag := g[key]) is not True:
+                    raise InvalidGraph(f"factor {i}: '{key}' must be true, not {flag!r}")
+            if with_cover and i == 1:
+                raise InvalidGraph("factor 1 may not carry 'includes_cover': it has no cover")
+            if (inner or with_cover or not own) and not (type(m := g.get("n")) is int and m == n):
+                why = "includes the base" if inner else f"includes cover {i - 1}"
+                why = why if own else "has no labels"
                 raise InvalidGraph(f"factor {i} {why}, so its n must be the base's {n}, not {m!r}")
-            graphs.append(Graph._from_json(g, None if own else base.labels, base._adj))
+            # the blocks of cover i - 1 as (ids, mask), none if it is missing
+            cover = None
+            if with_cover:
+                blocks = zip(covers[i - 2], entries[i - 2]) if i - 2 < len(covers) else ()
+                cover = [(ids, _ids_mask(raw, bit)) for ids, raw in blocks]
+            graphs.append(Graph._from_json(g, None if own else base.labels, base._adj, cover))
         return cls(
             base=base,
             factors=tuple(graphs),

@@ -412,13 +412,36 @@ def _clique_members(clique: list, n: int, bit: Sequence[int | None]) -> tuple[li
         if (room := room - len(run)) < 0:
             why = f"is a run that takes its clique past {2 * n} ids"
             raise InvalidGraph(f"clique member {x!r} {why}")
-        start, _, step = x
-        if step < 0:
-            start, step = run[-1], -step
-        # bits 0, step, .., (len - 1) * step above start: a geometric series
-        m += ((1 << len(run) * step) - 1) // ((1 << step) - 1) << start
+        m += _run_mask(x[0], x[2], len(run))
         members += run
     return members, m
+
+
+def _run_mask(start: int, step: int, count: int) -> int:
+    """The mask of the `count` ids start, start + step, ..: bits 0, |step|,
+    .. above the lowest of them, a geometric series, so a few big-int
+    operations whatever the count or the step."""
+    if step < 0:
+        start, step = start + (count - 1) * step, -step
+    return ((1 << count * step) - 1) // ((1 << step) - 1) << start
+
+
+def _ids_mask(entries: list, bit: Sequence[int | None]) -> int:
+    """The mask of an id list that `id_lists_from_json` has accepted and
+    whose ids are distinct, with `bit` the `_bit_table(n)`: one addition
+    per id written alone and one `_run_mask` per run, not one per id.  A
+    loop, not a generator: 0.14 ms for the 339 blocks of a 62-part clique
+    sum's cover on a 2-vCPU Xeon VM, where a generator of `_run_mask` of
+    each run's `range` took 0.35 ms, and a C-level sum of the bits of the
+    2 034 expanded ids 0.25 ms."""
+    m = 0
+    for x in entries:
+        if type(x) is list:
+            start, stop, step = x
+            m += _run_mask(start, step, len(range(start, stop, step)))
+        else:
+            m += bit[x]
+    return m
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -603,9 +626,9 @@ class Graph:
         """`{"n", "edges", "labels"}`: every edge as a [u, v] list in
         `edges()` order (`_unlabeled_json` with no cliques), and the labels
         by `labels_to_json`, grid and apex blocks as runs.  Only envelope
-        factors are written with `cliques`, their ids as runs, and
-        `includes_base` (`Factorization.to_json`); `from_json` reads
-        `cliques`, with or without runs, in any graph.
+        factors are written with `cliques`, their ids as runs,
+        `includes_base` and `includes_cover` (`Factorization.to_json`);
+        `from_json` reads `cliques`, with or without runs, in any graph.
 
         About 0.3-0.5 us per edge: on a 2-vCPU Xeon VM, collector paused as
         in the CLI, the base of the apex grid k=2 at n=20/40 writes in
@@ -617,7 +640,11 @@ class Graph:
         return obj
 
     def _unlabeled_json(
-        self, cliques: Iterable[int], base: Sequence[int] | None = None, known: bool = False
+        self,
+        cliques: Iterable[int],
+        base: Sequence[int] | None = None,
+        known: bool = False,
+        cover: bool = False,
     ) -> dict:
         """`to_json` without `labels`, for a graph that shares the labels of
         another one written next to it (see `_from_json`), plus `"cliques"`
@@ -634,19 +661,26 @@ class Graph:
         cost the reader an OR of the base.  `known` says the caller has
         proved that the cliques cover every edge of g, as the bags of a
         verified PEO do, so nothing is tested, `edges` is empty and no key
-        is written.  The one clique encoder: `Factorization.to_json` feeds
-        it the bags and cover blocks it has already certified.  The
-        envelope's factors of the apex grid k=2, written with their 19/39
-        bags (`known`) and 20/40 blocks and no edge, take 0.17 and 0.22 ms
-        at n=20 and 0.73-0.79 and 1.00-1.09 ms at n=40 (quartiles of 200) on a
-        2-vCPU Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor
-        2) for their edge lists at n=20/40."""
+        is written.  `cover` says the cliques are the blocks of the cover
+        the envelope writes for g, every one a clique of g with ids in
+        [0, n), as the caller has checked: they count as covered just the
+        same, but `"includes_cover": true` stands in for the `cliques`
+        list, since `covers` lists the blocks already; none is turned into
+        id runs.  The one clique encoder: `Factorization.to_json` feeds it
+        the bags and cover blocks it has already certified.  The envelope's
+        factors of the apex grid k=2, written with their 19/39 bags
+        (`known`) and 20/40 blocks (`cover`) and no edge, take 0.17 and
+        0.22 ms at n=20 and 0.73-0.79 and 1.00-1.09 ms at n=40 (quartiles
+        of 200, measured with the blocks written as cliques) on a 2-vCPU
+        Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor 2) for
+        their edge lists at n=20/40."""
         n, adj = self.n, self._adj
         kept, covered = [], [0] * n
         for m in cliques:
             if m.bit_count() < 2:
                 continue
-            kept.append(ids_to_json(members := list(bits(m))))
+            members = list(bits(m))
+            kept.append(None if cover else ids_to_json(members))
             if not known:
                 for v in members:
                     covered[v] |= m
@@ -660,7 +694,9 @@ class Graph:
         obj = {"n": n, "edges": [[u, v] for u, v in pairs]}
         if inner:
             obj["includes_base"] = True
-        if kept:
+        if kept and cover:
+            obj["includes_cover"] = True
+        elif kept:
             obj["cliques"] = kept
         return obj
 
@@ -669,11 +705,12 @@ class Graph:
         """Inverse of `to_json`: the union of `edges` and the optional
         `cliques`, with every check of `from_edges`.  Raises `InvalidGraph`
         for a missing key, a malformed label, a JSON boolean as a vertex id,
+        `edges` that is not a list (an empty `{}` or `""` included),
         `cliques` that is not a list of lists of distinct vertex ids in
         [0, n), each an id or a run (`ids_to_json`; a malformed run is
-        named by `_id_run`), or `includes_base`, which only the factors of
-        an envelope carry (see `_from_json`).  Edge errors, self-loops
-        included, come first.
+        named by `_id_run`), or `includes_base` or `includes_cover`, which
+        only the factors of an envelope carry (see `_from_json`).  Edge
+        errors, self-loops included, come first.
 
         Each clique (`_clique_members`) costs one addition of a member's bit
         per id written alone and a few big ints per run, whose O(1) check
@@ -683,7 +720,9 @@ class Graph:
         collector paused, the two clique-encoded factors of the apex grid
         k=2, their ids as runs and only factor 2 with the base ORed in
         (`_from_json`), decode in 0.12 ms each at n=20 and 0.42-0.45 ms each
-        at n=40 (quartiles of 200).  Labels are decoded by
+        at n=40 (quartiles of 200); factor 2 written as `includes_cover`
+        decoded in 0.43 ms where its 40 cliques took 0.48 ms (medians of
+        300 in another session).  Labels are decoded by
         `labels_from_json`, which expands each run after checking it: the
         base of that apex grid parses and decodes from its 2 label entries
         in 3.5-4.1 ms at n=40.  An envelope's factors share the base's
@@ -694,11 +733,15 @@ class Graph:
         every end took 0.9 ms.  Clique entries get a C-level type scan for
         booleans, and the fields of each run are type-tested by `_id_run`.
         """
-        return cls._from_json(obj, None, None)
+        return cls._from_json(obj, None, None, None)
 
     @classmethod
     def _from_json(
-        cls, obj: dict, shared: tuple[VertexLabel, ...] | None, base: Sequence[int] | None
+        cls,
+        obj: dict,
+        shared: tuple[VertexLabel, ...] | None,
+        base: Sequence[int] | None,
+        cover: Iterable[tuple[Iterable[int], int]] | None,
     ) -> "Graph":
         """`from_json(obj)`, or, with `shared` given, the graph of an `obj`
         without labels of its own on the label tuple `shared`.  The caller
@@ -707,7 +750,16 @@ class Graph:
         `base`, the masks of an envelope's base, an `obj` that holds
         `includes_base` also gets the base's edges, ORed in by one C-level
         map; the caller has checked that the key is true and that obj's n is
-        the base's.  Without a base the key raises `InvalidGraph`."""
+        the base's.  Without a base the key raises `InvalidGraph`.
+        Likewise `cover`, the (ids, mask) of each block of the cover that
+        an `obj` holding `includes_cover` includes: each block becomes a
+        clique, its mask ORed into its members' rows, and nothing is
+        checked, the envelope's reader having checked the key, the n, and
+        the ids of every block (distinct, in [0, n)).  The masks come from
+        the cover's id runs (`_ids_mask`), so on a 62-part clique sum the
+        339 blocks of factor 2 are parsed and checked once, in `covers`,
+        and not again as cliques.  Without a cover the key raises
+        `InvalidGraph`."""
         try:
             n, edges = obj["n"], obj["edges"]
             labels = obj["labels"] if shared is None else shared
@@ -722,6 +774,8 @@ class Graph:
             if n > MAX_VERTICES:
                 raise InvalidGraph(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
             labels = _checked_labels(n, labels_from_json(labels, n))
+        if not isinstance(edges, list):
+            raise InvalidGraph("edges must be a list of [u, v] pairs")
         bit = _bit_table(n)
         adj = _edge_masks(n, edges, bit)
         # every endpoint is now an id in [0, n), so a boolean reads 0 or 1
@@ -731,9 +785,15 @@ class Graph:
             if base is None:
                 raise InvalidGraph("only the factors of an envelope may carry 'includes_base'")
             adj = [*map(or_, adj, base)]
-        if "cliques" not in obj:
+        if "includes_cover" in obj:
+            if cover is None:
+                raise InvalidGraph("only the factors of an envelope may carry 'includes_cover'")
+            for members, m in cover:
+                for v in members:
+                    adj[v] |= m
+        elif "cliques" not in obj:
             return cls(n, tuple(adj), labels)
-        cliques = obj["cliques"]
+        cliques = obj.get("cliques", [])
         if not isinstance(cliques, list) or not all(type(c) is list for c in cliques):
             raise InvalidGraph("'cliques' must be a list of lists of vertex ids")
         if bool in set(map(type, chain.from_iterable(cliques))):

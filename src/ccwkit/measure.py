@@ -18,6 +18,9 @@ class Measure:
         # NaN fails every comparison, so it fails this one too
         if not all(0 <= w < math.inf for w in self.weights):
             raise InvalidMeasure("measure weights must be finite and non-negative")
+        # finite weights can still sum past the largest float
+        if not sum(self.weights) < math.inf:
+            raise InvalidMeasure("measure weights must sum to a finite total")
 
     @classmethod
     def uniform(cls, n: int) -> "Measure":

@@ -730,7 +730,15 @@ def _reference_runs(ids, room) -> list:
     return out
 
 
-def reference_graph_json(g: Graph, candidates, base: Graph | None = None) -> dict:
+def reference_is_clique(g: Graph, c) -> bool:
+    """Whether the ids of c are all in [0, n) and pairwise adjacent in g,
+    pair by pair."""
+    members = sorted(set(c))
+    in_range = all(0 <= v < g.n for v in members)
+    return in_range and all(g.has_edge(*e) for e in combinations(members, 2))
+
+
+def reference_graph_json(g: Graph, candidates, base: Graph | None = None, cover=False) -> dict:
     """g written as candidate cliques plus leftover edges, the form of an
     envelope's factors, each candidate checked pair by pair: written,
     members ascending and as `reference_id_runs`, iff it has at least two
@@ -738,14 +746,15 @@ def reference_graph_json(g: Graph, candidates, base: Graph | None = None) -> dic
     whose every edge, checked one by one, is an edge of g, the base's edges
     count as covered, and `includes_base` is true if the cliques leave one
     of them uncovered; `edges` holds the edges nothing covers, and `labels`
-    follows as `Graph.to_json` writes it."""
+    follows as `Graph.to_json` writes it.  With `cover`, the candidates are
+    the blocks of g's cover, and `includes_cover` is true in place of the
+    `cliques` list."""
     kept, covered = [], set()
     for c in candidates:
         members = sorted(set(c))
-        pairs = list(combinations(members, 2))
-        if pairs and all(0 <= v < g.n for v in members) and all(g.has_edge(*e) for e in pairs):
+        if len(members) >= 2 and reference_is_clique(g, members):
             kept.append(reference_id_runs(members))
-            covered.update(pairs)
+            covered.update(combinations(members, 2))
     inner = base is not None and base.n == g.n and all(g.has_edge(*e) for e in base.edges())
     inner = inner and not covered.issuperset(base.edges())
     if inner:
@@ -753,7 +762,9 @@ def reference_graph_json(g: Graph, candidates, base: Graph | None = None) -> dic
     obj = {"n": g.n, "edges": [[u, v] for u, v in g.edges() if (u, v) not in covered]}
     if inner:
         obj["includes_base"] = True
-    if kept:
+    if kept and cover:
+        obj["includes_cover"] = True
+    elif kept:
         obj["cliques"] = kept
     obj["labels"] = labels_to_json(g.labels)
     return obj
@@ -764,10 +775,12 @@ def reference_envelope(f) -> dict:
     every edge checked (`reference_graph_json`) and none trusted: factor 1's
     candidates are the bags of its clique forest from the certificate's PEO
     when that is a permutation of factor 1's vertices, whether or not it is
-    a PEO; factor i >= 2's are its cover's blocks as they are.  A factor
-    whose labels equal the base's is written without them.  The
-    certificate's list, in a room of its own, and the blocks of each cover,
-    members ascending, in one room, are written as `reference_id_lists`."""
+    a PEO; factor i >= 2's are its cover's blocks as they are, written as
+    `includes_cover` if every block, checked pair by pair, is a clique of
+    it and its n is the base's.  A factor whose labels equal the base's is
+    written without them.  The certificate's list, in a room of its own,
+    and the blocks of each cover, members ascending, in one room, are
+    written as `reference_id_lists`."""
     base, g1, peo = f.base, f.factors[0], f.chordal_cert.peo
     bags = []
     if peo is not None and sorted(peo) == list(range(g1.n)):
@@ -775,7 +788,10 @@ def reference_envelope(f) -> dict:
     candidates = [bags] + [c.cliques for c in f.covers]
     factors = []
     for i, g in enumerate(f.factors):
-        obj = reference_graph_json(g, candidates[i] if i < len(candidates) else [], base)
+        blocks = candidates[i] if i < len(candidates) else []
+        cover = 0 < i < len(candidates) and g.n == base.n
+        cover = cover and all(reference_is_clique(g, c) for c in blocks)
+        obj = reference_graph_json(g, blocks, base, cover)
         if g.labels == base.labels:
             del obj["labels"]
         factors.append(obj)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from ccwkit import Apex, Factorization, Graph, GridCell, OrderedCliqueCover, ver
 from ccwkit.cli import _dump, main
 from ccwkit.constructions import _make_factorization
 from ccwkit.graph import label_to_json
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -320,6 +323,19 @@ class TestInvalidWeights:
         assert err.startswith("error: measure weights must be") and err.rstrip().endswith(bad)
         assert not out.exists() and not csvf.exists()
 
+    def test_weights_whose_sum_overflows(self, tmp_path, capsys):
+        # each weight is finite, their sum is not: this exited 1, as a
+        # verification failure, "sides weigh inf, 0, not the stored inf, 0.0"
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)])
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps([1e308] * 10))
+        out, csvf = tmp_path / "sep.json", tmp_path / "rows.csv"
+        assert run(["separate", str(f), "--weights", str(w), "--out", str(out),
+                    "--csv", str(csvf)]) == 2
+        assert capsys.readouterr() == ("", "error: measure weights must sum to a finite total\n")
+        assert not out.exists() and not csvf.exists()
+
     @pytest.mark.parametrize("count", [16, 18])
     def test_wrong_length(self, tmp_path, capsys, count):
         f = tmp_path / "f.json"
@@ -390,9 +406,10 @@ class TestMalformedGraphFile:
             {"n": 2, "edges": [[0, 1.5]], "labels": _plain(2)},
             {"n": 2, "edges": [[0, 2]], "labels": _plain(2)},
             {"n": 2, "edges": [], "labels": _plain(2), "includes_base": True},
+            {"n": 2, "edges": [], "labels": _plain(2), "includes_cover": True},
         ],
         ids=["self-loop", "label-count", "label-kind", "triple", "no-labels",
-             "non-integer-id", "out-of-range", "includes-base"],
+             "non-integer-id", "out-of-range", "includes-base", "includes-cover"],
     )
     def test_ccw_exits_2(self, tmp_path, capsys, graph):
         g = tmp_path / "g.json"
@@ -412,16 +429,48 @@ class TestMalformedGraphFile:
     @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
     @pytest.mark.parametrize("factor", [1, 2], ids=["factor-1", "factor-2"])
     def test_self_loop_in_a_factor_exits_2(self, tmp_path, capsys, factor, cmd):
-        # factor 1 is written as its clique-forest bags, factor 2 as its cover blocks
+        # factor 1 is written as its clique-forest bags, factor 2 as the
+        # blocks of its cover
         f, out = tmp_path / "f.json", tmp_path / "out.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "4", "--out", str(f)])
         obj = json.loads(f.read_text())
-        assert obj["factors"][factor - 1]["cliques"]
+        assert obj["factors"][0]["cliques"] and obj["factors"][1]["includes_cover"] is True
         obj["factors"][factor - 1]["edges"].append([3, 3])
         f.write_text(json.dumps(obj))
         argv = [cmd, str(f)] if cmd == "verify" else [cmd, str(f), "--out", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: self-loop at vertex 3\n"
+        assert not out.exists()
+
+
+class TestEdgesNotAList:
+    """`edges` that is not a list, even one as empty as `{}` or `""`, is
+    refused in a graph file and in every graph of an envelope, and not read
+    as no edges."""
+
+    @pytest.fixture(scope="class")
+    def envelope(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("env") / "f.json"
+        assert run(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)]) == 0
+        return json.loads(f.read_text())
+
+    @pytest.mark.parametrize("edges", [{}, "", {"0": 1}, "01", 5], ids=repr)
+    @pytest.mark.parametrize(
+        "cmd, graph",
+        [("ccw", None)]
+        + [(cmd, g) for cmd in ("verify", "separate", "audit") for g in ("base", 0, 1)],
+        ids=lambda x: "factor-" + str(x + 1) if type(x) is int else str(x),
+    )
+    def test_exits_2(self, tmp_path, capsys, envelope, cmd, graph, edges):
+        f, out = tmp_path / "in.json", tmp_path / "out.json"
+        if cmd == "ccw":
+            obj = {"n": 3, "edges": edges, "labels": _plain(3)}
+        else:
+            obj = json.loads(json.dumps(envelope))
+            (obj["base"] if graph == "base" else obj["factors"][graph])["edges"] = edges
+        f.write_text(json.dumps(obj))
+        assert run([cmd, str(f)] if cmd == "verify" else [cmd, str(f), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: edges must be a list of [u, v] pairs\n")
         assert not out.exists()
 
 
@@ -543,16 +592,27 @@ class TestFailedVerification:
             assert err.startswith("error: intersection: ")
         assert not out.exists() and not csvf.exists()
 
+    TAMPERS = [
+        lambda c: [c[0] + c[1]] + c[2:],
+        lambda c: c[1:],
+        lambda c: [c[0]] + c,
+    ]
+    TAMPER_IDS = ["merged-columns", "dropped-column", "repeated-column"]
+
     @pytest.mark.parametrize(
         "tamper, detail",
-        [
-            (lambda c: [c[0] + c[1]] + c[2:], "block 0 is not a clique"),
-            (lambda c: c[1:], "blocks do not cover V(g)"),
-            (lambda c: [c[0]] + c, "blocks are not pairwise disjoint"),
-        ],
-        ids=["merged-columns", "dropped-column", "repeated-column"],
+        zip(TAMPERS, [
+            "block 0 is not a clique",
+            "blocks do not cover V(g)",
+            "blocks are not pairwise disjoint",
+        ]),
+        ids=TAMPER_IDS,
     )
-    def test_invalid_cover(self, tmp_path, capsys, envelope, tamper, detail):
+    def test_invalid_cover(self, tmp_path, capsys, tamper, detail):
+        # the same factorization as `envelope`, in the layout that lists
+        # factor 2's cliques itself, so a tampered cover leaves factor 2 as it is
+        envelope = json.loads((DATA / "blocks-twice-apex-grid-k2-n4.json").read_text())
+        assert "includes_cover" not in envelope["factors"][1]
         f = tmp_path / "f.json"
         f.write_text(json.dumps({**envelope, "covers": [tamper(envelope["covers"][0])]}))
         assert run(["verify", str(f)]) == 1
@@ -564,6 +624,47 @@ class TestFailedVerification:
             "PASS lstar: lstar must equal max width\n",
             "verification failed: cover_validity[1]\n",
         )
+
+    SHARED = "PASS vertex_sets: factors share the base vertex set\n"
+    MEET = "PASS intersection: intersection of factors edge-equals base\n"
+    PEO = "PASS chordal_certificate: factor 1 PEO verifies\n"
+    LSTAR = "PASS lstar: lstar must equal max width\n"
+
+    @pytest.mark.parametrize(
+        "tamper, verdict",
+        zip(TAMPERS, [
+            (
+                SHARED
+                + "FAIL intersection: first differing edge (0,5) is not in base\n"
+                + PEO
+                + "PASS cover_validity[1]: cover verifies\n"
+                + "PASS cover_width[1]: recomputed width 2, declared 2\n"
+                + LSTAR,
+                "verification failed: intersection\n",
+            ),
+            (
+                SHARED + MEET + PEO + "FAIL cover_validity[1]: blocks do not cover V(g)\n" + LSTAR,
+                "verification failed: cover_validity[1]\n",
+            ),
+            (
+                SHARED + MEET + PEO + "FAIL cover_validity[1]: blocks are not pairwise disjoint\n"
+                + LSTAR,
+                "verification failed: cover_validity[1]\n",
+            ),
+        ]),
+        ids=TAMPER_IDS,
+    )
+    def test_invalid_cover_of_a_factor_that_includes_it(
+        self, tmp_path, capsys, envelope, tamper, verdict
+    ):
+        # factor 2 is the base plus its cover's blocks (`includes_cover`), so
+        # merged columns become a clique of it, one that gives factor 2 an
+        # edge factor 1 has and the base lacks
+        assert envelope["factors"][1]["includes_cover"] is True
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({**envelope, "covers": [tamper(envelope["covers"][0])]}))
+        assert run(["verify", str(f)]) == 1
+        assert capsys.readouterr() == verdict
 
 
 class TestEmptyOutPath:

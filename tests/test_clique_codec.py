@@ -156,12 +156,13 @@ class TestEnvelopeRoundTrip:
         # the row bands, each id list written as runs (`graph.ids_to_json`):
         # rows r and r + 1 are one range of ids, the apexes 16 and 17 follow
         assert g1["cliques"] == [[[0, 8, 1], 16, 17], [[4, 12, 1], 16, 17], [[8, 18, 1]]]
-        # the cover blocks as they are: the middle column holds both apexes;
-        # each column is one run of step n
+        # factor 2's cliques are its cover's blocks as they are, written once,
+        # in `covers`: the middle column holds both apexes; each column is
+        # one run of step n
         cover = f.covers[0].to_json()
         assert cover[1] == [1, 5, 9, 13, 16, 17]
-        assert g2["cliques"] == [[[0, 16, 4]], [[1, 17, 4], 16, 17], [[2, 18, 4]], [[3, 19, 4]]]
-        assert obj["covers"] == [g2["cliques"]]
+        assert g2 == {"n": 18, "edges": [], "includes_base": True, "includes_cover": True}
+        assert obj["covers"] == [[[[0, 16, 4]], [[1, 17, 4], 16, 17], [[2, 18, 4]], [[3, 19, 4]]]]
         assert obj["chordal_cert"] == {"peo": [[15, -1, -1], 17, 16]}
         assert obj["base"] == f.base.to_json()
 
@@ -214,6 +215,16 @@ WIDENED = ["widened-apex-grid-k2-n4.json", "widened-clique-sum-3x2-3x3.json"]
 # certificate, the cover blocks and the cliques were written as id runs,
 # when factor 1 still carried `includes_base`
 PLAIN_IDS = ["plain-ids-apex-grid-k2-n5.json", "plain-ids-clique-sum-3x2-3x4.json"]
+# `factorize apex-grid --k 2 --n 4` and `factorize clique-sum --parts
+# 3:2,3:4 --removed-edges 1-3`, as written before factor 2 came to include
+# its cover (`includes_cover`): its cover's blocks also listed as its
+# `cliques`, id runs as in `covers`
+BLOCKS_TWICE = {
+    "blocks-twice-apex-grid-k2-n4.json": ["apex-grid", "--k", "2", "--n", "4"],
+    "blocks-twice-clique-sum-3x2-3x4.json": [
+        "clique-sum", "--parts", "3:2,3:4", "--removed-edges", "1-3",
+    ],
+}
 
 
 def outputs(envelope, work, capsys):
@@ -230,7 +241,8 @@ def outputs(envelope, work, capsys):
 class TestLegacyEnvelopes:
     """tests/data holds envelopes as `factorize` wrote them before factors
     were written as cliques (`EDGE_ONLY`), before they included the base
-    (`WIDENED`), and before id lists were written as runs (`PLAIN_IDS`)."""
+    (`WIDENED`), before id lists were written as runs (`PLAIN_IDS`), and
+    before factor 2 included its cover (`BLOCKS_TWICE`)."""
 
     @pytest.mark.parametrize("name", EDGE_ONLY + WIDENED)
     def test_same_outputs_as_the_clique_encoded_envelope(self, tmp_path, capsys, name):
@@ -246,9 +258,10 @@ class TestLegacyEnvelopes:
         _dump({**Factorization.from_json(obj).to_json(), "meta": obj["meta"]}, str(new))
         g1, g2 = json.loads(new.read_text())["factors"]
         # factor 1's bags cover every edge it has, so only factor 2 carries
-        # `includes_base`
+        # `includes_base`; factor 2's cliques are its cover's blocks
         assert "includes_base" not in g1 and g2["includes_base"] is True
-        assert g1["cliques"] and g2["cliques"] and g1["edges"] == g2["edges"] == []
+        assert g1["cliques"] and g2["includes_cover"] is True and "cliques" not in g2
+        assert g1["edges"] == g2["edges"] == []
         assert new.stat().st_size < legacy.stat().st_size
 
         decoded = [Factorization.from_json(json.loads(p.read_text())) for p in (legacy, new)]
@@ -275,12 +288,39 @@ class TestLegacyEnvelopes:
         assert outputs(legacy, tmp_path / "legacy", capsys) == outputs(new, tmp_path / "new", capsys)
 
 
+    @pytest.mark.parametrize("name", BLOCKS_TWICE)
+    def test_blocks_listed_twice_give_the_same_outputs(self, tmp_path, capsys, name):
+        legacy = tmp_path / name
+        shutil.copy(DATA / name, legacy)
+        obj = json.loads(legacy.read_text())
+        g2 = obj["factors"][1]
+        assert "includes_cover" not in g2 and g2["cliques"] == obj["covers"][0]
+        # the same factorization as `factorize` writes it now: factor 2
+        # includes its cover, and lists no clique
+        new = tmp_path / "new.json"
+        assert main(["factorize", *BLOCKS_TWICE[name], "--out", str(new)]) == 0
+        g2 = json.loads(new.read_text())["factors"][1]
+        assert g2["includes_cover"] is True and "cliques" not in g2
+        assert new.stat().st_size < legacy.stat().st_size
+        # and as this layout re-encodes it, byte for byte
+        again = tmp_path / "again.json"
+        _dump({**Factorization.from_json(obj).to_json(), "meta": obj["meta"]}, str(again))
+        assert again.read_bytes() == new.read_bytes()
+
+        decoded = [Factorization.from_json(json.loads(p.read_text())) for p in (legacy, new)]
+        assert decoded[0] == decoded[1]
+        assert outputs(legacy, tmp_path / "legacy", capsys) == outputs(new, tmp_path / "new", capsys)
+
+
 class TestMalformedCliquesInTheCli:
     @pytest.fixture(scope="class")
     def envelope(self, tmp_path_factory):
         f = tmp_path_factory.mktemp("env") / "f.json"
         assert main(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)]) == 0
-        return json.loads(f.read_text())
+        obj = json.loads(f.read_text())
+        # so the cliques given to factor 2 meet its cover's blocks
+        assert obj["factors"][1]["includes_cover"] is True
+        return obj
 
     @pytest.mark.parametrize("cmd", ["verify", "separate", "audit"])
     @pytest.mark.parametrize(

@@ -100,6 +100,7 @@ def test_malformed_edge(edge):
         {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": True, "apex_index": 1}]},
         {"n": 1, "edges": [], "labels": [{"kind": "apex", "part": 0, "apex_index": [1]}]},
         {"n": 1, "edges": [], "labels": [{"kind": "plain", "id": 0}], "includes_base": True},
+        {"n": 1, "edges": [], "labels": [{"kind": "plain", "id": 0}], "includes_cover": True},
     ],
 )
 def test_malformed_graph_object(obj):

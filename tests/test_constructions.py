@@ -257,10 +257,11 @@ class TestExample3i:
     # was still built from a list of edge tuples; `factorize` taken again when
     # envelope factors came to include the base, and again when envelopes
     # came to write their id lists as runs (`graph.ids_to_json`) and factor 1
-    # stopped carrying `includes_base`
+    # stopped carrying `includes_base`, and again when factor 2 came to be
+    # written as `includes_cover` in place of its blocks' cliques
     CLI_DIGESTS = {
         "construct": "dbae1d22f54fe960d4b3d2dce9aaa6ea422707ab936972fc91e1d78f59f36aa7",
-        "factorize": "e9bdf96ffc896016c3f00ba4a49783777c938134fcd644a0c9cc333436d6529c",
+        "factorize": "1614f77e28527c3cc46251d62a8724492831d092a54cf8757d6445f59bdd5b97",
     }
 
     @pytest.mark.parametrize("cmd", CLI_DIGESTS)

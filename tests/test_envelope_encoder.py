@@ -6,7 +6,9 @@ covers may hold blocks that are not cliques, empty blocks or ids outside
 the factor, whose factor 1 may have another size, and so its own labels
 and no `includes_base`, and whose factor 2 may lack a base edge, and so
 no `includes_base` either.  Each envelope decodes to the factorization it was
-written from, unless an id lies outside the base, which `from_json` refuses."""
+written from, unless an id lies outside the base, which `from_json` refuses.
+Factor 2 is written as `includes_cover`, its cover's blocks, exactly when
+each block is a clique of it, whether or not the blocks overlap."""
 
 import dataclasses
 import json
@@ -24,10 +26,11 @@ from ccwkit import (
     example3_i,
     factorize_apex_grid,
     factorize_clique_sum,
+    verify_factorization,
 )
 from ccwkit.errors import InvalidGraph
 
-from oracles import reference_envelope
+from oracles import reference_envelope, reference_is_clique
 
 BUILT = [
     factorize_apex_grid(1, 3),
@@ -112,3 +115,70 @@ def test_decodes_to_the_factorization(f):
     else:
         with pytest.raises(InvalidGraph, match="certificate and cover entries must be vertex ids"):
             Factorization.from_json(obj)
+
+
+@st.composite
+def covers_of_factor_2(draw):
+    """A built factorization, certified or replaced (and so checked again
+    by `to_json`), as it is, or with one drawn block added to its cover at
+    a drawn place: two ids that are not adjacent in factor 2, or the ends
+    of an edge of factor 2, which some blocks of the cover also hold."""
+    f = draw(st.sampled_from(BUILT))
+    g2, blocks = f.factors[1], list(f.covers[0].cliques)
+    kind = draw(st.sampled_from(["as-built", "not-a-clique", "overlapping"]))
+    if kind == "not-a-clique":
+        pairs = [(u, v) for u in range(g2.n) for v in range(u) if not g2.has_edge(u, v)]
+        blocks.insert(draw(st.integers(0, len(blocks))), frozenset(draw(st.sampled_from(pairs))))
+    elif kind == "overlapping":
+        edge = draw(st.sampled_from(list(g2.edges())))
+        blocks.insert(draw(st.integers(0, len(blocks))), frozenset(edge))
+    if kind == "as-built" and draw(st.booleans()):
+        return f
+    return dataclasses.replace(f, covers=(OrderedCliqueCover(tuple(blocks)),))
+
+
+@settings(deadline=None)
+@given(covers_of_factor_2())
+def test_factor_2_includes_its_cover_iff_every_block_is_a_clique(f):
+    obj = json.loads(json.dumps(f.to_json()))
+    g2 = obj["factors"][1]
+    whole = all(reference_is_clique(f.factors[1], b) for b in f.covers[0].cliques)
+    assert g2.get("includes_cover", False) is whole
+    # the blocks that are cliques are written once: in `covers`, or else
+    # in factor 2's `cliques` too
+    assert ("cliques" in g2) is not whole
+    assert Factorization.from_json(obj) == f
+
+
+def complete(n, labels=None):
+    return Graph.from_masks([((1 << n) - 1) ^ (1 << v) for v in range(n)], labels)
+
+
+def test_each_factor_includes_its_own_cover():
+    # factor 3, the complete graph, with the one-block cover 2
+    f = factorize_apex_grid(2, 4, {(1, 2)})
+    n = f.base.n
+    g = dataclasses.replace(
+        f,
+        factors=(*f.factors, complete(n, f.base.labels)),
+        covers=(*f.covers, OrderedCliqueCover((frozenset(range(n)),))),
+        widths=(*f.widths, 0),
+    )
+    obj = json.loads(json.dumps(g.to_json()))
+    assert json.dumps(obj) == json.dumps(reference_envelope(g))
+    assert obj["factors"][1]["includes_cover"] is True
+    assert obj["factors"][2] == {"n": n, "edges": [], "includes_cover": True}
+    decoded = Factorization.from_json(obj)
+    assert decoded == g and all(ok for _, ok, _ in verify_factorization(decoded))
+
+
+def test_a_factor_of_another_n_lists_its_cliques():
+    # every block is a clique of factor 2, but the reader would refuse the
+    # key on a factor whose n is not the base's
+    f = factorize_apex_grid(2, 4, {(1, 2)})
+    g = dataclasses.replace(f, factors=(f.factors[0], complete(f.base.n + 2)))
+    obj = json.loads(json.dumps(g.to_json()))
+    assert json.dumps(obj) == json.dumps(reference_envelope(g))
+    g2 = obj["factors"][1]
+    assert "includes_cover" not in g2 and len(g2["cliques"]) == len(f.covers[0].cliques)
+    assert Factorization.from_json(obj) == g

@@ -210,29 +210,30 @@ GOLDEN = {
 # with k >= 1 and the clique sums were taken again with the stated PEO, and
 # every entry again when the certificate, the cover blocks and the cliques
 # came to be written as id runs (`graph.ids_to_json`) and factor 1, whose
-# bags cover every edge it has, lost `includes_base`; GOLDEN, the decoded
-# re-dump, did not move
+# bags cover every edge it has, lost `includes_base`, and again when factor
+# 2 came to be written as `includes_cover` in place of its blocks' cliques,
+# which `covers` already holds; GOLDEN, the decoded re-dump, did not move
 CLIQUE_ENCODED = {
     ("apex-grid", "--k", "0", "--n", "2"):
-        "f4e1dc3b7911fc3848168770b81b059579fac8e8b53a55e47cfb31dc078529fd",
+        "91c4d3e58f7275bd15ed53d810ea11a40a5c69eacf28f999131f03aa1ae56e2f",
     ("apex-grid", "--k", "1", "--n", "5"):
-        "af9afd749eb660749ae4c5f722f98b0c7711630ec8ee794605c1b8a0e29d6854",
+        "18bfc83f4e04c947c617da106f821ebe4b6362a6728dfacb2df9b9fd1e3c69bc",
     ("apex-grid", "--k", "2", "--n", "6", "--apex-edges", "1-2"):
-        "a3407f2167b2726cf4284eb96c8829e0e25a7fa418ebf3167a269eabb7116b13",
+        "7004cf2c5ab770c6ba9f697ec20158ddbc73c966dc41a79469fa6ecb5ac1c5e4",
     ("apex-grid", "--k", "3", "--n", "7", "--apex-edges", "1-3,2-3"):
-        "5f5cc08539da2dd4fa9e903001e4834a3c7a4bd5f9549dcfe9f6ff13a20dc447",
+        "36041d46b73a77f8633547b41c819882c52f0daf78d63db8436a37383409c369",
     ("clique-sum", "--parts", "1:4,1:6"):
-        "d32b4e70a19309fde0173e8fd0b8f56e6cba982b3b428bc2bb1d63a1d5162839",
+        "a2e1a67f208a1ca76319c7f242f2ca738103a3e9fc729cdc5a669e7b9e0fb87b",
     ("clique-sum", "--parts", "2:3,2:4,2:3", "--removed-edges", "1-2"):
-        "f6aec65d13db75cd2bd3edd7b2ab4847161851f9de5de926edb811ddcf134905",
+        "f6cd2afbcb750460600e50b7fedf69305563a3ae2a48f83c45472627b6a060ae",
     ("clique-sum", "--parts", "3:2,3:5", "--removed-edges", "1-3,2-3"):
-        "cd7315b4847903e0320e0ae9a15b06a1d28e918074e4f3893b02b7f459c2d1b6",
+        "9f42b3e73bcb2edd0848cfe4fdcb60535dd36242f86fd3dfc7d6396e3cc3d410",
     ("example3ii", "--n", "1", "--k", "3"):
-        "c77e1dbd805bc12735d308e3e27a16372621eaad9642f05c97293df4f69cf6de",
+        "00af3edc105d34d19155de2daea5bd269af46824d82c14673f6be2248da5e27d",
     ("example3ii", "--n", "3", "--k", "2"):
-        "5b0f42a2b4203d5bef4446879ea54b283c74e164e367846437e88d353fae8eab",
+        "1519f8f8d0b319c8825d3e260ce2edc01595221ed6a2a1d64bb0f099c1915718",
     ("example3ii", "--n", "4", "--k", "3"):
-        "c077116aa4017379a62fe233994d1372902565221217a260f283ad220ee00051",
+        "a9ec9da10f20bb6579787b3ec2d74682b183b38ec1b2701af73171c3e8d14636",
 }
 
 
@@ -277,11 +278,15 @@ class TestGolden:
     def test_no_clique_written_twice(self, tmp_path, argv):
         out = tmp_path / "f.json"
         assert main(["factorize", *argv, "--out", str(out)]) == 0
-        for g in json.loads(out.read_text())["factors"]:
+        obj = json.loads(out.read_text())
+        for g in obj["factors"]:
             # an id list is written one way only (`graph.ids_to_json`), so
             # one clique written twice is one JSON text written twice
             cliques = [json.dumps(c) for c in g.get("cliques", [])]
             assert len(set(cliques)) == len(cliques)
+        # factor 2's cliques are its cover's blocks, which only `covers` lists
+        assert obj["factors"][1]["includes_cover"] is True
+        assert "cliques" not in obj["factors"][1]
 
 
 def weights_for(n):

@@ -3,7 +3,7 @@ row-major as one `{"kind": "grid", "part", "rows", "cols"}` entry, a block
 Apex(p, 1..k) as one `{"kind": "apex", "part", "count"}` entry, and every
 other label as its own dict.  Runs are checked before they are expanded.
 Envelopes also write each factor i >= 2 as the base plus its cover's
-blocks, as they are."""
+blocks, as they are, which only `covers` lists."""
 
 import json
 import tracemalloc
@@ -23,7 +23,7 @@ from ccwkit.cli import main
 from ccwkit.errors import InvalidGraph
 from ccwkit.graph import Apex, GridCell, Plain, labels_from_json, labels_to_json
 
-from oracles import reference_id_runs
+from oracles import reference_id_lists
 
 SUM_SIZES = [3, 4, 5, 6, 7, 8] * 10 + [4, 5]
 
@@ -205,13 +205,14 @@ FACTORIZATIONS = {
 @pytest.mark.parametrize("build", FACTORIZATIONS.values(), ids=FACTORIZATIONS.keys())
 def test_cover_blocks_are_written_as_maximal_cliques(build):
     """The blocks were once widened to maximal cliques, as the name says;
-    each that has two members or more is now written as it is, members
-    ascending, and the factor as the base plus them, with no edge left."""
+    each is now written once, as it is, members ascending, in `covers`,
+    and the factor as the base plus its cover's blocks (`includes_cover`),
+    with no edge left and no clique listed."""
     f = build()
     obj = f.to_json()
-    for cover, written in zip(f.covers, obj["factors"][1:]):
-        assert written["includes_base"] is True and written["edges"] == []
-        # each block's id list is written as runs (`graph.ids_to_json`);
-        # the reference writer gives the same entries
-        blocks = [sorted(b) for b in cover.cliques if len(b) > 1]
-        assert written["cliques"] == [*map(reference_id_runs, blocks)]
+    for cover, blocks, written in zip(f.covers, obj["covers"], obj["factors"][1:]):
+        n = f.base.n
+        assert written == {"n": n, "edges": [], "includes_base": True, "includes_cover": True}
+        # each block's id list is written as runs (`graph.ids_to_json`), the
+        # blocks in one room; the reference writer gives the same entries
+        assert blocks == reference_id_lists(map(sorted, cover.cliques), n)

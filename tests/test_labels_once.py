@@ -97,10 +97,22 @@ def commands(tmp_path):
         ({"n": 9, "edges": [], "labels": [{"kind": "plain", "id": v} for v in range(9)],
           "includes_base": True},
          "factor 2 includes the base, so its n must be the base's 10, not 9"),
+        ({"n": 10, "edges": [], "includes_cover": False},
+         "factor 2: 'includes_cover' must be true, not False"),
+        ({"n": 10, "edges": [], "includes_cover": 1},
+         "factor 2: 'includes_cover' must be true, not 1"),
+        ({"n": 10, "edges": [], "includes_cover": None},
+         "factor 2: 'includes_cover' must be true, not None"),
+        ({"n": 9, "edges": [], "labels": [{"kind": "plain", "id": v} for v in range(9)],
+          "includes_cover": True},
+         "factor 2 includes cover 1, so its n must be the base's 10, not 9"),
+        ({"n": 10, "edges": {}}, "edges must be a list of [u, v] pairs"),
     ],
     ids=["int", "string", "list", "null", "no-n", "n-9", "n-float", "n-string", "n-true",
          "no-edges", "edge-out-of-range", "includes-base-false", "includes-base-1",
-         "includes-base-string", "includes-base-null", "includes-base-n-9"],
+         "includes-base-string", "includes-base-null", "includes-base-n-9",
+         "includes-cover-false", "includes-cover-1", "includes-cover-null",
+         "includes-cover-n-9", "edges-not-a-list"],
 )
 @pytest.mark.parametrize("cmd", range(3), ids=["verify", "separate", "audit"])
 def test_malformed_factor_exits_2(tmp_path, capsys, cmd, factor, message):
@@ -109,5 +121,18 @@ def test_malformed_factor_exits_2(tmp_path, capsys, cmd, factor, message):
     obj["factors"][1] = factor
     (tmp_path / "f.json").write_text(json.dumps(obj))
     assert main(commands(tmp_path)[cmd]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+
+@pytest.mark.parametrize("cmd", range(3), ids=["verify", "separate", "audit"])
+def test_factor_1_includes_no_cover(tmp_path, capsys, cmd):
+    # cover i belongs to factor i + 1, so factor 1 has none to include
+    obj = factorized(tmp_path, ("apex-grid", "--k", "1", "--n", "3"))
+    capsys.readouterr()
+    obj["factors"][0]["includes_cover"] = True
+    (tmp_path / "f.json").write_text(json.dumps(obj))
+    assert main(commands(tmp_path)[cmd]) == 2
+    message = "factor 1 may not carry 'includes_cover': it has no cover"
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -63,6 +64,12 @@ class TestMeasure:
     def test_invalid_weight_is_a_ccwkit_error(self, bad):
         with pytest.raises(InvalidMeasure):
             Measure((1.0, bad))
+
+    def test_total_must_be_finite(self):
+        big = sys.float_info.max
+        assert Measure((big, 0.0)).total(2) == big
+        with pytest.raises(InvalidMeasure, match="must sum to a finite total"):
+            Measure((big, big))
 
     @given(st.lists(st.one_of(
         st.integers(0, 9), st.floats(0, 9), st.booleans(), st.text(max_size=2), st.none(),
