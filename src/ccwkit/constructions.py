@@ -33,7 +33,7 @@ from .graph import (
     intersect_graphs,
 )
 from .graph import is_clique, labels_to_json
-from .graph import _bit_table, _closed_meet, _grown_clique, _ids_mask, _pairs, bits, mask_of
+from .graph import _closed_meet, _grown_clique, _pairs, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,10 @@ class Factorization:
         certificate's list, or of a cover's blocks together, past 2n ids),
         a cover block that repeats one (named by its index and its
         cover's), or non-integer widths or lstar.  Whether they are right
-        is left to `verify_factorization`.  Each run is checked in O(1)
-        before it is expanded, the other entries of an id list by one
-        C-level scan of their types, then their `min` and `max`, and each
-        block by a set.
+        is left to `verify_factorization`.  Every id list goes through one
+        reader, `graph._ids_from_json`, which checks each run in O(1) before
+        it expands it and returns the list's ids and their mask; a block
+        repeats a member when its mask holds fewer bits than it has ids.
 
         A factor without `labels` takes the base's checked label tuple, so
         its labels are not decoded or checked again; its n must then be the
@@ -169,18 +169,17 @@ class Factorization:
         envelopes of earlier releases) is its own edges and cliques.  So
         does a factor i >= 2 with `includes_cover`, which must be `true`
         and which factor 1 may not carry: it gets each block of cover
-        i - 1 as a clique, its mask computed once from the cover's id runs
-        (`graph._ids_mask`), and none if that cover is missing, for
-        `verify` to report `cover_count`.  Lists of ids one by one, and
-        factors that list their cover's blocks as `cliques`, as earlier
-        releases wrote them, decode too.  The graphs share one
-        `_bit_table`.  On a 2-vCPU Xeon VM, collector paused, the decoded
-        JSON of the apex grid k = 2, n = 40 becomes the factorization in
-        3.0 ms and that of a 62-part clique sum in 4.7 ms, where factor
-        2's blocks listed as its cliques took 3.0 and 4.8 ms (and
-        `json.loads` 1.24 and 2.20 ms, now 1.22 and 2.12 ms; interleaved
-        medians of 120, lower in 84 and 94 of 120): on the sum factor 2
-        decodes in 0.74 ms, where its 339 cliques took 0.97 ms."""
+        i - 1 as a clique, its (ids, mask) as the reader returned them for
+        `covers`, and none if that cover is missing, for `verify` to report
+        `cover_count`.  Lists of ids one by one, and factors that list their
+        cover's blocks as `cliques`, as earlier releases wrote them, decode
+        too.  The graphs share one `_bit_table`.  On a 2-vCPU Xeon VM,
+        collector paused, the decoded JSON of the apex grid k = 2, n = 40
+        becomes the factorization in 2.46 ms and that of a 62-part clique
+        sum in 4.61 ms, where reading each cover's runs twice, for its ids
+        and again for the masks of factor 2, took 2.51 and 4.70 ms
+        (interleaved medians of 200, lower in 162 and 156 of 200);
+        `json.loads` takes 1.24 and 2.02 ms of those envelopes' text."""
         try:
             base, factors = obj["base"], obj["factors"]
             cert, covers = obj["chordal_cert"], obj["covers"]
@@ -207,16 +206,16 @@ class Factorization:
                 raise InvalidGraph(refusal)
             return decoded
 
-        (peo_or_hole,) = ids([cert[key]], "its list")
+        ((peo_or_hole, _),) = ids([cert[key]], "its list")
         cert = ChordalCertificate.from_json({key: peo_or_hole})
-        entries, covers = covers, [ids(cover, "its cover") for cover in covers]
+        covers = [ids(cover, "its cover") for cover in covers]
         for i, cover in enumerate(covers, 1):
-            for j, blk in enumerate(cover):
-                if len(set(blk)) != len(blk):
+            for j, (blk, m) in enumerate(cover):
+                if m.bit_count() != len(blk):
                     raise InvalidGraph(f"block {j} of cover {i} repeats a member")
         if not isinstance(widths, list) or not all(type(w) is int for w in (*widths, lstar)):
             raise InvalidGraph("'widths' must be a list of integers and 'lstar' an integer")
-        graphs, bit = [], _bit_table(n)
+        graphs = []
         for i, g in enumerate(factors, 1):
             own = not isinstance(g, dict) or "labels" in g
             inner = isinstance(g, dict) and "includes_base" in g
@@ -231,16 +230,13 @@ class Factorization:
                 why = why if own else "has no labels"
                 raise InvalidGraph(f"factor {i} {why}, so its n must be the base's {n}, not {m!r}")
             # the blocks of cover i - 1 as (ids, mask), none if it is missing
-            cover = None
-            if with_cover:
-                blocks = zip(covers[i - 2], entries[i - 2]) if i - 2 < len(covers) else ()
-                cover = [(ids, _ids_mask(raw, bit)) for ids, raw in blocks]
+            cover = covers[i - 2] if 2 <= i <= len(covers) + 1 else ()
             graphs.append(Graph._from_json(g, None if own else base.labels, base._adj, cover))
         return cls(
             base=base,
             factors=tuple(graphs),
             chordal_cert=cert,
-            covers=tuple(OrderedCliqueCover.from_json(c) for c in covers),
+            covers=tuple(OrderedCliqueCover.from_json([b for b, _ in c]) for c in covers),
             widths=tuple(widths),
             lstar=lstar,
         )

@@ -7,7 +7,7 @@ components) at the target scales of a few thousand vertices.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, product, repeat
 from math import inf
 from operator import and_, or_, xor
@@ -263,45 +263,64 @@ def _id_run(entry: list, n: int, what: str) -> range:
     raise InvalidGraph(f"{what} {entry!r} {why}")
 
 
+def _ids_from_json(
+    entries: list, n: int, bit: Sequence[int | None], room: int, what: str, whose: str
+) -> tuple[list[int], int, int] | None:
+    """The one reader of an envelope's id lists (`ids_to_json`), with `bit`
+    the `_bit_table(n)`: the ids of `entries`, each run checked by `_id_run`
+    (`InvalidGraph` naming it as `what`) and expanded in place, their mask,
+    the OR of their bits, and the `room` left.  Each run is charged to the
+    room before it is expanded, and one that would take it below 0 raises
+    `InvalidGraph` naming the lists it shares as `whose`.  None if an entry
+    outside a run is not an int in [0, n), booleans included; the entries
+    are read in order, so a bad id before a malformed run is that None.
+    So `mask.bit_count() != len(ids)` says the ids repeat one.
+
+    A list without runs, as earlier releases wrote, is returned as it is,
+    after one C-level scan of its types, then its `min` and `max`; its
+    mask is one C-level OR of its bits.  In a list with runs each other
+    entry is tested inline, and each run gives its bits by one
+    `_run_mask`, a few big-int operations, not one per id."""
+    if list not in map(type, entries):
+        if entries and (set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= n):
+            return None
+        return entries, reduce(or_, map(bit.__getitem__, entries), 0), room
+    ids, m = [], 0
+    for x in entries:
+        if type(x) is list:
+            run = _id_run(x, n, what)
+            if (room := room - len(run)) < 0:
+                raise InvalidGraph(f"{what} {x!r} is a run that takes {whose} past {2 * n} ids")
+            m |= _run_mask(x[0], x[2], len(run))
+            ids += run
+        elif type(x) is int and 0 <= x < n:
+            m |= bit[x]
+            ids.append(x)
+        else:
+            return None
+    return ids, m, room
+
+
 def id_lists_from_json(
     lists: list, n: int, what: str, whose: str
-) -> list[list[int]] | None:
-    """Inverse of `id_lists_to_json`: the ids of each id list, each run
-    checked by `_id_run` (`InvalidGraph` naming it as `what`) and expanded
-    in place, or None if a list is no list or another entry is not an int
-    in [0, n), booleans included.  A list without runs, as earlier releases
-    wrote, is returned as it is.  Runs are checked first, and only entries
-    outside a run get the C-level type scan.
+) -> list[tuple[list[int], int]] | None:
+    """Inverse of `id_lists_to_json`: the (ids, mask) of each id list, read
+    by `_ids_from_json` in one room of 2n ids that all the lists share, or
+    None if a list is no list or holds an entry outside a run that is not
+    an int in [0, n).
 
-    The runs of all the lists together may stand for at most 2n ids: a run
-    that would pass that raises `InvalidGraph`, naming the lists as
-    `whose`, before it is expanded.  A valid certificate or cover holds
-    each of the n vertices once; the room of twice that still decodes one
-    that repeats vertices, as a cover with a block repeated, for `verify`
-    to name its fault, while a few bytes of runs can no longer stand for
-    many times n ids.  Ids written one by one are paid for in bytes and
-    not counted."""
-    out, room = [], 2 * n
+    A valid certificate or cover holds each of the n vertices once; the
+    room of twice that still decodes one that repeats vertices, as a cover
+    with a block repeated, for `verify` to name its fault, while a few
+    bytes of runs can no longer stand for many times n ids.  Ids written
+    one by one are paid for in bytes and not counted."""
+    out, room, bit = [], 2 * n, _bit_table(n)
     for entries in lists:
-        if not isinstance(entries, list):
+        read = isinstance(entries, list) and _ids_from_json(entries, n, bit, room, what, whose)
+        if not read:
             return None
-        if list not in map(type, entries):
-            ids = plain = entries
-        else:
-            ids, plain = [], []
-            for x in entries:
-                if type(x) is list:
-                    run = _id_run(x, n, what)
-                    if (room := room - len(run)) < 0:
-                        why = f"is a run that takes {whose} past {2 * n} ids"
-                        raise InvalidGraph(f"{what} {x!r} {why}")
-                    ids += run
-                else:
-                    ids.append(x)
-                    plain.append(x)
-        if plain and (set(map(type, plain)) != {int} or min(plain) < 0 or max(plain) >= n):
-            return None
-        out.append(ids)
+        ids, mask, room = read
+        out.append((ids, mask))
     return out
 
 
@@ -376,8 +395,11 @@ def _edge_masks(n: int, edges, bit: Sequence[int | None]) -> list[int]:
 
 def _clique_error(clique, n: int) -> InvalidGraph:
     """The error for a clique that `Graph.from_json` could not decode: a
-    member outside a run that is not an id in [0, n), else a repeat.  Its
-    runs are skipped, as one that fails `_id_run` raises its own error."""
+    boolean member, else one outside a run that is not an id in [0, n),
+    else a repeat.  Its runs are skipped, as one that fails `_id_run`
+    raises its own error."""
+    if bool in map(type, clique):
+        return InvalidGraph("clique members must be integer vertex ids, not booleans")
     for v in clique:
         if type(v) is list:
             continue
@@ -388,35 +410,6 @@ def _clique_error(clique, n: int) -> InvalidGraph:
     return InvalidGraph(f"clique {clique!r} repeats a member")
 
 
-def _clique_members(clique: list, n: int, bit: Sequence[int | None]) -> tuple[list[int], int]:
-    """The members of a clique, its runs expanded in place, and the sum of
-    their bits, with `bit` the `_bit_table(n)`.  A member outside a run is
-    neither type- nor range-tested here: its `bit` entry fails the sum or
-    its mask OR.  Each run is checked by `_id_run`, and refused before it
-    is expanded if the clique's runs would stand for more than 2n ids, the
-    room of any id list (`id_lists_from_json`), though a clique that holds
-    more than n fails the repeat check anyway; it gives its bits by a few
-    big-int operations, not one addition per member, whatever its step.
-    The one clique decoder, for lists with runs and without: on a 2-vCPU
-    Xeon VM the 79 cliques of the apex grid k = 2, n = 40 take 0.17 ms
-    written with runs and 0.35 ms written one id at a time, where a C-level
-    sum of a plain clique's bits took 0.40 ms (medians of 300)."""
-    members: list[int] = []
-    m, room = 0, 2 * n
-    for x in clique:
-        if type(x) is not list:
-            members.append(x)
-            m += bit[x]
-            continue
-        run = _id_run(x, n, "clique member")
-        if (room := room - len(run)) < 0:
-            why = f"is a run that takes its clique past {2 * n} ids"
-            raise InvalidGraph(f"clique member {x!r} {why}")
-        m += _run_mask(x[0], x[2], len(run))
-        members += run
-    return members, m
-
-
 def _run_mask(start: int, step: int, count: int) -> int:
     """The mask of the `count` ids start, start + step, ..: bits 0, |step|,
     .. above the lowest of them, a geometric series, so a few big-int
@@ -424,24 +417,6 @@ def _run_mask(start: int, step: int, count: int) -> int:
     if step < 0:
         start, step = start + (count - 1) * step, -step
     return ((1 << count * step) - 1) // ((1 << step) - 1) << start
-
-
-def _ids_mask(entries: list, bit: Sequence[int | None]) -> int:
-    """The mask of an id list that `id_lists_from_json` has accepted and
-    whose ids are distinct, with `bit` the `_bit_table(n)`: one addition
-    per id written alone and one `_run_mask` per run, not one per id.  A
-    loop, not a generator: 0.14 ms for the 339 blocks of a 62-part clique
-    sum's cover on a 2-vCPU Xeon VM, where a generator of `_run_mask` of
-    each run's `range` took 0.35 ms, and a C-level sum of the bits of the
-    2 034 expanded ids 0.25 ms."""
-    m = 0
-    for x in entries:
-        if type(x) is list:
-            start, stop, step = x
-            m += _run_mask(start, step, len(range(start, stop, step)))
-        else:
-            m += bit[x]
-    return m
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -712,17 +687,21 @@ class Graph:
         only the factors of an envelope carry (see `_from_json`).  Edge
         errors, self-loops included, come first.
 
-        Each clique (`_clique_members`) costs one addition of a member's bit
-        per id written alone and a few big ints per run, whose O(1) check
-        comes first; the sum also finds a repeated member (a carry lowers
-        the bit count).  Then one mask OR per member, and the members' own
+        Each clique is read by `_ids_from_json`, the one reader of every
+        envelope id list: an id written alone is type- and range-tested
+        inline and its bit ORed in, and each run, whose O(1) check comes
+        first, gives its bits by one `_run_mask`; a clique without runs gets
+        one C-level scan of its types, its `min` and `max`, and one C-level
+        OR of its bits.  A clique whose mask holds fewer bits than it has
+        ids repeats one.  Then one mask OR per member, and the members' own
         bits are cleared by two C-level maps.  On a 2-vCPU Xeon VM,
-        collector paused, the two clique-encoded factors of the apex grid
-        k=2, their ids as runs and only factor 2 with the base ORed in
-        (`_from_json`), decode in 0.12 ms each at n=20 and 0.42-0.45 ms each
-        at n=40 (quartiles of 200); factor 2 written as `includes_cover`
-        decoded in 0.43 ms where its 40 cliques took 0.48 ms (medians of
-        300 in another session).  Labels are decoded by
+        collector paused, factor 1 of the apex grid k=2 at n=40, its 39 bags
+        written as runs, decodes in 0.49-0.54 ms, and factor 2, the base
+        ORed in and its cover included (`_from_json`), in 0.38-0.41 ms,
+        where its 40 blocks listed as cliques took 0.49-0.54 ms; on a
+        62-part clique sum factor 1 takes 1.17 ms and factor 2 0.56 ms,
+        where its 339 blocks as cliques took 1.05 ms (interleaved medians of
+        400, two runs).  Labels are decoded by
         `labels_from_json`, which expands each run after checking it: the
         base of that apex grid parses and decodes from its 2 label entries
         in 3.5-4.1 ms at n=40.  An envelope's factors share the base's
@@ -730,8 +709,8 @@ class Graph:
         most `MAX_VERTICES`, before any run is expanded.  A boolean passes
         the edge loop only as 0 or 1, so only edges with an end below 2 are
         type-tested: 0.2 ms on a 9 479-edge base, where a C-level scan of
-        every end took 0.9 ms.  Clique entries get a C-level type scan for
-        booleans, and the fields of each run are type-tested by `_id_run`.
+        every end took 0.9 ms.  A boolean clique member fails the reader's
+        type test, and the fields of each run are type-tested by `_id_run`.
         """
         return cls._from_json(obj, None, None, None)
 
@@ -753,13 +732,13 @@ class Graph:
         the base's.  Without a base the key raises `InvalidGraph`.
         Likewise `cover`, the (ids, mask) of each block of the cover that
         an `obj` holding `includes_cover` includes: each block becomes a
-        clique, its mask ORed into its members' rows, and nothing is
-        checked, the envelope's reader having checked the key, the n, and
-        the ids of every block (distinct, in [0, n)).  The masks come from
-        the cover's id runs (`_ids_mask`), so on a 62-part clique sum the
-        339 blocks of factor 2 are parsed and checked once, in `covers`,
-        and not again as cliques.  Without a cover the key raises
-        `InvalidGraph`."""
+        clique, and nothing is checked, the envelope's reader having checked
+        the key, the n, and the ids of every block (distinct, in [0, n)).
+        The pairs are those `id_lists_from_json` read for `covers`, so on a
+        62-part clique sum the 339 blocks of factor 2 are parsed and checked
+        once, and not again as cliques.  The blocks and the factor's own
+        cliques, read as the same pairs, are ORed into the rows in one loop.
+        Without a cover the key raises `InvalidGraph`."""
         try:
             n, edges = obj["n"], obj["edges"]
             labels = obj["labels"] if shared is None else shared
@@ -785,28 +764,25 @@ class Graph:
             if base is None:
                 raise InvalidGraph("only the factors of an envelope may carry 'includes_base'")
             adj = [*map(or_, adj, base)]
+        blocks = ()
         if "includes_cover" in obj:
             if cover is None:
                 raise InvalidGraph("only the factors of an envelope may carry 'includes_cover'")
-            for members, m in cover:
-                for v in members:
-                    adj[v] |= m
+            blocks = cover
         elif "cliques" not in obj:
             return cls(n, tuple(adj), labels)
         cliques = obj.get("cliques", [])
         if not isinstance(cliques, list) or not all(type(c) is list for c in cliques):
             raise InvalidGraph("'cliques' must be a list of lists of vertex ids")
-        if bool in set(map(type, chain.from_iterable(cliques))):
-            raise InvalidGraph("clique members must be integer vertex ids, not booleans")
-        try:
-            for clique in cliques:
-                members, m = _clique_members(clique, n, bit)
-                if m.bit_count() != len(members):
-                    raise _clique_error(clique, n)
-                for v in members:  # an id in [-2n, -n) fails here
-                    adj[v] |= m
-        except (IndexError, TypeError):
-            raise _clique_error(clique, n) from None
+        own = []
+        for clique in cliques:
+            read = _ids_from_json(clique, n, bit, 2 * n, "clique member", "its clique")
+            if read is None or read[1].bit_count() != len(read[0]):
+                raise _clique_error(clique, n)
+            own.append(read[:2])
+        for members, m in chain(blocks, own):
+            for v in members:
+                adj[v] |= m
         return cls(n, tuple(map(xor, adj, map(and_, adj, bit))), labels)  # a & ~b
 
     def to_dot(self) -> str:

@@ -113,7 +113,10 @@ def separate(f: Factorization, mu: Measure | None = None) -> SeparatorResult:
 
     d = len(f.factors)
     lstar = f.lstar
-    bound = (2**d) * (max(lstar, 1) ** ((d - 1) / d)) * (total ** ((d - 1) / d))
+    # 2^d as a float, inf past the float range (where float(2**d) raises), so
+    # the product saturates to inf as it does for any d once it is too large
+    e = (d - 1) / d
+    bound = (2.0**d if d < 1024 else math.inf) * max(lstar, 1) ** e * total**e
     result = SeparatorResult(
         separator=frozenset(sep),
         separator_cliques=tuple(cliques),
@@ -143,7 +146,9 @@ def _assert_separator(base: Graph, mu: Measure, r: SeparatorResult) -> None:
         raise InvalidFactorization(f"edge ({u},{v}) crosses the separator")
     # the sides are weighed here: a stored measure is checked, not trusted
     wa, wb = mu.of(r.side_a), mu.of(r.side_b)
-    if max(wa, wb) > 2 * total / 3 + 1e-9:
+    # total / 3 * 2, not 2 * total / 3: 2 * total is inf for totals past
+    # about 9e307, and no side would weigh more than that
+    if max(wa, wb) > total / 3 * 2 + 1e-9:
         raise InvalidFactorization("side measure exceeds 2mu(G)/3")
     tol = 1e-9 * max(1.0, total)
     # not `>`, so a NaN stored measure is refused too

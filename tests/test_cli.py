@@ -168,6 +168,37 @@ class TestSeparateAudit:
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
         assert not out.exists() and not any(csvf.iterdir())
 
+    @pytest.mark.parametrize(
+        "copies, weights", [(1030, None), (1000, [1e10] * 5)], ids=["uniform", "weighted"]
+    )
+    def test_a_bound_past_the_float_range_is_written_as_infinity(
+        self, tmp_path, capsys, copies, weights
+    ):
+        # factor 2 of the apex grid k = 1, n = 2, its cover and its width
+        # repeated: a valid envelope of d = copies + 1 factors, whose bound
+        # 2^d lstar^((d-1)/d) mu^((d-1)/d) passes the largest float; at
+        # d = 1 031, 2^d alone does
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "2", "--out", str(f)])
+        obj = json.loads(f.read_text())
+        obj["factors"] = [obj["factors"][0], *[obj["factors"][1]] * copies]
+        obj["covers"] *= copies
+        obj["widths"] *= copies
+        f.write_text(json.dumps(obj))
+        assert run(["verify", str(f)]) == 0
+        assert run(["audit", str(f), "--out", str(tmp_path / "a.json")]) == 0
+        out, rows = tmp_path / "sep.json", tmp_path / "rows.csv"
+        argv = ["separate", str(f), "--out", str(out), "--csv", str(rows)]
+        if weights:
+            (w := tmp_path / "w.json").write_text(json.dumps(weights))
+            argv += ["--weights", str(w)]
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert '"bound_value":Infinity' in out.read_text()
+        assert json.loads(out.read_text())["bound_value"] == float("inf")
+        assert rows.read_text().splitlines()[1].split(",")[7] == "inf"
+
     def test_audit(self, tmp_path):
         f = tmp_path / "f.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "6", "--out", str(f)])

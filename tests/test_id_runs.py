@@ -3,22 +3,30 @@ each progression of at least 3 ids as `[start, stop, step]`, and every
 vertex-id list of an envelope (the certificate, each cover block, each
 factor clique) goes through it.  The writer is canonical, agrees with the
 independent `oracles.reference_id_runs`, keeps to the room of 2n ids a
-list or a cover's blocks share, and `id_lists_from_json` inverts it.  A
-malformed or huge run, or runs that would stand for more than 2n ids,
-exit 2 from every command that reads an envelope, with their own message
-and no output, before any run is expanded."""
+list or a cover's blocks share, and `id_lists_from_json` inverts it.  One
+reader, `graph._ids_from_json`, reads every list, the certificate, a cover
+block or a clique, to its ids and their mask, and names the first fault in
+reading order.  A malformed or huge run, or runs that would stand for more
+than 2n ids, exit 2 from every command that reads an envelope, with their
+own message and no output, before any run is expanded."""
 
 import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccwkit import Factorization, Graph, factorize_apex_grid
 from ccwkit.cli import main
 from ccwkit.errors import InvalidGraph
-from ccwkit.graph import id_lists_from_json, id_lists_to_json, ids_to_json
+from ccwkit.graph import (
+    _bit_table,
+    _ids_from_json,
+    id_lists_from_json,
+    id_lists_to_json,
+    ids_to_json,
+)
 
 from oracles import reference_id_lists, reference_id_runs
 
@@ -28,7 +36,7 @@ N = 64
 def ids_from_json(entries, n):
     """The ids of one list, read in a room of its own."""
     lists = id_lists_from_json([entries], n, "entry", "its list")
-    return None if lists is None else lists[0]
+    return None if lists is None else lists[0][0]
 
 
 @st.composite
@@ -55,10 +63,10 @@ ID_LISTS = st.one_of(
 )
 
 
-def is_canonical(entries):
-    """Each run holds at least 3 ids with a step other than 0; no run could
-    take the next id, and no id written alone starts a progression of 3."""
-    ids = ids_from_json(entries, N)
+def is_canonical(entries, ids):
+    """Each run of the entries written for `ids` holds at least 3 ids with a
+    step other than 0; no run could take the next id, and no id written
+    alone starts a progression of 3."""
     i = 0
     for x in entries:
         if type(x) is list:
@@ -78,11 +86,25 @@ def is_canonical(entries):
 class TestRoundTrip:
     @settings(deadline=None)
     @given(ID_LISTS)
+    # written with no room, three copies of a progression of 43 ids are
+    # three runs standing for 129 ids, one more than the reader's 2N
+    @example(list(range(43)) * 3)
     def test_reader_inverts_the_canonical_writer(self, ids):
         entries = ids_to_json(ids)
         assert entries == reference_id_runs(ids)
-        assert is_canonical(entries)
-        decoded = ids_from_json(json.loads(json.dumps(entries)), N)
+        assert is_canonical(entries, ids)
+        written = json.loads(json.dumps(entries))
+        held = 0
+        for x in entries:
+            held += len(range(*x)) if type(x) is list else 0
+            if held > 2 * N:
+                # the first run past the room is refused, before it is expanded
+                with pytest.raises(InvalidGraph) as err:
+                    ids_from_json(written, N)
+                why = f"is a run that takes its list past {2 * N} ids"
+                assert str(err.value) == f"entry {x!r} {why}"
+                return
+        decoded = ids_from_json(written, N)
         assert decoded == ids
         assert ids_to_json(decoded) == entries
 
@@ -137,7 +159,7 @@ class TestRoundTrip:
             out.append(entries)
         assert id_lists_to_json(lists, N) == reference_id_lists(lists, N)
         written = json.loads(json.dumps(id_lists_to_json(lists, N)))
-        assert id_lists_from_json(written, N, "entry", "its cover") == lists
+        assert [ids for ids, _ in id_lists_from_json(written, N, "entry", "its cover")] == lists
 
     @pytest.mark.parametrize(
         "lists, entries",
@@ -153,7 +175,7 @@ class TestRoundTrip:
     )
     def test_lists_share_one_room(self, lists, entries):
         assert id_lists_to_json(lists, 10) == entries == reference_id_lists(lists, 10)
-        assert id_lists_from_json(entries, 10, "entry", "its cover") == lists
+        assert [ids for ids, _ in id_lists_from_json(entries, 10, "entry", "its cover")] == lists
 
     def test_a_list_without_runs_is_returned_as_it_is(self):
         ids = [4, 1, 3]
@@ -308,3 +330,124 @@ class TestTooManyIds:
         obj["chordal_cert"]["peo"] = [[9, -1, -1]]
         f = Factorization.from_json(obj)
         assert sorted(map(sorted, f.covers[0].cliques)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+
+
+# The one reader of every id list (`graph._ids_from_json`), in each place an
+# envelope holds one: its message prefix and the lists that share its room
+PLACES = {
+    "certificate": ("certificate and cover entries must be vertex ids in [0, 64):", "its list"),
+    "cover block": ("certificate and cover entries must be vertex ids in [0, 64):", "its cover"),
+    "clique": ("clique member", "its clique"),
+}
+
+
+def plain_graph(n, **keys):
+    return {"n": n, "edges": [], "labels": [{"kind": "plain", "id": v} for v in range(n)], **keys}
+
+
+def envelope_of(n, cert, cover):
+    """An envelope on n isolated vertices whose factor 2 includes `cover`;
+    decoded, not verified."""
+    return {
+        "base": plain_graph(n),
+        "factors": [{"n": n, "edges": []}, {"n": n, "edges": [], "includes_cover": True}],
+        "chordal_cert": {"peo": cert},
+        "covers": [cover],
+        "widths": [0],
+        "lstar": 0,
+    }
+
+
+class TestOneReader:
+    @settings(deadline=None)
+    @given(ID_LISTS, st.booleans())
+    def test_ids_mask_and_repeats_in_every_place(self, ids, runs):
+        """Written with runs or without, repeats or not, a list reads back
+        to its ids and the OR of their bits, and repeats exactly when its
+        mask holds fewer bits than it holds ids, in each of the three
+        places; the public readers agree."""
+        entries = json.loads(json.dumps(ids_to_json(ids, 2 * N) if runs else ids))
+        mask = 0
+        for v in ids:
+            mask |= 1 << v
+        repeats = len(set(ids)) != len(ids)
+        for what, whose in PLACES.values():
+            got, m, room = _ids_from_json(entries, N, _bit_table(N), 2 * N, what, whose)
+            assert (got, m) == (ids, mask)
+            assert (m.bit_count() != len(got)) is repeats
+            assert room == 2 * N - sum(len(range(*x)) for x in entries if type(x) is list)
+        assert id_lists_from_json([entries], N, *PLACES["certificate"]) == [(ids, mask)]
+
+        # a certificate may repeat ids, for `verify` to refuse
+        f = Factorization.from_json(envelope_of(N, entries, []))
+        assert f.chordal_cert.peo == tuple(ids)
+        clique = Graph.from_edges(N, [(u, v) for u in set(ids) for v in set(ids) if u < v])
+        obj = envelope_of(N, [[N - 1, -1, -1]], [entries])
+        if repeats:
+            with pytest.raises(InvalidGraph, match=r"^block 0 of cover 1 repeats a member$"):
+                Factorization.from_json(obj)
+            with pytest.raises(InvalidGraph, match=r"repeats a member$"):
+                Graph.from_json(plain_graph(N, cliques=[entries]))
+        else:
+            f = Factorization.from_json(obj)
+            assert f.covers[0].cliques == (frozenset(ids),)
+            assert f.factors[1] == clique
+            assert Graph.from_json(plain_graph(N, cliques=[entries])) == clique
+
+
+# n = 10, the apex grid k = 1, n = 3: each list holds two faults, and the
+# first in reading order is named, in the certificate, a cover block and a
+# clique alike
+REFUSAL = "certificate and cover entries must be vertex ids in [0, 10)"
+TWO_FAULTS = {
+    "a bad id, then a malformed run": (
+        [25, [0, 0, 1]],
+        {"peo": REFUSAL, "cover": REFUSAL, "clique": "clique member 25 out of range for n=10"},
+    ),
+    "a boolean, then a malformed run": (
+        [True, [0, 0, 1]],
+        {
+            "peo": REFUSAL,
+            "cover": REFUSAL,
+            "clique": "clique members must be integer vertex ids, not booleans",
+        },
+    ),
+    "a malformed run, then a bad id": (
+        [[0, 0, 1], 25],
+        dict.fromkeys(PREFIX, "{prefix} [0, 0, 1] is a run of fewer than 3 ids"),
+    ),
+    "a malformed run, then a boolean": (
+        [[0, 0, 1], True],
+        dict.fromkeys(PREFIX, "{prefix} [0, 0, 1] is a run of fewer than 3 ids"),
+    ),
+}
+
+
+class TestTwoFaultsInOneList:
+    @pytest.fixture(scope="class")
+    def envelope(self, tmp_path_factory):
+        f = tmp_path_factory.mktemp("env") / "f.json"
+        assert main(["factorize", "apex-grid", "--k", "1", "--n", "3", "--out", str(f)]) == 0
+        return json.loads(f.read_text())
+
+    @pytest.mark.parametrize("where", PREFIX)
+    @pytest.mark.parametrize("entries, messages", TWO_FAULTS.values(), ids=TWO_FAULTS.keys())
+    def test_the_first_fault_is_named(self, tmp_path, capsys, envelope, where, entries, messages):
+        obj = json.loads(json.dumps(envelope))
+        if where == "peo":
+            obj["chordal_cert"]["peo"] = entries
+        elif where == "cover":
+            obj["covers"][0][0] = entries
+        else:
+            obj["factors"][0]["cliques"][0] = entries
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        assert main(["verify", str(f)]) == 2
+        message = messages[where].format(prefix=PREFIX[where])
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_faulty_clique_is_named_before_a_later_one_with_a_boolean(self, envelope):
+        obj = json.loads(json.dumps(envelope))
+        obj["factors"][0]["cliques"][:2] = [[25], [True]]
+        with pytest.raises(InvalidGraph, match=r"^clique member 25 out of range for n=10$"):
+            Factorization.from_json(obj)

@@ -326,6 +326,27 @@ def test_assert_separator_refuses_each_fault(fault, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "weights, refused",
+    [
+        ((1.6, 0.1, 0.0), True),
+        # a total past about 9e307, where 2 * total is inf
+        ((1.6e308, 1e307, 0.0), True),
+        ((5e307, 5e307, 5e307), False),
+    ],
+)
+def test_balance_is_checked_whatever_the_total(weights, refused):
+    # three isolated vertices: side a is {0}, side b {1}, the separator {2}
+    g = Graph.from_edges(3, [])
+    r = SeparatorResult(frozenset({2}), (frozenset({2}),), frozenset({0}), frozenset({1}),
+                        weights[0], weights[1], 0, 0.0)
+    if refused:
+        with pytest.raises(InvalidFactorization, match=r"^side measure exceeds 2mu\(G\)/3$"):
+            _assert_separator(g, Measure(weights), r)
+    else:
+        _assert_separator(g, Measure(weights), r)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_crossing_edge_matches_a_scan_of_every_edge(data):
