@@ -7,7 +7,7 @@ components) at the target scales of a few thousand vertices.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, product, repeat
 from math import inf
 from operator import and_, or_, xor
@@ -276,15 +276,10 @@ def _ids_from_json(
     are read in order, so a bad id before a malformed run is that None.
     So `mask.bit_count() != len(ids)` says the ids repeat one.
 
-    A list without runs, as earlier releases wrote, is returned as it is,
-    after one C-level scan of its types, then its `min` and `max`; its
-    mask is one C-level OR of its bits.  In a list with runs each other
-    entry is tested inline, and each run gives its bits by one
-    `_run_mask`, a few big-int operations, not one per id."""
-    if list not in map(type, entries):
-        if entries and (set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= n):
-            return None
-        return entries, reduce(or_, map(bit.__getitem__, entries), 0), room
+    An id written alone is type- and range-tested inline and its bit ORed
+    in, and each run gives its bits by one `_run_mask`, a few big-int
+    operations, not one per id.  A list without runs, as earlier releases
+    wrote every list, goes through the same loop."""
     ids, m = [], 0
     for x in entries:
         if type(x) is list:
@@ -690,18 +685,16 @@ class Graph:
         Each clique is read by `_ids_from_json`, the one reader of every
         envelope id list: an id written alone is type- and range-tested
         inline and its bit ORed in, and each run, whose O(1) check comes
-        first, gives its bits by one `_run_mask`; a clique without runs gets
-        one C-level scan of its types, its `min` and `max`, and one C-level
-        OR of its bits.  A clique whose mask holds fewer bits than it has
-        ids repeats one.  Then one mask OR per member, and the members' own
-        bits are cleared by two C-level maps.  On a 2-vCPU Xeon VM,
-        collector paused, factor 1 of the apex grid k=2 at n=40, its 39 bags
-        written as runs, decodes in 0.49-0.54 ms, and factor 2, the base
-        ORed in and its cover included (`_from_json`), in 0.38-0.41 ms,
-        where its 40 blocks listed as cliques took 0.49-0.54 ms; on a
-        62-part clique sum factor 1 takes 1.17 ms and factor 2 0.56 ms,
-        where its 339 blocks as cliques took 1.05 ms (interleaved medians of
-        400, two runs).  Labels are decoded by
+        first, gives its bits by one `_run_mask`.  A clique whose mask holds
+        fewer bits than it has ids repeats one.  Then one mask OR per
+        member, and the members' own bits are cleared by two C-level maps.
+        On a 2-vCPU Xeon VM, collector paused, factor 1 of the apex grid
+        k=2 at n=40, its 39 bags written as runs, decodes in 0.49-0.54 ms,
+        and factor 2, the base ORed in and its cover included
+        (`_from_json`), in 0.38-0.41 ms, where its 40 blocks listed as
+        cliques took 0.49-0.54 ms; on a 62-part clique sum factor 1 takes
+        1.17 ms and factor 2 0.56 ms, where its 339 blocks as cliques took
+        1.05 ms (interleaved medians of 400, two runs).  Labels are decoded by
         `labels_from_json`, which expands each run after checking it: the
         base of that apex grid parses and decodes from its 2 label entries
         in 3.5-4.1 ms at n=40.  An envelope's factors share the base's

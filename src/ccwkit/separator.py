@@ -4,7 +4,7 @@ audit pipeline over apex-grid factorizations."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .chordal import _balanced_bag
 from .cliquecover import OrderedCliqueCover
@@ -13,6 +13,18 @@ from .errors import InvalidFactorization, NoApex, NoGridCell, NotCliqueInFactorO
 from .graph import Apex, Graph, GridCell, _bfs_layers, _pairs, bits, is_clique, is_independent
 from .graph import mask_of
 from .measure import Measure
+
+
+def _to_json(x):
+    """A result as JSON: its fields by name, each vertex set as its sorted
+    ids and each tuple as a list."""
+    if is_dataclass(x):
+        return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    if isinstance(x, tuple):
+        return [*map(_to_json, x)]
+    return x
 
 
 @dataclass(frozen=True)
@@ -26,17 +38,7 @@ class SeparatorResult:
     lstar: int
     bound_value: float
 
-    def to_json(self) -> dict:
-        return {
-            "separator": sorted(self.separator),
-            "separator_cliques": [sorted(c) for c in self.separator_cliques],
-            "side_a": sorted(self.side_a),
-            "side_b": sorted(self.side_b),
-            "mu_a": self.mu_a,
-            "mu_b": self.mu_b,
-            "lstar": self.lstar,
-            "bound_value": self.bound_value,
-        }
+    to_json = _to_json
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,7 @@ class AuditReport:
     restricted_cover_sizes: tuple[int, ...]
     product_cells: int
 
-    def to_json(self) -> dict:
-        return {
-            "grid_clique_size": self.grid_clique_size,
-            "indep_size": self.indep_size,
-            "restricted_cover_sizes": list(self.restricted_cover_sizes),
-            "product_cells": self.product_cells,
-        }
+    to_json = _to_json
 
 
 def product_cell_cover(
@@ -114,9 +110,12 @@ def separate(f: Factorization, mu: Measure | None = None) -> SeparatorResult:
     d = len(f.factors)
     lstar = f.lstar
     # 2^d as a float, inf past the float range (where float(2**d) raises), so
-    # the product saturates to inf as it does for any d once it is too large
+    # the product saturates to inf as it does for any d once it is too large;
+    # it scales lstar^e mu^e only when that is not 0, so a weightless G gives
+    # 0.0 for every d >= 2, not inf * 0.0 = NaN past d = 1 023
     e = (d - 1) / d
-    bound = (2.0**d if d < 1024 else math.inf) * max(lstar, 1) ** e * total**e
+    scaled = max(lstar, 1) ** e * total**e
+    bound = scaled and (2.0**d if d < 1024 else math.inf) * scaled
     result = SeparatorResult(
         separator=frozenset(sep),
         separator_cliques=tuple(cliques),
@@ -169,11 +168,20 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     """Walk the lower-bound argument on a factorized apex grid: the largest
     grid-restricted clique of the chordal factor, an independent half inside
     it, the covers restricted to that clique plus apex x, and the number of
-    product cells needed to cover the independent set.  Raises `NoApex` for
-    a base without apex x and `NoGridCell` for one without grid cells.  The
-    grid clique comes from the elimination check_factorization has just run
-    on the envelope's PEO (`_grid_clique`), so factor 1 is eliminated once
-    per call."""
+    product cells needed to cover the independent set.  Besides the
+    refusals of `check_factorization`, raises `NoApex` for a base without
+    apex x, `NoGridCell` for one without grid cells, `InvalidFactorization`
+    for a colour class of the grid clique that is not independent in the
+    base or for a grid-clique vertex apex x is not joined to, and
+    `NotCliqueInFactorOne` from `product_cell_cover`.  The grid clique comes
+    from the elimination check_factorization has just run on the envelope's
+    PEO (`_grid_clique`), so factor 1 is eliminated once per call.
+
+    The report needs no check of its own: the independent set is the larger
+    of two colour classes that partition the grid clique, so it holds at
+    least half of it, and the product cells are the distinct tuples of the
+    covers' block indices over it, a subset of the grid clique plus apex x,
+    so they are at most the product of `restricted_cover_sizes`."""
     succ, _ = check_factorization(f)
     base = f.base
     apex_vs = {lbl.index: v for v, lbl in enumerate(base.labels) if isinstance(lbl, Apex)}
@@ -205,17 +213,12 @@ def audit_lower_bound(f: Factorization, x: int = 1) -> AuditReport:
     restricted_sizes = [len(set(map(c.block_of().__getitem__, s_hat))) for c in f.covers]
 
     cells = product_cell_cover(base, s_prime, list(f.covers))
-    report = AuditReport(
+    return AuditReport(
         grid_clique_size=len(s),
         indep_size=len(s_prime),
         restricted_cover_sizes=tuple(restricted_sizes),
         product_cells=len(cells),
     )
-    if report.indep_size < (report.grid_clique_size + 1) // 2:
-        raise InvalidFactorization("independent set smaller than half the clique")
-    if report.product_cells > math.prod(report.restricted_cover_sizes):
-        raise InvalidFactorization("product cells exceed the block-count product")
-    return report
 
 
 def _grid_clique(f: Factorization, succ: list[int]) -> int:

@@ -199,6 +199,29 @@ class TestSeparateAudit:
         assert json.loads(out.read_text())["bound_value"] == float("inf")
         assert rows.read_text().splitlines()[1].split(",")[7] == "inf"
 
+    @pytest.mark.parametrize("copies", [1, 1030])
+    def test_a_weightless_graph_has_bound_zero_for_any_number_of_factors(
+        self, tmp_path, capsys, copies
+    ):
+        # the envelope above with every weight 0: mu(G) = 0 makes the bound
+        # 0.0, also where 2^d is inf, whose product with 0.0 would be NaN
+        f = tmp_path / "f.json"
+        run(["factorize", "apex-grid", "--k", "1", "--n", "2", "--out", str(f)])
+        obj = json.loads(f.read_text())
+        obj["factors"] = [obj["factors"][0], *[obj["factors"][1]] * copies]
+        obj["covers"] *= copies
+        obj["widths"] *= copies
+        f.write_text(json.dumps(obj))
+        assert run(["verify", str(f)]) == 0
+        (w := tmp_path / "w.json").write_text(json.dumps([0] * 5))
+        out, rows = tmp_path / "sep.json", tmp_path / "rows.csv"
+        capsys.readouterr()
+        assert run(["separate", str(f), "--weights", str(w), "--out", str(out),
+                    "--csv", str(rows)]) == 0
+        assert capsys.readouterr().err == ""
+        assert '"bound_value":0.0' in out.read_text()
+        assert rows.read_text().splitlines()[1].split(",")[7] == "0.000"
+
     def test_audit(self, tmp_path):
         f = tmp_path / "f.json"
         run(["factorize", "apex-grid", "--k", "1", "--n", "6", "--out", str(f)])

@@ -178,8 +178,13 @@ class TestRoundTrip:
         assert [ids for ids, _ in id_lists_from_json(entries, 10, "entry", "its cover")] == lists
 
     def test_a_list_without_runs_is_returned_as_it_is(self):
+        """Ids written one by one, as earlier releases wrote every list,
+        read back to the same ids and the OR of their bits; a boolean or an
+        id outside [0, N) among them is refused."""
         ids = [4, 1, 3]
-        assert ids_from_json(ids, N) is ids
+        assert id_lists_from_json([ids], N, "entry", "its list") == [([4, 1, 3], 0b11010)]
+        for bad in ([4, True, 3], [4, 1, N], [-1, 1, 3]):
+            assert ids_from_json(bad, N) is None
 
     def test_an_envelope_writes_its_lists_as_runs(self):
         obj = factorize_apex_grid(2, 40).to_json()

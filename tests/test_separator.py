@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ from ccwkit import (
     SeparatorResult,
     audit_lower_bound,
     factorize_apex_grid,
+    factorize_clique_sum,
     is_chordal,
     is_clique,
     product_cell_cover,
@@ -235,6 +237,26 @@ class TestAudit:
                 prod *= s
             assert rep.product_cells <= prod
             assert rep.indep_size >= (rep.grid_clique_size + 1) // 2
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_the_report_keeps_the_argument_s_two_bounds(self, data):
+        """The independent set holds at least half the grid clique, and the
+        product cells are at most the product of the restricted cover
+        sizes, on apex grids k = 1..3, n = 2..8 with random apex edges and
+        on clique sums of 1-3 of them with random removed edges, for a
+        random audited apex: `audit_lower_bound` does not check either."""
+        k = data.draw(st.integers(1, 3))
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+        if data.draw(st.booleans()):
+            f = factorize_apex_grid(k, data.draw(st.integers(2, 8)), set(edges))
+        else:
+            sizes = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+            f = factorize_clique_sum([(k, n) for n in sizes], edges)
+        rep = audit_lower_bound(f, data.draw(st.integers(1, k)))
+        assert rep.indep_size >= (rep.grid_clique_size + 1) // 2
+        assert rep.product_cells <= math.prod(rep.restricted_cover_sizes)
 
     def test_missing_apex(self):
         with pytest.raises(NoApex):
