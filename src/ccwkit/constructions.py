@@ -6,17 +6,16 @@ unit-width example families."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import xor
 from typing import Iterable, Sequence
 
 from . import graph
 from .chordal import ChordalCertificate, _clique_forest, _Elimination, _peo_failure
-from .cliquecover import OrderedCliqueCover, _width, cover_width
+from .cliquecover import OrderedCliqueCover, _block_masks, _width
 from .errors import (
     BadRemovedEdge,
     InvalidApexEdge,
-    InvalidCover,
     InvalidFactorization,
     InvalidGraph,
     InvalidSize,
@@ -57,79 +56,52 @@ class Factorization:
 
     def to_json(self) -> dict:
         """The envelope.  The base is its full edge list with the vertex
-        labels, grid and apex blocks as runs (`labels_to_json`).  Each
-        factor is written as cliques plus the edges they leave uncovered
-        (`Graph._unlabeled_json`): factor 1's cliques are the bags of its
-        clique forest from the certificate's PEO, and factor i >= 2's the
-        blocks of its cover that are cliques of it, as they are.  Where
-        every block of cover i - 1 is a clique of factor i with ids in
-        range, and the factor has the base's n, the factor is written with
-        `"includes_cover": true` and no `cliques`, since `covers` lists the
-        blocks already; else with the blocks that are cliques as its
-        `cliques`, so an unchecked factorization round-trips too.  A factor
-        that holds every base edge lists no base edge, and is written with
-        `"includes_base": true` if its cliques leave one uncovered, so a
-        constructed factor, its base plus cliques, lists no edge at all, and
-        factor 1, whose bags cover every edge it has, needs no key.  A
-        factor whose labels equal the base's, as `verify_factorization`
-        requires, is written without them; one whose labels differ keeps its
-        own, so an unchecked factorization round-trips too.  Every vertex-id
-        list, the certificate's, each cover block and each clique, is
-        written as id runs (`graph.ids_to_json`): the PEO of the apex grid
-        k = 2, n = 40 as `[[1599, -1, -1], 1601, 1600]`, a row band as
+        labels, grid and apex blocks as runs (`labels_to_json`).  Every
+        vertex-id list, the certificate's and each cover block, is written
+        as id runs (`graph.ids_to_json`): the PEO of the apex grid k = 2,
+        n = 40 as `[[1599, -1, -1], 1601, 1600]`, a row band as
         `[[0, 80, 1], 1600, 1601]`, a column as `[[0, 1600, 40]]`.  The runs
         of the certificate's list, and those of each cover's blocks
         together, stand for at most 2n ids (`graph.id_lists_to_json`), the
-        room `from_json` allows, so whatever they repeat, they load back.
+        room `from_json` allows, so whatever they repeat, they load back.  A
+        factor whose labels equal the base's, as `verify_factorization`
+        requires, is written without them; one whose labels differ keeps
+        its own.
 
-        A factorization that `_make_factorization` certified is written
-        from that check (`_checked`): the bags are built on its elimination,
-        the blocks are its masks, and factor 1 is its bags with no edge
-        tested, since a verified PEO's bags hold every edge of factor 1
-        (Blair & Peyton 1993), and every factor i >= 2 includes its cover.
-        Any other one is checked here: one `_elimination` serves the PEO
-        test and the forest, and when the test fails a bag that is no
-        clique is dropped, as is a block that is none or holds an id
-        outside the factor.
+        The factors are written from the factorization's certification:
+        `_checked` for one that `_make_factorization` certified, else one
+        `_verification` run here, the checker `verify` uses.  When it
+        passes, factor 1 is the bags of its clique forest, built on the
+        verified elimination, with no edge tested, since a verified PEO's
+        bags hold every edge of factor 1 (Blair & Peyton 1993), and each
+        factor i >= 2 is written with `"includes_cover": true`, its cover's
+        checked blocks counted as covered (`Graph._unlabeled_json`), with
+        `"includes_base": true` if the blocks leave a base edge uncovered,
+        and the edges neither covers, so a constructed factor lists no edge
+        at all.  When it fails, every factor is written as its edges over
+        the base: `"includes_base": true` and the edges the base lacks
+        where the factor holds every base edge, else all its edges, and no
+        `cliques` or `includes_cover`; these load back to the same
+        factorization.
 
-        At n = 40 (k = 2) that writes 71 206 bytes with apexes 1 and 2
-        adjacent and 71 194 without, where factor 2's blocks written again
-        as its cliques took 71 796 and 71 784, and one id per entry 104 441
-        and 104 429; a 62-part clique sum (N = 2 034) takes 109 510 bytes,
-        where it took 114 574.  On a 2-vCPU Xeon VM, collector paused as in
-        the CLI, a certified dict takes 5.3 ms at n = 40 and 7.6 ms on that
-        sum, where factor 2's blocks written as id runs a second time took
-        5.4 and 7.9 ms (interleaved medians of 120, lower in 77 and 94 of
-        120).  Finding the runs (`graph.ids_to_json`) costs 0.3 and 0.6 ms
-        of that, which their C encoding and each command that reads the
-        envelope back (`from_json`) repay.  At n = 40 `_unlabeled_json`
-        took 0.73-0.79 ms on factor 1, 1.00-1.09 ms on factor 2 and
-        2.6-3.0 ms on the base, with factor 2's blocks written as cliques."""
-        base, g1, peo = self.base, self.factors[0], self.chordal_cert.peo
-        certified = self._checked is not None
-
-        def blocks_of(g: Graph, cover: OrderedCliqueCover) -> tuple[list[int], bool]:
-            # the masks of the blocks that are cliques of g, and whether all are
-            masks = [
-                m
-                for b in cover.cliques
-                if (m := g._subset_mask(b)) is not None and _closed_meet(g._adj, b, m) == m
-            ]
-            return masks, len(masks) == len(cover.cliques) and g.n == base.n
-
-        if certified:
-            (elimination, masks), failure = self._checked, None
-            blocks = zip(masks, repeat(True))
-        else:
-            failure, elimination = _peo_failure(g1, self.chordal_cert)
-            blocks = map(blocks_of, self.factors[1:], self.covers)
-        bags = _clique_forest(g1, peo, elimination)[0] if elimination else []
-        if failure:
-            bags = [m for m in bags if _closed_meet(g1._adj, bits(m), m) == m]
+        At n = 40 (k = 2) a certified envelope is 71 206 bytes with apexes
+        1 and 2 adjacent and 71 194 without.  On a 2-vCPU Xeon VM, collector
+        paused, its dict takes 6.9 ms there, and 9.3 ms for a copy made by
+        `dataclasses.replace`, certified as it is written (interleaved
+        medians of 200)."""
+        base, g1 = self.base, self.factors[0]
+        checked = self._checked
+        if checked is None:
+            checks, elimination, masks = _verification(self)
+            if all(ok for _, ok, _ in checks):
+                checked = elimination, masks
+        cliques = [()] * len(self.factors)
+        if checked is not None:
+            elimination, masks = checked
+            cliques = [_clique_forest(g1, self.chordal_cert.peo, elimination)[0], *masks]
         factors = []
-        rest = chain([(bags, False)], blocks, repeat(((), False)))
-        for i, (g, (cliques, whole)) in enumerate(zip(self.factors, rest)):
-            factors.append(g._unlabeled_json(cliques, base._adj, certified and i == 0, whole))
+        for i, (g, c) in enumerate(zip(self.factors, cliques)):
+            factors.append(g._unlabeled_json(c, base._adj, i > 0))
             if g.labels != base.labels:
                 factors[-1]["labels"] = labels_to_json(g.labels)
         return {
@@ -266,15 +238,20 @@ def verify_factorization(f: Factorization) -> list[tuple[str, bool, str]]:
     return _verification(f)[0]
 
 
-def _verification(f: Factorization) -> tuple[list[tuple[str, bool, str]], _Elimination | None]:
-    """`verify_factorization(f)`, and the `_elimination` of factor 1 that
-    its PEO check ran (None if it ran none)."""
+def _verification(
+    f: Factorization,
+) -> tuple[list[tuple[str, bool, str]], _Elimination | None, list[list[int]]]:
+    """`verify_factorization(f)`, the `_elimination` of factor 1 that its
+    PEO check ran (None if it ran none), and the block masks of each cover
+    that its cover check (`_block_masks`, the body of `verify_cover`)
+    passed, in order; all of them when every check passes."""
     checks: list[tuple[str, bool, str]] = []
+    masks: list[list[int]] = []
 
     failure = _vertex_set_failure(f)
     checks.append(("vertex_sets", failure is None, failure or "factors share the base vertex set"))
     if failure:
-        return checks, None
+        return checks, None, masks
 
     meet, base = intersect_graphs(list(f.factors))._adj, f.base._adj
     edge = None if meet == base else next(_pairs(map(xor, meet, base)))
@@ -295,16 +272,14 @@ def _verification(f: Factorization) -> tuple[list[tuple[str, bool, str]], _Elimi
             "widths: need one cover/width per factor >= 2"
         )
         checks.append(("cover_count", False, detail))
-        return checks, elimination
-    for i, cover in enumerate(f.covers):
-        # cover_width runs the cover check first (`_block_masks`, the body
-        # of verify_cover) and raises its reason
-        try:
-            report = cover_width(f.factors[i + 1], cover)
-        except InvalidCover as exc:
-            checks.append((f"cover_validity[{i + 1}]", False, str(exc)))
+        return checks, elimination, masks
+    for i, (g, cover) in enumerate(zip(f.factors[1:], f.covers)):
+        blocks, why = _block_masks(g, cover)
+        checks.append((f"cover_validity[{i + 1}]", blocks is not None, why or "cover verifies"))
+        if blocks is None:
             continue
-        checks.append((f"cover_validity[{i + 1}]", True, "cover verifies"))
+        masks.append(blocks)
+        report = _width(g, cover, blocks)
         ok = report.width == f.widths[i]
         detail = f"recomputed width {report.width}, declared {f.widths[i]}"
         if not ok and report.witness:
@@ -317,14 +292,14 @@ def _verification(f: Factorization) -> tuple[list[tuple[str, bool, str]], _Elimi
     if f.lstar != top:
         detail = f"declared lstar {f.lstar}, max width {top}"
     checks.append(("lstar", f.lstar == top, detail))
-    return checks, elimination
+    return checks, elimination, masks
 
 
 def check_factorization(f: Factorization) -> _Elimination:
     """Raise `InvalidFactorization` naming the first failing check of
     `verify_factorization`; else return factor 1's `_elimination` by the
     certificate's PEO, just verified, for the caller to build on."""
-    checks, elimination = _verification(f)
+    checks, elimination, _ = _verification(f)
     for name, ok, detail in checks:
         if not ok:
             raise InvalidFactorization(f"{name}: {detail}")

@@ -454,9 +454,8 @@ def _closed_meet(adj: Sequence[int], ids: Iterable[int], m: int) -> int:
     """m AND the closed neighbourhood adj[v] | 1 << v of each of the ids,
     all below len(adj): the vertices of m equal or adjacent to every id.
     For the ids of a mask m it is m iff they form a clique, one AND per id:
-    the one loop that tests a clique, for `is_clique`, `verify_cover`,
-    `clique_sum` and the bags and blocks `Factorization.to_json` could not
-    trust."""
+    the one loop that tests a clique, for `is_clique`, `verify_cover` and
+    `clique_sum`."""
     for v in ids:
         m &= adj[v] | 1 << v
     return m
@@ -500,7 +499,8 @@ class Graph:
         Every edge is checked: one with an endpoint outside [0, n) raises
         `VertexOutOfRange`, one that is not a pair of integers raises
         `InvalidGraph`, and so does a self-loop, a label count other than n,
-        or a non-integer n.  The first edge that fails the loop is reported
+        or an n that is not an int of at least 0 (a boolean is not, as in
+        `from_json`).  The first edge that fails the loop is reported
         before any self-loop, wherever the self-loop stands in the list,
         because self-loops are found by one O(V) scan of the masks after it
         (`_edge_masks`).  The loop only ORs masks, about 0.14 us an edge on
@@ -510,8 +510,10 @@ class Graph:
         self-loop scan 0.1 ms), and 10-17 us is a whole 17-edge, 8-vertex
         `ccw` graph file.
         """
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise InvalidGraph(f"n must be an integer, got {n!r}")
+        if n < 0:
+            raise InvalidGraph(f"n must be at least 0, got {n}")
         labels = _checked_labels(n, labels)
         return cls(n, tuple(_edge_masks(n, edges, _bit_table(n))), labels)
 
@@ -610,40 +612,32 @@ class Graph:
         return obj
 
     def _unlabeled_json(
-        self,
-        cliques: Iterable[int],
-        base: Sequence[int] | None = None,
-        known: bool = False,
-        cover: bool = False,
+        self, cliques: Iterable[int], base: Sequence[int] | None = None, cover: bool = False
     ) -> dict:
         """`to_json` without `labels`, for a graph that shares the labels of
-        another one written next to it (see `_from_json`), plus `"cliques"`
-        when some of `cliques`, masks the caller knows to be cliques of g,
-        have at least two members: each is listed once, members ascending
-        and written as id runs (`ids_to_json`), in the order given, none is
-        tested, and `edges` holds only the edges they leave uncovered.
-        Given the masks of an envelope's `base`, a graph of the base's n
-        that holds every base edge, which one C-level pass over the masks
-        tests (a | b == a, 0.15 ms at n=40 where `any` of b & ~a took 0.37
-        ms), counts the base's edges as covered, and is written with
-        `"includes_base": true` only if its cliques leave one of them
-        uncovered: where they cover all, the key would save no byte and
-        cost the reader an OR of the base.  `known` says the caller has
-        proved that the cliques cover every edge of g, as the bags of a
-        verified PEO do, so nothing is tested, `edges` is empty and no key
-        is written.  `cover` says the cliques are the blocks of the cover
-        the envelope writes for g, every one a clique of g with ids in
-        [0, n), as the caller has checked: they count as covered just the
-        same, but `"includes_cover": true` stands in for the `cliques`
-        list, since `covers` lists the blocks already; none is turned into
-        id runs.  The one clique encoder: `Factorization.to_json` feeds it
-        the bags and cover blocks it has already certified.  The envelope's
-        factors of the apex grid k=2, written with their 19/39 bags
-        (`known`) and 20/40 blocks (`cover`) and no edge, take 0.17 and
-        0.22 ms at n=20 and 0.73-0.79 and 1.00-1.09 ms at n=40 (quartiles
-        of 200, measured with the blocks written as cliques) on a 2-vCPU
-        Xeon VM, against 3.0/30 ms (factor 1) and 1.4/11 ms (factor 2) for
-        their edge lists at n=20/40."""
+        another one written next to it (see `_from_json`).  `cliques`, masks
+        of which only those with at least two members count, are one of two
+        kinds, and the caller has certified both.  Without `cover` they are
+        the bags of a verified PEO of g: each is listed once as `"cliques"`,
+        members ascending and written as id runs (`ids_to_json`), in the
+        order given, and since they hold every edge of g, none is tested,
+        `edges` is empty and no key is written.  With `cover` they are the
+        blocks of the cover the envelope writes for g, each checked to be a
+        clique of g with ids in [0, n): they are counted as covered and not
+        written, and `"includes_cover": true` stands in for them, since
+        `covers` lists the blocks already.  Given the masks of an envelope's
+        `base`, a graph of the base's n that holds every base edge, which
+        one C-level pass over the masks tests (a | b == a), counts the
+        base's edges as covered too, and is written with `"includes_base":
+        true` only if its blocks leave one of them uncovered: where they
+        cover all, the key would save no byte and cost the reader an OR of
+        the base.  `edges` then holds the edges nothing covers: with no
+        clique, every edge of g, less the base's where g holds the base.
+        The one clique encoder: `Factorization.to_json` feeds it what its
+        certification built, and `to_json` nothing.  At n=40 (k=2) the
+        envelope's factor 1, written with its 39 bags, takes 1.1 ms, and
+        factor 2, with its 40 blocks, 1.4 ms on a 2-vCPU Xeon VM (medians
+        of 200, collector paused)."""
         n, adj = self.n, self._adj
         kept, covered = [], [0] * n
         for m in cliques:
@@ -651,11 +645,11 @@ class Graph:
                 continue
             members = list(bits(m))
             kept.append(None if cover else ids_to_json(members))
-            if not known:
+            if cover:
                 for v in members:
                     covered[v] |= m
         inner, pairs = False, ()
-        if not known:
+        if cover or not kept:
             if base is not None and len(base) == n and tuple(map(or_, adj, base)) == adj:
                 # a base edge the cliques leave uncovered makes the key pay
                 inner = (full := [*map(or_, covered, base)]) != covered

@@ -770,28 +770,53 @@ def reference_graph_json(g: Graph, candidates, base: Graph | None = None, cover=
     return obj
 
 
+def reference_verifies(f) -> bool:
+    """Whether f passes every check of `verify_factorization`, each taken
+    from its definition, pair by pair: every factor has the base's n and
+    labels, the factors' edges meet in exactly the base's, the certificate
+    is a permutation of factor 1's vertices with no `brute_peo_witness`,
+    there is one cover and one width per factor >= 2, the blocks of each
+    cover hold every vertex of its factor once and are cliques of it, with
+    the width `brute_cover_width` finds, and lstar is the largest width (0
+    with none)."""
+    base, factors, peo = f.base, f.factors, f.chordal_cert.peo
+    if any(g.n != base.n or g.labels != base.labels for g in factors):
+        return False
+    if brute_intersection_witness(factors, base) is not None:
+        return False
+    if peo is None or sorted(peo) != list(range(base.n)) or brute_peo_witness(factors[0], peo):
+        return False
+    if not len(f.covers) == len(f.widths) == len(factors) - 1:
+        return False
+    for g, cover, width in zip(factors[1:], f.covers, f.widths):
+        if sorted(v for b in cover.cliques for v in b) != list(range(g.n)):
+            return False
+        if not all(reference_is_clique(g, b) for b in cover.cliques):
+            return False
+        if brute_cover_width(g, cover.cliques)[0] != width:
+            return False
+    return f.lstar == max(f.widths, default=0)
+
+
 def reference_envelope(f) -> dict:
     """`Factorization.to_json` with every candidate clique and the base's
-    every edge checked (`reference_graph_json`) and none trusted: factor 1's
-    candidates are the bags of its clique forest from the certificate's PEO
-    when that is a permutation of factor 1's vertices, whether or not it is
-    a PEO; factor i >= 2's are its cover's blocks as they are, written as
-    `includes_cover` if every block, checked pair by pair, is a clique of
-    it and its n is the base's.  A factor whose labels equal the base's is
-    written without them.  The certificate's list, in a room of its own,
-    and the blocks of each cover, members ascending, in one room, are
-    written as `reference_id_lists`."""
-    base, g1, peo = f.base, f.factors[0], f.chordal_cert.peo
-    bags = []
-    if peo is not None and sorted(peo) == list(range(g1.n)):
-        bags = [list(bits(m)) for m in _clique_forest(g1, peo)[0]]
-    candidates = [bags] + [c.cliques for c in f.covers]
+    every edge checked (`reference_graph_json`) and none trusted.  When f
+    verifies (`reference_verifies`), factor 1's candidates are the bags of
+    its clique forest from the certificate's PEO, and factor i >= 2's are
+    its cover's blocks as they are, written as `includes_cover`; when it
+    does not, every factor is written with no candidate, as its edges over
+    the base.  A factor whose labels equal the base's is written without
+    them.  The certificate's list, in a room of its own, and the blocks of
+    each cover, members ascending, in one room, are written as
+    `reference_id_lists`."""
+    base, g1 = f.base, f.factors[0]
+    candidates = [[]] * len(f.factors)
+    if reference_verifies(f):
+        bags = [list(bits(m)) for m in _clique_forest(g1, f.chordal_cert.peo)[0]]
+        candidates = [bags] + [c.cliques for c in f.covers]
     factors = []
-    for i, g in enumerate(f.factors):
-        blocks = candidates[i] if i < len(candidates) else []
-        cover = 0 < i < len(candidates) and g.n == base.n
-        cover = cover and all(reference_is_clique(g, c) for c in blocks)
-        obj = reference_graph_json(g, blocks, base, cover)
+    for i, (g, blocks) in enumerate(zip(f.factors, candidates)):
+        obj = reference_graph_json(g, blocks, base, i > 0)
         if g.labels == base.labels:
             del obj["labels"]
         factors.append(obj)

@@ -5,9 +5,10 @@ its bags, no edge tested.  These tests hold that envelope to
 `oracles.reference_envelope`, which checks every candidate clique and every
 base edge pair by pair, on every construction and on drawn apex grids and
 clique sums.  Any other factorization, one made by `dataclasses.replace`
-included, is encoded by the checking path, one `_elimination` inside
-`to_json`, so a certificate cannot outlive the fields it was checked on.
-Last, `Graph._from_json` tests for booleans only the edges with an endpoint
+included, is certified as it is written, by one run of the checker: one
+`_elimination` and one cover check per cover inside `to_json`, so a
+certificate cannot outlive the fields it was checked on.  Last,
+`Graph._from_json` tests for booleans only the edges with an endpoint
 below 2; a boolean in a later edge still exits 2 with the same message."""
 
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccwkit.chordal
-import ccwkit.cliquecover
+import ccwkit.constructions
 from ccwkit import (
     Apex,
     ChordalCertificate,
@@ -64,7 +65,7 @@ def test_every_construction_writes_the_reference_bytes(build):
 def test_certified_encoding_checks_nothing_again(build, monkeypatch):
     f = build()
     eliminations = counted(monkeypatch, ccwkit.chordal, "_elimination")
-    covers = counted(monkeypatch, ccwkit.cliquecover, "_block_masks")
+    covers = counted(monkeypatch, ccwkit.constructions, "_block_masks")
     blocks = counted(monkeypatch, Graph, "_subset_mask")
     f.to_json()
     assert eliminations == [] and covers == [] and blocks == []
@@ -126,8 +127,10 @@ def test_replaced_factorization_is_checked_again(build, replace, monkeypatch):
     if g.chordal_cert != f.chordal_cert:
         assert verify_peo(g.factors[0], g.chordal_cert.peo) is None
     eliminations = counted(monkeypatch, ccwkit.chordal, "_elimination")
+    covers = counted(monkeypatch, ccwkit.constructions, "_block_masks")
     obj = g.to_json()
     assert eliminations == [(g.factors[0], g.chordal_cert.peo)]
+    assert covers == list(zip(g.factors[1:], g.covers))
     assert json.dumps(obj) == json.dumps(reference_envelope(g))
 
 

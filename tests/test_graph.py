@@ -80,9 +80,11 @@ class TestBasics:
              VertexOutOfRange("adjacency of 2 exceeds n=3")),
             (lambda: Graph.from_edges(2.0, []), InvalidGraph("n must be an integer, got 2.0")),
             (lambda: Graph.from_edges("2", []), InvalidGraph("n must be an integer, got '2'")),
+            (lambda: Graph.from_edges(True, []), InvalidGraph("n must be an integer, got True")),
+            (lambda: Graph.from_edges(-1, []), InvalidGraph("n must be at least 0, got -1")),
         ],
         ids=["masks-loop-0", "masks-loop-1", "masks-past-n", "masks-past-n-last",
-             "edges-float-n", "edges-string-n"],
+             "edges-float-n", "edges-string-n", "edges-boolean-n", "edges-negative-n"],
     )
     def test_malformed_input_refused(self, build, expected):
         with pytest.raises(type(expected)) as info:
