@@ -12,7 +12,7 @@ which `from_json` refuses."""
 
 import dataclasses
 import json
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +139,40 @@ def test_a_factor_lists_cliques_iff_the_factorization_verifies(f):
         assert Factorization.from_json(obj) == f
 
 
+@st.composite
+def partitions_of_factor_2(draw):
+    """A built factorization, certified or replaced (and so certified again
+    by `to_json`), as it is, or with two blocks of its cover merged into
+    one at the place of the first: a partition of the vertices whose merged
+    block is no clique of factor 2.  (A cover that is no partition fails
+    verification whatever its blocks; the property above holds for it.)"""
+    f = draw(st.sampled_from(BUILT))
+    g2, blocks = f.factors[1], list(f.covers[0].cliques)
+    if draw(st.booleans()):
+        return draw(st.sampled_from([f, dataclasses.replace(f)]))
+    pairs = [(i, j) for i, j in combinations(range(len(blocks)), 2) if not is_clique(g2, blocks[i] | blocks[j])]
+    i, j = draw(st.sampled_from(pairs))
+    blocks[i] |= blocks.pop(j)
+    return dataclasses.replace(f, covers=(OrderedCliqueCover(tuple(blocks)),))
+
+
+def is_clique(g, block) -> bool:
+    return all(g.has_edge(u, v) for u, v in combinations(block, 2))
+
+
+@settings(deadline=None)
+@given(partitions_of_factor_2())
+def test_factor_2_includes_its_cover_iff_every_block_is_a_clique(f):
+    obj = json.loads(json.dumps(f.to_json()))
+    g2 = obj["factors"][1]
+    whole = all(is_clique(f.factors[1], b) for b in f.covers[0].cliques)
+    assert g2.get("includes_cover", False) is whole
+    assert whole is all(ok for _, ok, _ in verify_factorization(f))
+    # the blocks are written once, in `covers`, never in factor 2's `cliques`
+    assert "cliques" not in g2
+    assert Factorization.from_json(obj) == f
+
+
 def complete(n, labels=None):
     return Graph.from_masks([((1 << n) - 1) ^ (1 << v) for v in range(n)], labels)
 
@@ -159,3 +193,19 @@ def test_each_factor_includes_its_own_cover():
     assert obj["factors"][2] == {"n": n, "edges": [], "includes_cover": True}
     decoded = Factorization.from_json(obj)
     assert decoded == g and all(ok for _, ok, _ in verify_factorization(decoded))
+
+
+def test_a_factor_of_another_n_lists_its_cliques():
+    # every block is a clique of factor 2, but a factor whose n is not the
+    # base's fails verification: the factor is written as its edges, and
+    # its cliques are listed once, as the blocks of `covers`
+    f = factorize_apex_grid(2, 4, {(1, 2)})
+    g = dataclasses.replace(f, factors=(f.factors[0], complete(f.base.n + 2)))
+    assert all(is_clique(g.factors[1], b) for b in g.covers[0].cliques)
+    obj = json.loads(json.dumps(g.to_json()))
+    assert json.dumps(obj) == json.dumps(reference_envelope(g))
+    g2 = obj["factors"][1]
+    assert g2.keys() == {"n", "edges", "labels"} and g2["n"] == f.base.n + 2
+    assert len(obj["covers"][0]) == len(f.covers[0].cliques)
+    decoded = Factorization.from_json(obj)
+    assert decoded == g and decoded.covers == f.covers
